@@ -14,10 +14,11 @@ from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
 from .errors import (BlowUpError, GridMismatchError, HomfiltError,
                      ModelShapeError, NotPSDError, NotSymmetricError,
                      StudyAbortError, UsageError, WeightCollapseError)
-from .filtering import (FilterConfig, KalmanState, ParticleEnsemble, ess,
-                        kalman_reference, run_full_filter,
-                        run_homogenized_filter, systematic_resample,
-                        weight_update)
+from .filtering import (FilterBatch, FilterConfig, KalmanState,
+                        ParticleEnsemble, ess, kalman_reference,
+                        run_full_filter, run_full_filter_batch,
+                        run_homogenized_filter, run_homogenized_filter_batch,
+                        systematic_resample, weight_update)
 from .measures import (EmpiricalMeasure, TestFunctionBasis, default_basis,
                        integrate, marginal_x, metric_d)
 from . import catalog
@@ -26,4 +27,5 @@ from .models import (MultiscaleModel, ObservationPath, SignalPath,
                      multiscale_step, simulate_frozen_fast,
                      simulate_multiscale, simulate_observations)
 from .study import (ConvergenceReport, StudyConfig, fit_loglog_slope,
-                    report_csv, report_text, run_replication, run_study)
+                    report_csv, report_text, run_replication,
+                    run_replications, run_study)

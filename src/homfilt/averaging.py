@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import NotPSDError, NotSymmetricError, HomfiltError, NonErgodicWarning
 from .models import MultiscaleModel
@@ -164,6 +163,10 @@ class HomogenizedModel:
 
 
 def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
+    # Imported here: importing scipy costs more start-up time and memory than
+    # the rest of homfilt, and only tabulated models need it.
+    from scipy.interpolate import RegularGridInterpolator
+
     method = "linear" if grid.interpolation == "multilinear" else "nearest"
     shape = tuple(grid.counts) + node_values.shape[1:]
     itp = RegularGridInterpolator(grid.axes(), node_values.reshape(shape),

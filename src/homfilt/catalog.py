@@ -143,17 +143,21 @@ def family_names() -> list:
     return sorted(_FAMILIES)
 
 
-def make_model(name: str, epsilon: float = 1.0, **params) -> MultiscaleModel:
-    """Instantiate a catalog family by name."""
+def _build(name: str, which: int, **params):
     if name not in _FAMILIES:
         raise UsageError(f"unknown model family {name!r}; "
                          f"known: {', '.join(family_names())}")
-    return _FAMILIES[name][0](epsilon=epsilon, **params)
+    try:
+        return _FAMILIES[name][which](**params)
+    except TypeError as exc:  # an unknown or ill-typed family parameter
+        raise UsageError(f"model family {name!r}: {exc}") from exc
+
+
+def make_model(name: str, epsilon: float = 1.0, **params) -> MultiscaleModel:
+    """Instantiate a catalog family by name."""
+    return _build(name, 0, epsilon=epsilon, **params)
 
 
 def make_analytic_homogenized(name: str, **params) -> HomogenizedModel:
     """Closed-form averaged model for a catalog family (epsilon-independent)."""
-    if name not in _FAMILIES:
-        raise UsageError(f"unknown model family {name!r}; "
-                         f"known: {', '.join(family_names())}")
-    return _FAMILIES[name][1](**params)
+    return _build(name, 1, **params)

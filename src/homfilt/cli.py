@@ -19,7 +19,7 @@ import yaml
 from . import __version__, catalog, rng as rngmod
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
-from .errors import HomfiltError, UsageError
+from .errors import HomfiltError, ModelShapeError, UsageError
 from .filtering import FilterConfig, run_full_filter, run_homogenized_filter
 from .measures import default_basis, marginal_x, metric_d
 from .models import ObservationPath, simulate_multiscale, simulate_observations
@@ -117,7 +117,11 @@ def _model_from_config(cfg, epsilon_override=None):
     family = _require(sec, "family", "model")
     eps = epsilon_override if epsilon_override is not None else sec.get("epsilon", 1.0)
     params = dict(sec.get("params", {}))
-    return catalog.make_model(family, epsilon=float(eps), **params), family, params
+    try:
+        model = catalog.make_model(family, epsilon=float(eps), **params)
+    except (ValueError, ModelShapeError) as exc:
+        raise UsageError(f"bad [model] config: {exc}") from exc
+    return model, family, params
 
 
 def _averager_from_config(cfg):
@@ -261,21 +265,24 @@ def cmd_study(args):
     cfg = _load_config(args.config)
     sec = _section(cfg, "study")
     msec = _section(cfg, "model")
-    scfg = StudyConfig(
-        epsilons=tuple(float(e) for e in _require(sec, "epsilons", "study")),
-        replications=int(_require(sec, "replications", "study")),
-        horizon=float(_require(sec, "horizon", "study")),
-        n_particles=int(_require(sec, "n_particles", "study")),
-        dt=float(_require(sec, "dt", "study")),
-        root_seed=args.seed,
-        family=msec.get("family", "ou_benchmark"),
-        family_params=dict(msec.get("params", {})),
-        resample_threshold=float(sec.get("resample_threshold", 0.5)),
-        basis_count=int(sec.get("basis_count", 16)),
-        init_mean=float(sec.get("init_mean", 0.0)),
-        init_std=float(sec.get("init_std", 0.5)),
-        threads=args.threads,
-        bootstrap_samples=int(sec.get("bootstrap_samples", 1000)))
+    try:
+        scfg = StudyConfig(
+            epsilons=tuple(float(e) for e in _require(sec, "epsilons", "study")),
+            replications=int(_require(sec, "replications", "study")),
+            horizon=float(_require(sec, "horizon", "study")),
+            n_particles=int(_require(sec, "n_particles", "study")),
+            dt=float(_require(sec, "dt", "study")),
+            root_seed=args.seed,
+            family=msec.get("family", "ou_benchmark"),
+            family_params=dict(msec.get("params", {})),
+            resample_threshold=float(sec.get("resample_threshold", 0.5)),
+            basis_count=int(sec.get("basis_count", 16)),
+            init_mean=float(sec.get("init_mean", 0.0)),
+            init_std=float(sec.get("init_std", 0.5)),
+            threads=args.threads,
+            bootstrap_samples=int(sec.get("bootstrap_samples", 1000)))
+    except ValueError as exc:
+        raise UsageError(f"bad [study] config: {exc}") from exc
     report = run_study(scfg)
     txt_path = os.path.join(args.out, "report.txt")
     csv_path = os.path.join(args.out, "report.csv")
@@ -296,8 +303,8 @@ def build_parser():
         description="Reduced-order nonlinear filtering for slow/fast diffusions")
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for replication-level parallelism")
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored; the study is batched")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="simulate a signal and observation path")

@@ -119,12 +119,18 @@ def _check_finite(arr: np.ndarray, step: int):
 
 def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
                     dt: float, substeps: int, rng: np.random.Generator,
-                    step_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                    step_index: int = 0, check_finite: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """One slow step of size ``dt``: fast substeps with x frozen, then the slow update.
 
     Lie splitting: z is advanced through ``substeps`` Euler substeps with drift
     scaled by 1/eps and diffusion by 1/sqrt(eps), after which x takes a single
     Euler step using the updated z.  Works on single states or batches.
+
+    Each update adds to the current state, and a non-finite value plus
+    anything stays non-finite, so one check after the slow update catches a
+    blow-up in any substep and raises BlowUpError(step_index).  A caller that
+    handles failures row by row passes ``check_finite=False``.
     """
     eps = model.epsilon
     dt_f = dt / substeps
@@ -134,20 +140,27 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
         gz = model.diff_fast(x, z)
         z = (z + model.drift_fast(x, z) * (dt_f / eps)
              + np.einsum("...nl,...l->...n", gz, xi) * np.sqrt(dt_f / eps))
-        _check_finite(z, step_index)
     xi = rng.standard_normal(batch + (model.dim_noise_slow,))
     sx = model.diff_slow(x, z)
     x = (x + model.drift_slow(x, z) * dt
          + np.einsum("...mk,...k->...m", sx, xi) * np.sqrt(dt))
-    _check_finite(x, step_index)
+    if check_finite:
+        _check_finite(z, step_index)
+        _check_finite(x, step_index)
     return x, z
 
 
 def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
                         horizon: float, dt_slow: float,
                         substeps_fast: Optional[int] = None,
-                        rng: Optional[np.random.Generator] = None) -> SignalPath:
-    """Euler-Maruyama path of the joint system, sampled on the slow grid."""
+                        rng: Optional[np.random.Generator] = None,
+                        check_finite: bool = True) -> SignalPath:
+    """Euler-Maruyama path of the joint system, sampled on the slow grid.
+
+    ``x0`` and ``z0`` may carry a leading batch axis of independent paths;
+    the states then have shape ``(T+1, batch, m)`` and ``(T+1, batch, n)``.
+    ``check_finite`` is passed on to ``multiscale_step``.
+    """
     if rng is None:
         rng = np.random.default_rng()
     if substeps_fast is None:
@@ -158,11 +171,12 @@ def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
     times = np.arange(n_steps + 1) * dt_slow
     x = np.asarray(x0, dtype=float)
     z = np.asarray(z0, dtype=float)
-    xs = np.empty((n_steps + 1, model.dim_slow))
-    zs = np.empty((n_steps + 1, model.dim_fast))
+    xs = np.empty((n_steps + 1,) + x.shape[:-1] + (model.dim_slow,))
+    zs = np.empty((n_steps + 1,) + z.shape[:-1] + (model.dim_fast,))
     xs[0], zs[0] = x, z
     for i in range(n_steps):
-        x, z = multiscale_step(model, x, z, dt_slow, substeps_fast, rng, step_index=i)
+        x, z = multiscale_step(model, x, z, dt_slow, substeps_fast, rng,
+                               step_index=i, check_finite=check_finite)
         xs[i + 1], zs[i + 1] = x, z
     return SignalPath(times=times, slow_states=xs, fast_states=zs)
 

@@ -10,18 +10,19 @@ predicts slope 1/2 up to particle noise.
 """
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import catalog, rng as rngmod
 from .averaging import HomogenizedModel
-from .errors import HomfiltError, StudyAbortError
-from .filtering import FilterConfig, run_full_filter, run_homogenized_filter
+from .errors import BlowUpError, HomfiltError, StudyAbortError
+from .filtering import (FilterConfig, run_full_filter_batch,
+                        run_homogenized_filter_batch)
 from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
-from .models import MultiscaleModel, simulate_multiscale, simulate_observations
+from .models import (MultiscaleModel, SignalPath, simulate_multiscale,
+                     simulate_observations)
 
 ROLE_BOOTSTRAP = 4
 ROLE_INIT = 5
@@ -41,7 +42,7 @@ class StudyConfig:
     basis_count: int = 16
     init_mean: float = 0.0
     init_std: float = 0.5
-    threads: int = 1
+    threads: int = 1                 # ignored; the study is batched
     max_failure_fraction: float = 0.2
     bootstrap_samples: int = 1000
 
@@ -79,27 +80,40 @@ class ConvergenceReport:
     distances: tuple              # per epsilon: tuple of per-replication distances
 
 
-def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
-                    cfg: StudyConfig, basis: TestFunctionBasis,
-                    eps_index: int, rep_index: int) -> float:
-    """One sample of the metric between the two filters at the final time.
+def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
+                     cfg: StudyConfig, basis: TestFunctionBasis, eps_index: int,
+                     rep_indices: Sequence[int]) -> list:
+    """Samples of the metric between the two filters at the final time, for a
+    batch of replications at one epsilon.
 
     Truth, observation noise and each filter own independent streams derived
     from the root seed, the epsilon index, the replication index and a role
-    tag, so no stream is shared across roles or replications.
+    tag, so no stream is shared across roles or replications.  All
+    replications move together as one batch, yet each draws from its own
+    streams in the order a lone run would, so entry r equals the replication's
+    own run bit for bit.  Entry r is the distance, or the HomfiltError that
+    stopped replication r; the other replications go on without it.
     """
-    key = (eps_index, rep_index)
-    r_truth = rngmod.stream(cfg.root_seed, *key, rngmod.ROLE_TRUTH)
-    r_obs = rngmod.stream(cfg.root_seed, *key, rngmod.ROLE_OBS)
-    r_full = rngmod.stream(cfg.root_seed, *key, rngmod.ROLE_FULL_FILTER)
-    r_homog = rngmod.stream(cfg.root_seed, *key, rngmod.ROLE_HOMOG_FILTER)
-    r_init = rngmod.stream(cfg.root_seed, *key, ROLE_INIT)
+    def streams(role):
+        return [rngmod.stream(cfg.root_seed, eps_index, rep, role) for rep in rep_indices]
+
+    r_truth = streams(rngmod.ROLE_TRUTH)
+    r_obs = streams(rngmod.ROLE_OBS)
+    r_full = streams(rngmod.ROLE_FULL_FILTER)
+    r_homog = streams(rngmod.ROLE_HOMOG_FILTER)
+    r_init = streams(ROLE_INIT)
 
     m, n = model.dim_slow, model.dim_fast
-    x0 = cfg.init_mean + cfg.init_std * r_init.standard_normal(m)
-    z0 = x0.mean() + r_init.standard_normal(n)  # near the frozen stationary law
-    truth = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt, rng=r_truth)
-    obs = simulate_observations(truth, model, rng=r_obs)
+    x0 = np.empty((len(rep_indices), m))
+    z0 = np.empty((len(rep_indices), n))
+    for r, gen in enumerate(r_init):
+        x0[r] = cfg.init_mean + cfg.init_std * gen.standard_normal(m)
+        z0[r] = x0[r].mean() + gen.standard_normal(n)  # near the frozen stationary law
+    truth = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
+                                rng=rngmod.StreamBatch(r_truth), check_finite=False)
+    paths = [SignalPath(truth.times, truth.slow_states[:, r], truth.fast_states[:, r])
+             for r in range(len(rep_indices))]
+    obs = [simulate_observations(p, model, rng=g) for p, g in zip(paths, r_obs)]
 
     def init_joint(rng, count):
         x = cfg.init_mean + cfg.init_std * rng.standard_normal((count, m))
@@ -110,11 +124,30 @@ def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
         return cfg.init_mean + cfg.init_std * rng.standard_normal((count, m))
 
     fcfg = cfg.filter_config()
-    full = run_full_filter(model, obs, init_joint, fcfg, r_full,
-                           keep_history=False)
-    homog = run_homogenized_filter(hmodel, obs, init_slow, fcfg, r_homog,
-                                   keep_history=False)
-    return metric_d(marginal_x(full[-1], m), marginal_x(homog[-1], m), basis)
+    full = run_full_filter_batch(model, obs, init_joint, fcfg, r_full)
+    homog = run_homogenized_filter_batch(hmodel, obs, init_slow, fcfg, r_homog)
+    out = []
+    for r, p in enumerate(paths):
+        blown = ~(np.isfinite(p.slow_states).all(axis=1)
+                  & np.isfinite(p.fast_states).all(axis=1))
+        error = full.errors[r] or homog.errors[r]
+        if blown.any():  # state k + 1 comes out of step k
+            error = BlowUpError(int(np.argmax(blown)) - 1)
+        out.append(error or metric_d(marginal_x(full.ensemble(r), m),
+                                     marginal_x(homog.ensemble(r), m), basis))
+    return out
+
+
+def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
+                    cfg: StudyConfig, basis: TestFunctionBasis,
+                    eps_index: int, rep_index: int) -> float:
+    """One sample of the metric between the two filters at the final time:
+    ``run_replications`` for one replication, raising its error if it failed.
+    """
+    (result,) = run_replications(model, hmodel, cfg, basis, eps_index, [rep_index])
+    if isinstance(result, HomfiltError):
+        raise result
+    return result
 
 
 def _fit_slope(log_eps: np.ndarray, log_mean: np.ndarray,
@@ -166,24 +199,18 @@ def run_study(cfg: StudyConfig,
     distances: List[List[float]] = []
     failures: List[int] = []
     for ei, eps in enumerate(cfg.epsilons):
-        model = None
         if distance_fn is None:
             model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
-
-        def one(rep):
-            try:
-                if distance_fn is not None:
-                    return distance_fn(eps, ei, rep)
-                return run_replication(model, hmodel, cfg, basis, ei, rep)
-            except HomfiltError:
-                return None
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(one, range(cfg.replications)))
+            results = run_replications(model, hmodel, cfg, basis, ei,
+                                       range(cfg.replications))
         else:
-            results = [one(rep) for rep in range(cfg.replications)]
-        ok = [r for r in results if r is not None]
+            results = []
+            for rep in range(cfg.replications):
+                try:
+                    results.append(distance_fn(eps, ei, rep))
+                except HomfiltError as exc:
+                    results.append(exc)
+        ok = [r for r in results if not isinstance(r, HomfiltError)]
         n_failed = cfg.replications - len(ok)
         if n_failed > cfg.max_failure_fraction * cfg.replications:
             raise StudyAbortError(

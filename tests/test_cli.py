@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,3 +193,35 @@ class TestErrors:
     def test_missing_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"model": {"family": "linear"}})
         assert run(["--config", cfg, "--out", tmp_path, "simulate"]) == 2
+
+    def _usage_error(self, tmp_path, capsys, cfg, command):
+        path = write_config(tmp_path, cfg)
+        assert run(["--config", path, "--out", tmp_path, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_bad_study_config_is_usage_error(self, tmp_path, capsys):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "study": {"epsilons": [0.5, 0.25], "replications": 2, "horizon": 0.1,
+                      "n_particles": 8, "dt": 0.02}}, "study")
+
+    def test_unknown_family_param_is_usage_error(self, tmp_path, capsys):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "params": {"bogus": 1.0},
+                      "horizon": 1.0, "dt": 0.1}}, "simulate")
+
+    def test_zero_epsilon_is_usage_error(self, tmp_path, capsys):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "epsilon": 0,
+                      "horizon": 1.0, "dt": 0.1}}, "simulate")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only tabulated models interpolate; every other call should not pay
+    # for importing scipy.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, homfilt.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
