@@ -8,19 +8,24 @@ by long-run time averaging over independent replicates, either at the nodes of
 a tabulation grid or supplied analytically for families where they are known.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSDError, NotSymmetricError, HomfiltError, NonErgodicWarning
+from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
+                     NotSymmetricError)
 from .models import MultiscaleModel
 from . import rng as rngmod
 
 TOL_PSD = 1e-10
 
 NODE_STREAM = 7  # namespace tag for per-node rng derivation
+# Each generator draws the fast noise of several steps in one call, with at
+# most this many doubles for the whole grid per call.
+NOISE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,26 +48,67 @@ class StationaryAverager:
             raise ValueError("dt must be positive and replicates >= 1")
 
 
-def _frozen_time_averages(model: MultiscaleModel, x: np.ndarray,
-                          thetas: Sequence[Callable], cfg: StationaryAverager,
-                          rng: np.random.Generator):
-    """Time averages of several integrands along one shared frozen-x path.
+def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
+                 thetas: Sequence[Callable], cfg: StationaryAverager,
+                 streams: Sequence[np.random.Generator]) -> tuple:
+    """Per-replicate time sums of several integrands along frozen-x paths.
 
-    Returns one (estimate, standard_error) pair per integrand; the standard
-    error is the across-replicate spread of the per-replicate time averages.
+    One time loop serves every node: z has shape (nodes, replicates, n), and
+    node i draws from ``streams[i]`` exactly as a lone run of
+    ``simulate_frozen_fast`` would, so each node's sums do not depend on the
+    other nodes.  Memory does not grow with the horizon.  Returns the sums,
+    one array of shape (nodes, replicates) + tail per integrand, the number
+    of sampled states, and per node the first step whose state is not
+    finite, or -1.  The loop stops early once node 0 has failed.
     """
-    from .models import simulate_frozen_fast
-
-    x = np.asarray(x, dtype=float)
-    z0 = rng.standard_normal((cfg.replicates, model.dim_fast))
-    path = simulate_frozen_fast(model, x, z0, cfg.sample_horizon, cfg.dt, rng)
+    if cfg.dt > cfg.sample_horizon:
+        raise ValueError("dt must not exceed the horizon")
+    k, r, n = len(nodes), cfg.replicates, model.dim_fast
+    z = np.stack([gen.standard_normal((r, n)) for gen in streams])
+    x = np.broadcast_to(nodes[:, None, :], (k, r, model.dim_slow))
+    n_steps = int(round(cfg.sample_horizon / cfg.dt))
     i0 = int(round(cfg.burn_in / cfg.dt))
-    zs = path[i0:]                            # (T, replicates, n)
-    xb = np.broadcast_to(x, zs.shape[:-1] + (model.dim_slow,))
+    sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
+    first_bad = np.full(k, -1)
+    sq = np.sqrt(cfg.dt)
+    block = min(n_steps, max(1, NOISE_BLOCK // (k * r * model.dim_noise_fast)))
+    xis = np.empty((k, block, r, model.dim_noise_fast))
+
+    def accumulate(z):
+        for acc, theta in zip(sums, thetas):
+            acc += np.asarray(theta(x, z), dtype=float)
+
+    if i0 == 0:
+        accumulate(z)
+    for start in range(0, n_steps, block):
+        steps = min(block, n_steps - start)
+        for gen, row in zip(streams, xis):
+            gen.standard_normal(out=row[:steps])
+        for j in range(steps):
+            gz = model.diff_fast(x, z)
+            z = (z + model.drift_fast(x, z) * cfg.dt
+                 + np.einsum("...nl,...l->...n", gz, xis[:, j]) * sq)
+            if not np.isfinite(z).all():
+                bad = ~np.isfinite(z).all(axis=(1, 2))
+                first_bad[bad & (first_bad < 0)] = start + j
+                if first_bad[0] >= 0:  # no later failure can come first
+                    return sums, n_steps + 1 - i0, first_bad
+                z[bad] = 0.0  # keeps failed nodes quiet; their sums are dropped
+            if start + j + 1 >= i0:
+                accumulate(z)
+    return sums, n_steps + 1 - i0, first_bad
+
+
+def _estimates(rep_sums: Sequence[np.ndarray], count: int, cfg: StationaryAverager,
+               x: np.ndarray) -> list:
+    """One (estimate, standard_error) pair per integrand from one node's sums.
+
+    The standard error is the across-replicate spread of the per-replicate
+    time averages.
+    """
     results = []
-    for theta in thetas:
-        vals = np.asarray(theta(xb, zs), dtype=float)
-        rep_means = vals.mean(axis=0)         # (replicates,) + tail
+    for acc in rep_sums:
+        rep_means = acc / count               # (replicates,) + tail
         est = rep_means.mean(axis=0)
         if cfg.replicates > 1:
             se = rep_means.std(axis=0, ddof=1) / np.sqrt(cfg.replicates)
@@ -76,6 +122,21 @@ def _frozen_time_averages(model: MultiscaleModel, x: np.ndarray,
             se = np.zeros_like(est)
         results.append((est, se))
     return results
+
+
+def _frozen_time_averages(model: MultiscaleModel, x: np.ndarray,
+                          thetas: Sequence[Callable], cfg: StationaryAverager,
+                          rng: np.random.Generator):
+    """Time averages of several integrands along one shared frozen-x path.
+
+    The one-node case of ``_frozen_sums``; returns one (estimate,
+    standard_error) pair per integrand.
+    """
+    x = np.asarray(x, dtype=float)
+    sums, count, first_bad = _frozen_sums(model, x[None], thetas, cfg, [rng])
+    if first_bad[0] >= 0:
+        raise BlowUpError(int(first_bad[0]))
+    return _estimates([acc[0] for acc in sums], count, cfg, x)
 
 
 def estimate_stationary_average(model: MultiscaleModel, x: np.ndarray,
@@ -163,23 +224,56 @@ class HomogenizedModel:
 
 
 def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
-    # Imported here: importing scipy costs more start-up time and memory than
-    # the rest of homfilt, and only tabulated models need it.
-    from scipy.interpolate import RegularGridInterpolator
+    """Interpolate node values over the grid, extrapolating from the edge cells.
 
-    method = "linear" if grid.interpolation == "multilinear" else "nearest"
-    shape = tuple(grid.counts) + node_values.shape[1:]
-    itp = RegularGridInterpolator(grid.axes(), node_values.reshape(shape),
-                                  method=method, bounds_error=False, fill_value=None)
+    Multilinear interpolation sums the corners of each point's cell; nearest
+    takes the closer node along each axis.  The arithmetic is that of scipy's
+    ``RegularGridInterpolator(bounds_error=False, fill_value=None)``, so the
+    results equal scipy's bit for bit.  A NaN coordinate gives NaN.
+    """
+    axes = grid.axes()
+    widths = [np.diff(axis) for axis in axes]
     tail = node_values.shape[1:]
+    values = node_values.reshape(tuple(grid.counts) + tail)
+    per_point = (slice(None),) + (None,) * len(tail)
 
     def query(x):
         x = np.asarray(x, dtype=float)
         batch = x.shape[:-1]
-        out = itp(x.reshape(-1, grid.ndim))
+        pts = x.reshape(-1, grid.ndim)
+        cells, fracs = [], []
+        for axis, width, p in zip(axes, widths, pts.T):
+            i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
+            cells.append(i)
+            fracs.append((p - axis[i]) / width[i])
+        if grid.interpolation == "nearest":
+            out = values[tuple(np.where(y <= 0.5, i, i + 1)
+                               for i, y in zip(cells, fracs))]
+        else:
+            out = 0.0
+            for corner in itertools.product((0, 1), repeat=grid.ndim):
+                weight = 1.0
+                for c, y in zip(corner, fracs):
+                    weight = weight * (y if c else 1 - y)
+                idx = tuple(i + c for i, c in zip(cells, corner))
+                out = out + values[idx] * weight[per_point]
+        nan = np.isnan(pts).any(axis=-1)
+        if nan.any():
+            out[nan] = np.nan
         return out.reshape(batch + tail)
 
     return query
+
+
+def _tabulated_model(m: int, d: int, grid: TabulationGrid,
+                     table: dict) -> HomogenizedModel:
+    return HomogenizedModel(
+        dim_slow=m, dim_obs=d,
+        drift_avg=_interpolator(grid, table["b"]),
+        diffsq_avg=_interpolator(grid, table["a"]),
+        diff_avg=_interpolator(grid, table["sigma"]),
+        obs_avg=_interpolator(grid, table["h"]),
+        provenance="tabulated", grid=grid, table=table)
 
 
 def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
@@ -188,21 +282,20 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
 
     Each node owns an independent random stream derived from root_seed and the
     node index, so node estimates are reproducible and order-independent.
+    All nodes share one time loop.  A failure is reported for the
+    lowest-index node that failed, as if the nodes had run one at a time.
     """
     if grid.ndim != model.dim_slow:
         raise ValueError("grid dimension must equal the slow dimension")
-
-    def theta_b(x, z):
-        return model.drift_slow(x, z)
 
     def theta_a(x, z):
         s = model.diff_slow(x, z)
         return np.einsum("...mk,...jk->...mj", s, s)
 
-    def theta_h(x, z):
-        return model.obs_fn(x, z)
-
     nodes = grid.nodes()
+    streams = [rngmod.stream(root_seed, NODE_STREAM, i) for i in range(len(nodes))]
+    sums, count, first_bad = _frozen_sums(
+        model, nodes, [model.drift_slow, theta_a, model.obs_fn], cfg, streams)
     m, d = model.dim_slow, model.dim_obs
     nb = np.empty((len(nodes), m))
     na = np.empty((len(nodes), m, m))
@@ -212,26 +305,24 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
     na_se = np.empty_like(na)
     nh_se = np.empty_like(nh)
     for i, x in enumerate(nodes):
-        stream = rngmod.stream(root_seed, NODE_STREAM, i)
+        where = f"node {i} at x={x.tolist()}"
+        if first_bad[i] >= 0:
+            raise BlowUpError(int(first_bad[i]),
+                              f"{where}: numerical blow-up at step {first_bad[i]}")
+        (b, b_se), (a, a_se), (h, h_se) = _estimates(
+            [acc[i] for acc in sums], count, cfg, x)
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
         try:
-            (b, b_se), (a, a_se), (h, h_se) = _frozen_time_averages(
-                model, x, [theta_b, theta_a, theta_h], cfg, stream)
-            ns[i] = matrix_sqrt_psd(0.5 * (a + np.swapaxes(a, -1, -2)))
+            ns[i] = matrix_sqrt_psd(a)
         except HomfiltError as exc:
-            raise type(exc)(f"node {i} at x={x.tolist()}: {exc}") from exc
-        nb[i], na[i], nh[i] = b, 0.5 * (a + np.swapaxes(a, -1, -2)), h
+            raise type(exc)(f"{where}: {exc}") from exc
+        nb[i], na[i], nh[i] = b, a, h
         nb_se[i], na_se[i], nh_se[i] = b_se, a_se, h_se
 
     table = {"b": nb, "a": na, "h": nh, "sigma": ns,
              "b_se": nb_se, "a_se": na_se, "h_se": nh_se,
              "root_seed": root_seed, "averager": cfg}
-    return HomogenizedModel(
-        dim_slow=m, dim_obs=d,
-        drift_avg=_interpolator(grid, nb),
-        diffsq_avg=_interpolator(grid, na),
-        diff_avg=_interpolator(grid, ns),
-        obs_avg=_interpolator(grid, nh),
-        provenance="tabulated", grid=grid, table=table)
+    return _tabulated_model(m, d, grid, table)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +361,7 @@ def load_tabulated(path: str) -> HomogenizedModel:
     with open(path) as fh:
         raw = [ln.rstrip("\n") for ln in fh]
     if not raw or not raw[0].startswith("# homfilt tabulated"):
-        raise ValueError(f"{path}: not a tabulated model file")
+        raise ValueError("no '# homfilt tabulated' header line")
     header = {}
     axes = []
     i = 1
@@ -307,10 +398,4 @@ def load_tabulated(path: str) -> HomogenizedModel:
              "a_se": blocks["a_se"].reshape(n_nodes, m, m),
              "h_se": blocks["h_se"].reshape(n_nodes, d),
              "root_seed": int(header["root_seed"]), "averager": cfg}
-    return HomogenizedModel(
-        dim_slow=m, dim_obs=d,
-        drift_avg=_interpolator(grid, nb),
-        diffsq_avg=_interpolator(grid, na),
-        diff_avg=_interpolator(grid, ns),
-        obs_avg=_interpolator(grid, nh),
-        provenance="tabulated", grid=grid, table=table)
+    return _tabulated_model(m, d, grid, table)

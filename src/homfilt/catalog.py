@@ -24,7 +24,8 @@ from .models import MultiscaleModel
 
 
 def _const_mat(value):
-    def coeff(x, z):
+    """Constant 1x1 matrix coefficient of (x, z), or of x alone in a reduced model."""
+    def coeff(x, *_):
         out = np.empty(x.shape[:-1] + (1, 1))
         out[...] = value
         return out
@@ -50,22 +51,14 @@ def make_linear(epsilon: float = 1.0, a: float = -1.0, q: float = 1.0,
         epsilon=epsilon)
 
 
-def _const_hmat(value):
-    def coeff(x):
-        out = np.empty(x.shape[:-1] + (1, 1))
-        out[...] = value
-        return out
-    return coeff
-
-
 def linear_homogenized(a: float = -1.0, q: float = 1.0,
                        h: float = 1.0) -> HomogenizedModel:
     """Averaged model of ``linear`` (identical: nothing depends on z)."""
     return HomogenizedModel(
         dim_slow=1, dim_obs=1,
         drift_avg=lambda x: a * x,
-        diffsq_avg=_const_hmat(q),
-        diff_avg=_const_hmat(np.sqrt(q)),
+        diffsq_avg=_const_mat(q),
+        diff_avg=_const_mat(np.sqrt(q)),
         obs_avg=lambda x: h * x,
         provenance="analytic")
 
@@ -97,8 +90,8 @@ def ou_benchmark_homogenized(a: float = -1.0, c_b: float = 0.5,
     return HomogenizedModel(
         dim_slow=1, dim_obs=1,
         drift_avg=lambda x: (a + c_b) * x,
-        diffsq_avg=_const_hmat(sigma0 ** 2),
-        diff_avg=_const_hmat(sigma0),
+        diffsq_avg=_const_mat(sigma0 ** 2),
+        diff_avg=_const_mat(sigma0),
         obs_avg=lambda x: (h_x + c_h) * x,
         provenance="analytic")
 
@@ -126,8 +119,8 @@ def sinusoidal_homogenized(a: float = -1.0, amp_b: float = 1.0,
     return HomogenizedModel(
         dim_slow=1, dim_obs=1,
         drift_avg=lambda x: a * x + amp_b * damp * np.sin(x),
-        diffsq_avg=_const_hmat(sigma0 ** 2),
-        diff_avg=_const_hmat(sigma0),
+        diffsq_avg=_const_mat(sigma0 ** 2),
+        diff_avg=_const_mat(sigma0),
         obs_avg=lambda x: h_x * x + amp_h * damp * np.sin(x),
         provenance="analytic")
 

@@ -186,8 +186,19 @@ def _obs_from_file(path):
         manifest, header, rows = read_csv(path)
     except OSError as exc:
         raise IOError(f"cannot read observations {path}: {exc}")
+    except ValueError as exc:
+        raise IOError(f"{path}: not an observations CSV: {exc}")
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise IOError(f"{path}: not an observations CSV: no rows of time and increments")
     times = np.concatenate([[0.0], rows[:, 0]])
     return ObservationPath(times=times, increments=rows[:, 1:])
+
+
+def _table_from_file(path):
+    try:
+        return load_tabulated(path)
+    except (ValueError, KeyError, IndexError) as exc:
+        raise IOError(f"{path}: not a tabulated model file: {exc}")
 
 
 def cmd_filter(args):
@@ -202,13 +213,13 @@ def cmd_filter(args):
                         resample_threshold=float(fsec.get("resample_threshold", 0.5)))
     init_mean = float(fsec.get("init_mean", 0.0))
     init_std = float(fsec.get("init_std", 0.5))
-    outputs = {}
 
     def run_one(kind):
         rows = []
 
         def sink(t, mean, e, resampled):
-            rows.append([t] + [float(v) for v in mean] + [float(e), resampled])
+            # The full filter's mean covers (x, z); the columns name x only.
+            rows.append([t] + [float(v) for v in mean[:m]] + [float(e), resampled])
 
         if kind == "full":
             model, _, _ = _model_from_config(cfg)
@@ -225,10 +236,11 @@ def cmd_filter(args):
             return rows, marginal_x(hist[-1], m), m
         table_path = fsec.get("table")
         if table_path:
-            hm = load_tabulated(table_path)
+            hm = _table_from_file(table_path)
         else:
             _, family, params = _model_from_config(cfg)
             hm = catalog.make_analytic_homogenized(family, **params)
+        m = hm.dim_slow
 
         def init(rng, count):
             return init_mean + init_std * rng.standard_normal((count, hm.dim_slow))
@@ -236,7 +248,7 @@ def cmd_filter(args):
         hist = run_homogenized_filter(hm, obs, init, fcfg,
                                       rngmod.stream(args.seed, ROLE_FILTER_HOMOG),
                                       keep_history=False, summary_sink=sink)
-        return rows, marginal_x(hist[-1], hm.dim_slow), hm.dim_slow
+        return rows, marginal_x(hist[-1], m), m
 
     extra = {"mode": mode, "n_particles": str(fcfg.n_particles), "dt": repr(dt)}
     manifest = _manifest_lines(args, extra)

@@ -78,6 +78,7 @@ class ConvergenceReport:
     root_seed: int
     config: dict                  # flat snapshot of the study configuration
     distances: tuple              # per epsilon: tuple of per-replication distances
+    replications: tuple           # per epsilon: the replication index of each distance
 
 
 def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
@@ -197,6 +198,7 @@ def run_study(cfg: StudyConfig,
         hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
 
     distances: List[List[float]] = []
+    replications: List[List[int]] = []
     failures: List[int] = []
     for ei, eps in enumerate(cfg.epsilons):
         if distance_fn is None:
@@ -210,13 +212,14 @@ def run_study(cfg: StudyConfig,
                     results.append(distance_fn(eps, ei, rep))
                 except HomfiltError as exc:
                     results.append(exc)
-        ok = [r for r in results if not isinstance(r, HomfiltError)]
-        n_failed = cfg.replications - len(ok)
+        kept = [rep for rep, r in enumerate(results) if not isinstance(r, HomfiltError)]
+        n_failed = cfg.replications - len(kept)
         if n_failed > cfg.max_failure_fraction * cfg.replications:
             raise StudyAbortError(
                 f"{n_failed}/{cfg.replications} replications failed at "
                 f"epsilon={eps:g} (limit {cfg.max_failure_fraction:.0%})")
-        distances.append(ok)
+        distances.append([results[rep] for rep in kept])
+        replications.append(kept)
         failures.append(n_failed)
 
     means = np.array([np.mean(d) for d in distances])
@@ -234,7 +237,8 @@ def run_study(cfg: StudyConfig,
         basis_count=cfg.basis_count, basis_version="gauss-v1",
         root_seed=cfg.root_seed,
         config=_config_snapshot(cfg),
-        distances=tuple(tuple(float(v) for v in d) for d in distances))
+        distances=tuple(tuple(float(v) for v in d) for d in distances),
+        replications=tuple(tuple(reps) for reps in replications))
 
 
 def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple:
@@ -304,7 +308,7 @@ def report_text(report: ConvergenceReport) -> str:
 def report_csv(report: ConvergenceReport) -> str:
     """Flat per-replication distances: epsilon, replication, distance."""
     lines = ["epsilon,replication,distance"]
-    for eps, dists in zip(report.epsilons, report.distances):
-        for rep, dist in enumerate(dists):
+    for eps, reps, dists in zip(report.epsilons, report.replications, report.distances):
+        for rep, dist in zip(reps, dists):
             lines.append(f"{eps!r},{rep},{dist!r}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homfilt.averaging import (HomogenizedModel, StationaryAverager,
-                               TabulationGrid, build_homogenized,
+from homfilt import rng as rngmod
+from homfilt.averaging import (NODE_STREAM, HomogenizedModel, StationaryAverager,
+                               TabulationGrid, _interpolator, build_homogenized,
                                estimate_stationary_average, load_tabulated,
                                matrix_sqrt_psd, save_tabulated)
-from homfilt.errors import NotPSDError, NotSymmetricError
+from homfilt.errors import BlowUpError, NotPSDError, NotSymmetricError
 from homfilt.models import MultiscaleModel
 
 from conftest import const_mat
@@ -165,3 +169,88 @@ class TestBuildHomogenized:
         h2 = build_homogenized(model, grid, FAST_CFG, root_seed=11)
         assert np.array_equal(h1.table["b"], h2.table["b"])
         assert np.array_equal(h1.table["a"], h2.table["a"])
+
+    def test_grid_loop_equals_lone_nodes(self):
+        # One time loop over all nodes gives each node's lone estimate.
+        model = ou_model(diff_slow=lambda x, z: np.sqrt(1.0 + z[..., :1] ** 2)[..., None],
+                         obs_fn=lambda x, z: x + np.sin(z))
+        grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(4,))
+        cfg = StationaryAverager(burn_in=1.0, sample_horizon=8.0, dt=1e-2,
+                                 replicates=6)
+        hm = build_homogenized(model, grid, cfg, root_seed=12)
+        thetas = {"b": model.drift_slow, "h": model.obs_fn,
+                  "a": lambda x, z: model.diff_slow(x, z) ** 2}
+        for i, node in enumerate(grid.nodes()):
+            for key, theta in thetas.items():
+                est, se = estimate_stationary_average(
+                    model, node, theta, cfg, rngmod.stream(12, NODE_STREAM, i))
+                assert np.array_equal(hm.table[key][i], est)
+                assert np.array_equal(hm.table[key + "_se"][i], se)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # Both horizons are long enough to fill the noise block.
+        model = ou_model()
+        grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(3,))
+        peaks = []
+        for horizon in (10.0, 40.0):
+            cfg = StationaryAverager(burn_in=1.0, sample_horizon=horizon,
+                                     dt=1e-2, replicates=64)
+            tracemalloc.start()
+            build_homogenized(model, grid, cfg, root_seed=13)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_blow_up_names_lowest_failed_node(self):
+        # The fast process explodes for x > 0.2, sooner at larger x; node 3
+        # fails after node 4, yet is the one reported, at its own step.
+        model = MultiscaleModel(
+            dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
+            drift_slow=lambda x, z: -x, diff_slow=const_mat(1.0),
+            drift_fast=lambda x, z: -z + np.maximum(x - 0.2, 0.0) * z ** 3,
+            diff_fast=const_mat(1.0), obs_fn=lambda x, z: x)
+        grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(5,))
+        cfg = StationaryAverager(burn_in=0.5, sample_horizon=5.0, dt=1e-2,
+                                 replicates=4)
+        lone = {}
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                build_homogenized(model, grid, cfg, root_seed=1)
+            for i, x in ((3, 0.5), (4, 1.0)):
+                with pytest.raises(BlowUpError) as exc:
+                    estimate_stationary_average(model, np.array([x]), model.obs_fn,
+                                                cfg, rngmod.stream(1, NODE_STREAM, i))
+                lone[i] = exc.value.step
+        assert lone[4] < lone[3]
+        assert str(info.value).startswith("node 3 at x=[0.5]: ")
+        assert info.value.step == lone[3]
+
+
+INTERP_CASES = list(itertools.product((1, 2, 3), ((2,), (2, 2)),
+                                      ("multilinear", "nearest")))
+
+
+@pytest.mark.parametrize("ndim,tail,method", INTERP_CASES)
+def test_interpolator_matches_scipy_bit_for_bit(ndim, tail, method):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(ndim)
+    counts = tuple(int(c) for c in rng.integers(2, 6, ndim))
+    lows = rng.uniform(-3.0, 0.0, ndim)
+    highs = lows + rng.uniform(0.5, 4.0, ndim)
+    grid = TabulationGrid(tuple(lows), tuple(highs), counts, method)
+    values = rng.standard_normal((int(np.prod(counts)),) + tail)
+    values.flat[0] = -0.0
+    ref = interpolate.RegularGridInterpolator(
+        grid.axes(), values.reshape(counts + tail),
+        method="linear" if method == "multilinear" else "nearest",
+        bounds_error=False, fill_value=None)
+    # Interior and out-of-range points, the nodes, the corners, -0.0 and NaN.
+    pts = np.concatenate([rng.uniform(lows - 1.0, highs + 1.0, (300, ndim)),
+                          grid.nodes(), [lows], [highs], np.full((1, ndim), -0.0)])
+    pts[3, 0] = np.nan
+    pts[7] = np.nan
+    got = _interpolator(grid, values)(pts[:, None, :])
+    want = ref(pts).reshape(got.shape)
+    assert got.shape == (len(pts), 1) + tail
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[3]).all()

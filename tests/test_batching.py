@@ -23,13 +23,15 @@ def sha256(path):
 
 
 # sha256 of the outputs of the per-replication implementation that the
-# batched path replaced, at the same configs and seeds.
+# batched path replaced, at the same configs and seeds.  filter_full.csv is
+# that file without its surplus z-mean field, which sat under the "ess"
+# header.
 STUDY_SHA256 = {
     "report.txt": "a183685b96c922034e93afdce68645fde62e417340d58e9e68a911d2021adb6b",
     "report.csv": "d2007edf0b6a54cff0bb5165281207da358b51277caf50d27f484c66e06d7463",
 }
 FILTER_SHA256 = {
-    "filter_full.csv": "f7ecc65e732e3499e086412d502c2b237fc3da77bff0c10840df614d69948d86",
+    "filter_full.csv": "12d3b4c6f509d69aed85d768128fae33faae8deebc423415faed08e29c2c933f",
     "filter_homogenized.csv":
         "37b5f216a3e759b26e351aac0a62868f849e7b1380e5f94d601fd7920d384d71",
     "filter_distance.txt":

@@ -122,7 +122,7 @@ class TestFilter:
         assert run(["--config", cfg, "--seed", 8, "--out", out, "filter"]) == 0
         _, header, rows = read_csv(str(out / "filter_full.csv"))
         assert header == ["time", "mean0", "ess", "resampled"]
-        assert len(rows) == 100
+        assert rows.shape == (100, len(header))
         assert os.path.exists(out / "filter_homogenized.csv")
         dist_lines = (out / "filter_distance.txt").read_text().splitlines()
         val = float(dist_lines[-1].split("=")[1])
@@ -216,12 +216,53 @@ class TestErrors:
             "model": {"family": "ou_benchmark", "epsilon": 0,
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
 
+    def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
+        path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},
+                                       "filter": filter_sec})
+        assert run(["--config", path, "--out", tmp_path, "filter"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: {bad_path}: ") and err.count("\n") == 1
+
+    def test_non_numeric_observations_is_io_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,oops\n")
+        self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
+
+    def test_malformed_table_is_io_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        table = tmp_path / "table.txt"
+        table.write_text("# homfilt tabulated homogenized model v1\ndim_slow=one\n")
+        self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                          "observations": str(obs),
+                                          "table": str(table)}, table)
+
+
+def _exits_without_scipy(code, cwd=None):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code += "\nsys.exit('scipy' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          timeout=120).returncode == 0
+
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Only tabulated models interpolate; every other call should not pay
-    # for importing scipy.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = "import sys, homfilt.cli; sys.exit('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    # Importing scipy costs more start-up time and memory than the rest of
+    # homfilt, and no subcommand needs it.
+    assert _exits_without_scipy("import sys, homfilt.cli")
+
+
+def test_tabulated_model_leaves_scipy_unloaded(tmp_path):
+    write_config(tmp_path, {
+        "model": {"family": "sinusoidal", "epsilon": 0.1, "horizon": 0.2,
+                  "dt": 0.01},
+        "averager": {"burn_in": 0.5, "sample_horizon": 2.0, "dt": 1e-2,
+                     "replicates": 4,
+                     "grid": {"lows": [-2.0], "highs": [2.0], "counts": [5]}},
+        "filter": {"mode": "both", "n_particles": 64,
+                   "observations": "observations.csv",
+                   "table": "homogenized_table.txt"}})
+    code = ("import sys\nfrom homfilt.cli import main\n"
+            "for command in ('simulate', 'homogenize', 'filter'):\n"
+            "    assert main(['--config', 'config.yaml', command]) == 0")
+    assert _exits_without_scipy(code, cwd=tmp_path)

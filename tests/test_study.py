@@ -75,6 +75,18 @@ class TestRunStudySynthetic:
         assert report.failures == (1, 0, 0)
         assert report.counts == (7, 8, 8)
 
+    def test_report_csv_keeps_replication_index_after_failure(self):
+        def flaky(eps, ei, ri):
+            if ri == 1:
+                raise HomfiltError("forced failure")
+            return eps + 0.01 * ri
+
+        report = run_study(small_config(replications=6), distance_fn=flaky)
+        assert report.failures == (1, 1, 1)
+        rows = report_csv(report).splitlines()
+        assert rows[1:3] == [f"0.5,0,{0.5!r}", f"0.5,2,{0.5 + 0.02!r}"]
+        assert report.replications[0] == (0, 2, 3, 4, 5)
+
     def test_report_serialization_deterministic(self):
         cfg = small_config()
         fn = lambda eps, ei, ri: 0.1 * np.sqrt(eps) + 0.003 * ri
