@@ -16,13 +16,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
-                     NotSymmetricError)
+                     NotSymmetricError, UsageError)
 from .models import MultiscaleModel
 from . import rng as rngmod
 
 TOL_PSD = 1e-10
 
-NODE_STREAM = 7  # namespace tag for per-node rng derivation
 # Each generator draws the fast noise of several steps in one call, with at
 # most this many doubles for the whole grid per call.
 NOISE_BLOCK = 1 << 16
@@ -46,6 +45,8 @@ class StationaryAverager:
             raise ValueError("need 0 < burn_in < sample_horizon")
         if self.dt <= 0 or self.replicates < 1:
             raise ValueError("dt must be positive and replicates >= 1")
+        if self.dt > self.sample_horizon:
+            raise ValueError("dt must not exceed the sample horizon")
 
 
 def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
@@ -61,8 +62,6 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     of sampled states, and per node the first step whose state is not
     finite, or -1.  The loop stops early once node 0 has failed.
     """
-    if cfg.dt > cfg.sample_horizon:
-        raise ValueError("dt must not exceed the horizon")
     k, r, n = len(nodes), cfg.replicates, model.dim_fast
     z = np.stack([gen.standard_normal((r, n)) for gen in streams])
     x = np.broadcast_to(nodes[:, None, :], (k, r, model.dim_slow))
@@ -286,14 +285,15 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
     lowest-index node that failed, as if the nodes had run one at a time.
     """
     if grid.ndim != model.dim_slow:
-        raise ValueError("grid dimension must equal the slow dimension")
+        raise UsageError(f"grid has {grid.ndim} axes, the model {model.dim_slow} "
+                         "slow coordinates")
 
     def theta_a(x, z):
         s = model.diff_slow(x, z)
         return np.einsum("...mk,...jk->...mj", s, s)
 
     nodes = grid.nodes()
-    streams = [rngmod.stream(root_seed, NODE_STREAM, i) for i in range(len(nodes))]
+    streams = [rngmod.stream(root_seed, rngmod.NODE_STREAM, i) for i in range(len(nodes))]
     sums, count, first_bad = _frozen_sums(
         model, nodes, [model.drift_slow, theta_a, model.obs_fn], cfg, streams)
     m, d = model.dim_slow, model.dim_obs

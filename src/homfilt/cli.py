@@ -20,7 +20,8 @@ from . import __version__, catalog, rng as rngmod
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
 from .errors import HomfiltError, ModelShapeError, UsageError
-from .filtering import FilterConfig, run_full_filter, run_homogenized_filter
+from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
+                        run_full_filter, run_homogenized_filter)
 from .measures import default_basis, marginal_x, metric_d
 from .models import ObservationPath, simulate_multiscale, simulate_observations
 from .study import StudyConfig, run_study, report_csv, report_text
@@ -29,11 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-ROLE_SIM_SIGNAL = 10
-ROLE_SIM_OBS = 11
-ROLE_FILTER_FULL = 12
-ROLE_FILTER_HOMOG = 13
 
 
 def _load_config(path):
@@ -124,15 +120,6 @@ def _model_from_config(cfg, epsilon_override=None):
     return model, family, params
 
 
-def _averager_from_config(cfg):
-    sec = _section(cfg, "averager")
-    return StationaryAverager(
-        burn_in=float(sec.get("burn_in", 10.0)),
-        sample_horizon=float(sec.get("sample_horizon", 600.0)),
-        dt=float(sec.get("dt", 1e-3)),
-        replicates=int(sec.get("replicates", 64)))
-
-
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     model, family, params = _model_from_config(cfg)
@@ -142,9 +129,9 @@ def cmd_simulate(args):
     x0 = np.atleast_1d(np.asarray(sec.get("x0", [0.0] * model.dim_slow), dtype=float))
     z0 = np.atleast_1d(np.asarray(sec.get("z0", [0.0] * model.dim_fast), dtype=float))
     signal = simulate_multiscale(model, x0, z0, horizon, dt,
-                                 rng=rngmod.stream(args.seed, ROLE_SIM_SIGNAL))
+                                 rng=rngmod.stream(args.seed, rngmod.ROLE_SIM_SIGNAL))
     obs = simulate_observations(signal, model,
-                                rng=rngmod.stream(args.seed, ROLE_SIM_OBS))
+                                rng=rngmod.stream(args.seed, rngmod.ROLE_SIM_OBS))
     extra = {"family": family, "epsilon": repr(model.epsilon),
              "horizon": repr(horizon), "dt": repr(dt)}
     manifest = _manifest_lines(args, extra)
@@ -165,12 +152,19 @@ def cmd_homogenize(args):
     model, family, params = _model_from_config(cfg)
     sec = _section(cfg, "averager")
     grid_sec = _require(sec, "grid", "averager")
-    grid = TabulationGrid(
-        lows=tuple(float(v) for v in _require(grid_sec, "lows", "averager.grid")),
-        highs=tuple(float(v) for v in _require(grid_sec, "highs", "averager.grid")),
-        counts=tuple(int(v) for v in _require(grid_sec, "counts", "averager.grid")),
-        interpolation=grid_sec.get("interpolation", "multilinear"))
-    acfg = _averager_from_config(cfg)
+    try:
+        grid = TabulationGrid(
+            lows=tuple(float(v) for v in _require(grid_sec, "lows", "averager.grid")),
+            highs=tuple(float(v) for v in _require(grid_sec, "highs", "averager.grid")),
+            counts=tuple(int(v) for v in _require(grid_sec, "counts", "averager.grid")),
+            interpolation=grid_sec.get("interpolation", "multilinear"))
+        acfg = StationaryAverager(**{
+            key: kind(sec[key])
+            for key, kind in (("burn_in", float), ("sample_horizon", float),
+                              ("dt", float), ("replicates", int))
+            if key in sec})
+    except ValueError as exc:
+        raise UsageError(f"bad [averager] config: {exc}") from exc
     hm = build_homogenized(model, grid, acfg, root_seed=args.seed)
     out_path = os.path.join(args.out, "homogenized_table.txt")
     try:
@@ -209,8 +203,14 @@ def cmd_filter(args):
         raise UsageError(f"filter mode must be full|homogenized|both, got {mode!r}")
     obs = _obs_from_file(_require(fsec, "observations", "filter"))
     dt = float(np.diff(obs.times)[0])
-    fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)), dt=dt,
-                        resample_threshold=float(fsec.get("resample_threshold", 0.5)))
+    model = None if mode == "homogenized" else _model_from_config(cfg)[0]
+    try:
+        fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)), dt=dt,
+                            resample_threshold=float(fsec.get("resample_threshold", 0.5)))
+        basis = (default_basis(int(fsec.get("basis_count", 16)), model.dim_slow)
+                 if mode == "both" else None)
+    except ValueError as exc:
+        raise UsageError(f"bad [filter] config: {exc}") from exc
     init_mean = float(fsec.get("init_mean", 0.0))
     init_std = float(fsec.get("init_std", 0.5))
 
@@ -222,16 +222,10 @@ def cmd_filter(args):
             rows.append([t] + [float(v) for v in mean[:m]] + [float(e), resampled])
 
         if kind == "full":
-            model, _, _ = _model_from_config(cfg)
-            m, n = model.dim_slow, model.dim_fast
-
-            def init(rng, count):
-                x = init_mean + init_std * rng.standard_normal((count, m))
-                z = x[:, :1] + rng.standard_normal((count, n))
-                return x, z
-
+            m = model.dim_slow
+            init = gaussian_init_joint(init_mean, init_std, m, model.dim_fast)
             hist = run_full_filter(model, obs, init, fcfg,
-                                   rngmod.stream(args.seed, ROLE_FILTER_FULL),
+                                   rngmod.stream(args.seed, rngmod.ROLE_FILTER_FULL),
                                    keep_history=False, summary_sink=sink)
             return rows, marginal_x(hist[-1], m), m
         table_path = fsec.get("table")
@@ -241,12 +235,8 @@ def cmd_filter(args):
             _, family, params = _model_from_config(cfg)
             hm = catalog.make_analytic_homogenized(family, **params)
         m = hm.dim_slow
-
-        def init(rng, count):
-            return init_mean + init_std * rng.standard_normal((count, hm.dim_slow))
-
-        hist = run_homogenized_filter(hm, obs, init, fcfg,
-                                      rngmod.stream(args.seed, ROLE_FILTER_HOMOG),
+        hist = run_homogenized_filter(hm, obs, gaussian_init_slow(init_mean, init_std, m),
+                                      fcfg, rngmod.stream(args.seed, rngmod.ROLE_FILTER_HOMOG),
                                       keep_history=False, summary_sink=sink)
         return rows, marginal_x(hist[-1], m), m
 
@@ -261,8 +251,6 @@ def cmd_filter(args):
         _write_csv(os.path.join(args.out, f"filter_{kind}.csv"),
                    manifest, header, rows)
     if mode == "both":
-        basis = default_basis(int(fsec.get("basis_count", 16)),
-                              finals["full"].dim)
         dist = metric_d(finals["full"], finals["homogenized"], basis)
         path = os.path.join(args.out, "filter_distance.txt")
         with open(path, "w") as fh:
@@ -291,7 +279,6 @@ def cmd_study(args):
             basis_count=int(sec.get("basis_count", 16)),
             init_mean=float(sec.get("init_mean", 0.0)),
             init_std=float(sec.get("init_std", 0.5)),
-            threads=args.threads,
             bootstrap_samples=int(sec.get("bootstrap_samples", 1000)))
     except ValueError as exc:
         raise UsageError(f"bad [study] config: {exc}") from exc
@@ -315,8 +302,6 @@ def build_parser():
         description="Reduced-order nonlinear filtering for slow/fast diffusions")
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored; the study is batched")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="simulate a signal and observation path")

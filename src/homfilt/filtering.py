@@ -58,6 +58,23 @@ class FilterConfig:
             raise ValueError("dt must be positive")
 
 
+def gaussian_init_joint(mean: float, std: float, m: int, n: int) -> Callable:
+    """Initial sampler for the full filter: x ~ N(mean, std^2) per coordinate,
+    and z one standard normal away from x's first coordinate, near the frozen
+    stationary law."""
+    def init(rng, count):
+        x = mean + std * rng.standard_normal((count, m))
+        return x, x[:, :1] + rng.standard_normal((count, n))
+    return init
+
+
+def gaussian_init_slow(mean: float, std: float, m: int) -> Callable:
+    """Initial sampler for the reduced filter: the x draws of ``gaussian_init_joint``."""
+    def init(rng, count):
+        return mean + std * rng.standard_normal((count, m))
+    return init
+
+
 @dataclass(frozen=True)
 class KalmanState:
     mean: np.ndarray        # (m,)

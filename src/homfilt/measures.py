@@ -18,8 +18,7 @@ using the same enumeration version.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -71,58 +70,48 @@ def _lattice_centers(dim: int, count: int) -> List[Tuple[int, ...]]:
             return out[:count]
 
 
-def _width_sequence(count: int) -> List[Fraction]:
-    """q = 1, 1/2, 2, 1/4, 4, ... as positive rationals."""
-    out = [Fraction(1)]
+def _width_sequence(count: int) -> List[float]:
+    """q = 1, 1/2, 2, 1/4, 4, ...; powers of two, so exact as floats."""
+    out = [1.0]
     p = 1
     while len(out) < count:
-        out.append(Fraction(1, 2 ** p))
-        out.append(Fraction(2 ** p))
+        out.append(2.0 ** -p)
+        out.append(2.0 ** p)
         p += 1
     return out[:count]
 
 
 @dataclass(frozen=True)
 class TestFunctionBasis:
-    """Finite prefix of the Gaussian bump family, in the documented order."""
+    """Finite prefix of the Gaussian bump family, in the documented order.
+
+    Function i is exp(-widths[i] |x - centers[i]|^2).
+    """
 
     dim: int
-    terms: tuple  # per function: tuple of (q: Fraction, center: tuple of int)
+    centers: np.ndarray  # (K, m), integer lattice points as floats
+    widths: np.ndarray   # (K,)
     version: str = ENUMERATION_VERSION
 
     @property
     def count(self) -> int:
-        return len(self.terms)
+        return len(self.widths)
 
     def evaluate(self, i: int, x: np.ndarray) -> np.ndarray:
         """phi_i at a batch of points x (..., m); values lie in (0, 1]."""
-        x = np.asarray(x, dtype=float)
-        expo = np.zeros(x.shape[:-1])
-        for q, center in self.terms[i]:
-            diff = x - np.asarray(center, dtype=float)
-            expo += float(q) * np.einsum("...m,...m->...", diff, diff)
-        return np.exp(-expo)
-
-    def function(self, i: int) -> Callable:
-        return lambda x: self.evaluate(i, x)
+        diff = np.asarray(x, dtype=float) - self.centers[i]
+        return np.exp(-(self.widths[i] * np.einsum("...m,...m->...", diff, diff)))
 
 
 def default_basis(count: int, dim: int) -> TestFunctionBasis:
-    """The first ``count`` single-term functions of the documented enumeration."""
+    """The first ``count`` functions of the documented enumeration."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    pairs = []
-    for t in itertools.count():
-        for s in range(t + 1):
-            pairs.append((s, t - s))
-            if len(pairs) == count:
-                break
-        if len(pairs) == count:
-            break
-    centers = _lattice_centers(dim, max(p[0] for p in pairs) + 1)
-    widths = _width_sequence(max(p[1] for p in pairs) + 1)
-    terms = tuple(((widths[qi], centers[ci]),) for ci, qi in pairs)
-    return TestFunctionBasis(dim=dim, terms=terms)
+    diagonals = ((s, t - s) for t in itertools.count() for s in range(t + 1))
+    ci, qi = np.array(list(itertools.islice(diagonals, count))).T
+    centers = np.array(_lattice_centers(dim, ci.max() + 1), dtype=float)
+    widths = np.array(_width_sequence(qi.max() + 1))
+    return TestFunctionBasis(dim=dim, centers=centers[ci], widths=widths[qi])
 
 
 def metric_d(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
@@ -137,6 +126,6 @@ def metric_d(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                          f"basis {basis.dim}")
     total = 0.0
     for i in range(basis.count):
-        diff = abs(integrate(mu, basis.function(i)) - integrate(nu, basis.function(i)))
-        total += diff / 2.0 ** (i + 1)
+        phi = lambda x: basis.evaluate(i, x)
+        total += abs(integrate(mu, phi) - integrate(nu, phi)) / 2.0 ** (i + 1)
     return total

@@ -7,11 +7,21 @@ roles, replications or grid nodes.
 
 import numpy as np
 
-# Role indices used when deriving per-replication streams.
+# Every stream tag, in one table.  Per-replication roles take the last key
+# position, after the epsilon and replication indices: (eps, rep, ROLE_*).
+# The other tags take the first position: (ROLE_BOOTSTRAP,), (NODE_STREAM,
+# node) and the CLI's (ROLE_SIM_*,) and (ROLE_FILTER_*,).
 ROLE_TRUTH = 0
 ROLE_OBS = 1
 ROLE_FULL_FILTER = 2
 ROLE_HOMOG_FILTER = 3
+ROLE_BOOTSTRAP = 4      # study: bootstrap slope interval
+ROLE_INIT = 5           # study: initial truth states
+NODE_STREAM = 7         # averager: one stream per grid node
+ROLE_SIM_SIGNAL = 10    # cli simulate
+ROLE_SIM_OBS = 11
+ROLE_FILTER_FULL = 12   # cli filter
+ROLE_FILTER_HOMOG = 13
 
 
 def stream(root_seed: int, *key: int) -> np.random.Generator:

@@ -18,14 +18,11 @@ import numpy as np
 from . import catalog, rng as rngmod
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
-from .filtering import (FilterConfig, run_full_filter_batch,
-                        run_homogenized_filter_batch)
+from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
+                        run_full_filter_batch, run_homogenized_filter_batch)
 from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, SignalPath, simulate_multiscale,
                      simulate_observations)
-
-ROLE_BOOTSTRAP = 4
-ROLE_INIT = 5
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class StudyConfig:
     basis_count: int = 16
     init_mean: float = 0.0
     init_std: float = 0.5
-    threads: int = 1                 # ignored; the study is batched
     max_failure_fraction: float = 0.2
     bootstrap_samples: int = 1000
 
@@ -56,11 +52,13 @@ class StudyConfig:
             raise ValueError("epsilons must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        # FilterConfig and default_basis check the filter and basis fields.
+        self.filter_config()
+        default_basis(self.basis_count, 1)
 
-    def filter_config(self, substeps_fast: Optional[int] = None) -> FilterConfig:
+    def filter_config(self) -> FilterConfig:
         return FilterConfig(n_particles=self.n_particles, dt=self.dt,
-                            resample_threshold=self.resample_threshold,
-                            substeps_fast=substeps_fast)
+                            resample_threshold=self.resample_threshold)
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     r_obs = streams(rngmod.ROLE_OBS)
     r_full = streams(rngmod.ROLE_FULL_FILTER)
     r_homog = streams(rngmod.ROLE_HOMOG_FILTER)
-    r_init = streams(ROLE_INIT)
+    r_init = streams(rngmod.ROLE_INIT)
 
     m, n = model.dim_slow, model.dim_fast
     x0 = np.empty((len(rep_indices), m))
@@ -116,17 +114,11 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
              for r in range(len(rep_indices))]
     obs = [simulate_observations(p, model, rng=g) for p, g in zip(paths, r_obs)]
 
-    def init_joint(rng, count):
-        x = cfg.init_mean + cfg.init_std * rng.standard_normal((count, m))
-        z = x[:, :1] + rng.standard_normal((count, n))
-        return x, z
-
-    def init_slow(rng, count):
-        return cfg.init_mean + cfg.init_std * rng.standard_normal((count, m))
-
     fcfg = cfg.filter_config()
-    full = run_full_filter_batch(model, obs, init_joint, fcfg, r_full)
-    homog = run_homogenized_filter_batch(hmodel, obs, init_slow, fcfg, r_homog)
+    full = run_full_filter_batch(
+        model, obs, gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n), fcfg, r_full)
+    homog = run_homogenized_filter_batch(
+        hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
     out = []
     for r, p in enumerate(paths):
         blown = ~(np.isfinite(p.slow_states).all(axis=1)
@@ -193,9 +185,10 @@ def run_study(cfg: StudyConfig,
     and fitting machinery on synthetic distances); it may raise HomfiltError
     to simulate replication failures.
     """
-    basis = default_basis(cfg.basis_count, _family_dim_slow(cfg))
-    if hmodel is None and distance_fn is None:
-        hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
+    if distance_fn is None:
+        if hmodel is None:
+            hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
+        basis = default_basis(cfg.basis_count, hmodel.dim_slow)
 
     distances: List[List[float]] = []
     replications: List[List[int]] = []
@@ -243,7 +236,7 @@ def run_study(cfg: StudyConfig,
 
 def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple:
     """Percentile interval for the slope, resampling replications per epsilon."""
-    rng = rngmod.stream(cfg.root_seed, ROLE_BOOTSTRAP)
+    rng = rngmod.stream(cfg.root_seed, rngmod.ROLE_BOOTSTRAP)
     slopes = np.empty(cfg.bootstrap_samples)
     arrs = [np.asarray(d) for d in distances]
     log_eps = np.log(np.asarray(cfg.epsilons))
@@ -260,11 +253,6 @@ def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple
     if len(slopes) == 0:
         return (float("nan"), float("nan"))
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
-
-
-def _family_dim_slow(cfg: StudyConfig) -> int:
-    # All catalog families are scalar in the slow coordinate today.
-    return 1
 
 
 def _config_snapshot(cfg: StudyConfig) -> Dict[str, str]:

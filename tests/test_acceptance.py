@@ -215,7 +215,7 @@ def test_criterion_8_study_determinism(tmp_path):
         out = tmp_path / name
         out.mkdir()
         code = cli_main(["--config", str(cfg_path), "--seed", "0",
-                         "--threads", "2", "--out", str(out), "study"])
+                         "--out", str(out), "study"])
         assert code == 0
         outputs.append(((out / "report.txt").read_bytes(),
                         (out / "report.csv").read_bytes()))

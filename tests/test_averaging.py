@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homfilt import rng as rngmod
-from homfilt.averaging import (NODE_STREAM, HomogenizedModel, StationaryAverager,
+from homfilt.averaging import (HomogenizedModel, StationaryAverager,
                                TabulationGrid, _interpolator, build_homogenized,
                                estimate_stationary_average, load_tabulated,
                                matrix_sqrt_psd, save_tabulated)
@@ -183,7 +183,7 @@ class TestBuildHomogenized:
         for i, node in enumerate(grid.nodes()):
             for key, theta in thetas.items():
                 est, se = estimate_stationary_average(
-                    model, node, theta, cfg, rngmod.stream(12, NODE_STREAM, i))
+                    model, node, theta, cfg, rngmod.stream(12, rngmod.NODE_STREAM, i))
                 assert np.array_equal(hm.table[key][i], est)
                 assert np.array_equal(hm.table[key + "_se"][i], se)
 
@@ -219,7 +219,7 @@ class TestBuildHomogenized:
             for i, x in ((3, 0.5), (4, 1.0)):
                 with pytest.raises(BlowUpError) as exc:
                     estimate_stationary_average(model, np.array([x]), model.obs_fn,
-                                                cfg, rngmod.stream(1, NODE_STREAM, i))
+                                                cfg, rngmod.stream(1, rngmod.NODE_STREAM, i))
                 lone[i] = exc.value.step
         assert lone[4] < lone[3]
         assert str(info.value).startswith("node 3 at x=[0.5]: ")

@@ -37,6 +37,8 @@ FILTER_SHA256 = {
     "filter_distance.txt":
         "4ef0fdabb029b750c45ff90bb80636c0a67f2e02c3bdbfbdaa7b43a943135157",
 }
+# A small grid-wide averaging run; pins the per-node streams.
+TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"
 
 
 class TestPinnedOutputs:
@@ -50,7 +52,7 @@ class TestPinnedOutputs:
                       "horizon": 1.0, "n_particles": 256, "dt": 0.02,
                       "bootstrap_samples": 200}}))
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--seed", "0", "--threads", "2",
+        assert main(["--config", str(cfg), "--seed", "0",
                      "--out", str(out), "study"]) == 0
         assert {f: sha256(out / f) for f in STUDY_SHA256} == STUDY_SHA256
 
@@ -68,6 +70,17 @@ class TestPinnedOutputs:
                      "filter"]) == 0
         got = {f: sha256(tmp_path / "filt" / f) for f in FILTER_SHA256}
         assert got == FILTER_SHA256
+
+    def test_homogenized_table(self, tmp_path):
+        cfg = tmp_path / "homogenize.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "model": {"family": "sinusoidal", "epsilon": 0.1},
+            "averager": {"burn_in": 0.5, "sample_horizon": 2.0, "dt": 0.01,
+                         "replicates": 4,
+                         "grid": {"lows": [-1.0], "highs": [1.0], "counts": [3]}}}))
+        assert main(["--config", str(cfg), "--seed", "3", "--out", str(tmp_path),
+                     "homogenize"]) == 0
+        assert sha256(tmp_path / "homogenized_table.txt") == TABLE_SHA256
 
 
 def test_study_distances_equal_lone_replications():

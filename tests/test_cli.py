@@ -173,7 +173,7 @@ class TestStudy:
         for name in ("s1", "s2"):
             out = tmp_path / name
             assert run(["--config", cfg, "--seed", 77, "--out", out,
-                        "--threads", 1, "study"]) == 0
+                        "study"]) == 0
             reports.append(((out / "report.txt").read_bytes(),
                             (out / "report.csv").read_bytes()))
         assert reports[0] == reports[1]
@@ -215,6 +215,38 @@ class TestErrors:
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark", "epsilon": 0,
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
+
+    @pytest.mark.parametrize("averager", [
+        {"burn_in": 5.0, "sample_horizon": 2.0},
+        {"grid": {"lows": [2.0], "highs": [-2.0], "counts": [3]}},
+        {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3],
+                  "interpolation": "cubic"}},
+        {"grid": {"lows": [-2.0, -2.0], "highs": [2.0, 2.0], "counts": [3, 3]}},
+        {"burn_in": 0.5, "sample_horizon": 1.0, "dt": 2.0},
+    ])
+    def test_bad_averager_config_is_usage_error(self, tmp_path, capsys, averager):
+        averager = {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]},
+                    **averager}
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "sinusoidal", "epsilon": 0.1},
+            "averager": averager}, "homogenize")
+
+    @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"resample_threshold": 2},
+                                     {"basis_count": 0}])
+    def test_bad_filter_config_is_usage_error(self, tmp_path, capsys, bad):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "filter": {"observations": str(obs), **bad}}, "filter")
+        assert not (tmp_path / "filter_full.csv").exists()
+
+    @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"basis_count": 0}])
+    def test_bad_study_filter_or_basis_is_usage_error(self, tmp_path, capsys, bad):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}, "study")
 
     def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
         path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},

@@ -71,17 +71,15 @@ class TestIntegrate:
 class TestDefaultBasis:
     def test_first_function_is_centered_unit_gaussian(self):
         basis = default_basis(1, 1)
-        ((q, center),) = basis.terms[0]
-        assert float(q) == 1.0
-        assert center == (0,)
+        assert basis.widths[0] == 1.0
+        assert np.array_equal(basis.centers[0], [0.0])
         x = np.linspace(-2, 2, 9)[:, None]
         assert np.allclose(basis.evaluate(0, x), np.exp(-x[:, 0] ** 2))
 
     def test_value_one_at_own_center(self):
         basis = default_basis(12, 2)
         for i in range(basis.count):
-            ((q, center),) = basis.terms[i]
-            assert basis.evaluate(i, np.asarray(center, dtype=float)) == 1.0
+            assert basis.evaluate(i, basis.centers[i]) == 1.0
 
     def test_functions_pairwise_distinct(self):
         basis = default_basis(16, 1)
@@ -100,7 +98,24 @@ class TestDefaultBasis:
             assert np.all(v >= 0) and np.all(v <= 1)
 
     def test_deterministic_enumeration(self):
-        assert default_basis(16, 2).terms == default_basis(16, 2).terms
+        a, b = default_basis(16, 2), default_basis(16, 2)
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.widths, b.widths)
+
+    @pytest.mark.parametrize("dim, pinned", [
+        (1, [(1.0, (0,)), (0.5, (0,)), (1.0, (-1,)), (2.0, (0,)), (0.5, (-1,)),
+             (1.0, (1,)), (0.25, (0,)), (2.0, (-1,)), (0.5, (1,)), (1.0, (-2,)),
+             (4.0, (0,)), (0.25, (-1,)), (2.0, (1,)), (0.5, (-2,)), (1.0, (2,)),
+             (0.125, (0,))]),
+        (2, [(1.0, (0, 0)), (0.5, (0, 0)), (1.0, (-1, -1)), (2.0, (0, 0)),
+             (0.5, (-1, -1)), (1.0, (-1, 0)), (0.25, (0, 0)), (2.0, (-1, -1)),
+             (0.5, (-1, 0)), (1.0, (-1, 1)), (4.0, (0, 0)), (0.25, (-1, -1))]),
+    ])
+    def test_enumeration_is_pinned(self, dim, pinned):
+        # The gauss-v1 (width, center) pairs; metric_d values depend on them.
+        basis = default_basis(len(pinned), dim)
+        assert basis.widths.tolist() == [q for q, _ in pinned]
+        assert basis.centers.tolist() == [list(c) for _, c in pinned]
 
 
 class TestMetricD:

@@ -149,11 +149,6 @@ class TestRunStudyEndToEnd:
         assert np.isfinite(report.slope)
         assert report.slope_ci[0] <= report.slope_ci[1]
 
-    def test_threaded_matches_sequential(self):
-        r1 = run_study(small_config(replications=4, n_particles=32, threads=1))
-        r2 = run_study(small_config(replications=4, n_particles=32, threads=4))
-        assert report_text(r1) == report_text(r2)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(epsilons=(0.5, 0.25))  # too few for a slope
