@@ -16,8 +16,7 @@ from .errors import (BlowUpError, GridMismatchError, HomfiltError,
                      StudyAbortError, UsageError, WeightCollapseError)
 from .filtering import (FilterBatch, FilterConfig, KalmanState,
                         ParticleEnsemble, ess, kalman_reference,
-                        run_full_filter, run_full_filter_batch,
-                        run_homogenized_filter, run_homogenized_filter_batch,
+                        run_full_filter, run_homogenized_filter,
                         systematic_resample, weight_update)
 from .measures import (EmpiricalMeasure, TestFunctionBasis, default_basis,
                        integrate, marginal_x, metric_d)

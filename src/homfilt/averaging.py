@@ -149,7 +149,7 @@ def estimate_stationary_average(model: MultiscaleModel, x: np.ndarray,
     return _frozen_time_averages(model, x, [theta], cfg, rng)[0]
 
 
-def matrix_sqrt_psd(a: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clipping tiny negatives.
 
     Raises NotSymmetricError / NotPSDError if the input violates its contract.
@@ -161,8 +161,8 @@ def matrix_sqrt_psd(a: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
     if asym > 1e-10:
         raise NotSymmetricError(f"asymmetry {asym:.3g} exceeds 1e-10")
     w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w.min() < -tol_psd:
-        raise NotPSDError(f"eigenvalue {w.min():.3g} below -{tol_psd:g}")
+    if w.min() < -TOL_PSD:
+        raise NotPSDError(f"eigenvalue {w.min():.3g} below -{TOL_PSD:g}")
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.T
     return 0.5 * (s + s.T)

@@ -126,6 +126,9 @@ def cmd_simulate(args):
     sec = _section(cfg, "model")
     horizon = float(_require(sec, "horizon", "model"))
     dt = float(_require(sec, "dt", "model"))
+    if not 0.0 < dt <= horizon:
+        raise UsageError(f"bad [model] config: need 0 < dt <= horizon, got dt={dt:g}, "
+                         f"horizon={horizon:g}")
     x0 = np.atleast_1d(np.asarray(sec.get("x0", [0.0] * model.dim_slow), dtype=float))
     z0 = np.atleast_1d(np.asarray(sec.get("z0", [0.0] * model.dim_fast), dtype=float))
     signal = simulate_multiscale(model, x0, z0, horizon, dt,
@@ -217,28 +220,30 @@ def cmd_filter(args):
     def run_one(kind):
         rows = []
 
-        def sink(t, mean, e, resampled):
+        def sink(t, states, w, e, resampled):
             # The full filter's mean covers (x, z); the columns name x only.
-            rows.append([t] + [float(v) for v in mean[:m]] + [float(e), resampled])
+            rows.append([t] + [float(v) for v in (w[0] @ states[0])[:m]]
+                        + [float(e[0]), bool(resampled[0])])
 
         if kind == "full":
             m = model.dim_slow
+            run, target, role = run_full_filter, model, rngmod.ROLE_FILTER_FULL
             init = gaussian_init_joint(init_mean, init_std, m, model.dim_fast)
-            hist = run_full_filter(model, obs, init, fcfg,
-                                   rngmod.stream(args.seed, rngmod.ROLE_FILTER_FULL),
-                                   keep_history=False, summary_sink=sink)
-            return rows, marginal_x(hist[-1], m), m
-        table_path = fsec.get("table")
-        if table_path:
-            hm = _table_from_file(table_path)
         else:
-            _, family, params = _model_from_config(cfg)
-            hm = catalog.make_analytic_homogenized(family, **params)
-        m = hm.dim_slow
-        hist = run_homogenized_filter(hm, obs, gaussian_init_slow(init_mean, init_std, m),
-                                      fcfg, rngmod.stream(args.seed, rngmod.ROLE_FILTER_HOMOG),
-                                      keep_history=False, summary_sink=sink)
-        return rows, marginal_x(hist[-1], m), m
+            table_path = fsec.get("table")
+            if table_path:
+                target = _table_from_file(table_path)
+            else:
+                _, family, params = _model_from_config(cfg)
+                target = catalog.make_analytic_homogenized(family, **params)
+            m = target.dim_slow
+            run, role = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG
+            init = gaussian_init_slow(init_mean, init_std, m)
+        batch = run(target, [obs], init, fcfg, [rngmod.stream(args.seed, role)],
+                    summary_sink=sink)
+        if batch.errors[0] is not None:
+            raise batch.errors[0]
+        return rows, marginal_x(batch.ensemble(0), m), m
 
     extra = {"mode": mode, "n_particles": str(fcfg.n_particles), "dt": repr(dt)}
     manifest = _manifest_lines(args, extra)

@@ -47,7 +47,6 @@ class FilterConfig:
     n_particles: int
     dt: float
     resample_threshold: float = 0.5
-    substeps_fast: Optional[int] = None  # full filter only; default ceil(1/eps)
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -130,14 +129,14 @@ def _systematic_indices(weights: np.ndarray, u: float, n: int) -> np.ndarray:
     return np.minimum(idx, len(weights) - 1)  # cumsum rounding at 1.0
 
 
-def systematic_resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
-                        n_out: Optional[int] = None) -> ParticleEnsemble:
+def systematic_resample(ensemble: ParticleEnsemble,
+                        rng: np.random.Generator) -> ParticleEnsemble:
     """Systematic (single-uniform stratified) resampling to uniform weights.
 
     Offspring counts are determined by one uniform draw; the expected count of
-    particle i is exactly n_out * w_i (n_out defaults to the ensemble size).
+    particle i is exactly N * w_i.
     """
-    n = n_out or ensemble.n_particles
+    n = ensemble.n_particles
     idx = _systematic_indices(ensemble.weights, rng.uniform(), n)
     return ParticleEnsemble(states=ensemble.states[idx],
                             weights=np.full(n, 1.0 / n),
@@ -146,20 +145,20 @@ def systematic_resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class FilterBatch:
-    """Filters of R replications run together.
+    """Filters of R replications run together, at their final time.
 
-    ``history`` holds ``(states (R, N, dim), weights (R, N), time)`` at time 0
-    and after every observation step, or at time 0 and the final time only
-    when the run kept no history.  ``errors[r]`` is None, or the HomfiltError
-    that stopped replication r, whose later states are meaningless.
+    ``errors[r]`` is None, or the HomfiltError that stopped replication r,
+    whose final states are meaningless.
     """
 
-    history: list
+    states: np.ndarray   # (R, N, dim)
+    weights: np.ndarray  # (R, N)
+    time: float
     errors: list
 
-    def ensemble(self, r: int, k: int = -1) -> ParticleEnsemble:
-        states, weights, t = self.history[k]
-        return ParticleEnsemble(states=states[r], weights=weights[r], time=t)
+    def ensemble(self, r: int) -> ParticleEnsemble:
+        return ParticleEnsemble(states=self.states[r], weights=self.weights[r],
+                                time=self.time)
 
 
 def _stack_obs(obs: Sequence[ObservationPath], dt: float) -> tuple:
@@ -181,22 +180,21 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
 
 def _run_filter(propagate: Callable, read_out: Callable, times: np.ndarray,
                 increments: np.ndarray, init_states: np.ndarray, cfg: FilterConfig,
-                rngs: StreamBatch, keep_history: bool,
-                summary_sink: Optional[Callable]) -> FilterBatch:
+                rngs: StreamBatch, summary_sink: Optional[Callable]) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
     Row r draws only from ``rngs[r]``, in the order a lone run of it draws,
     and every operation acts row by row, so each row equals its own R = 1
     run bit for bit.  A row that goes non-finite or whose weights collapse
     gets its error recorded and runs on as NaN without touching other rows;
-    the loop stops once every row has failed.
+    the loop stops once every row has failed.  Only the final states are
+    kept, so memory does not grow with the horizon.
     """
     n = cfg.n_particles
     n_rows = len(init_states)
     states, t = init_states, 0.0
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows
-    history = [(states, w, t)]
     for i in range(increments.shape[1]):
         t = float(times[i + 1])
         states = propagate(states, rngs, i)
@@ -215,18 +213,13 @@ def _run_filter(propagate: Callable, read_out: Callable, times: np.ndarray,
             w[r] = 1.0 / n
         if summary_sink is not None:
             summary_sink(t, states, w, e, resampled)
-        if keep_history:
-            history.append((states, w, t))
-    if not keep_history:
-        history = [history[0], (states, w, t)]
-    return FilterBatch(history=history, errors=errors)
+    return FilterBatch(states=states, weights=w, time=t, errors=errors)
 
 
-def run_full_filter_batch(model: MultiscaleModel, obs: Sequence[ObservationPath],
-                          init_sampler: Callable, cfg: FilterConfig,
-                          rngs: Sequence[np.random.Generator],
-                          keep_history: bool = False,
-                          summary_sink: Optional[Callable] = None) -> FilterBatch:
+def run_full_filter(model: MultiscaleModel, obs: Sequence[ObservationPath],
+                    init_sampler: Callable, cfg: FilterConfig,
+                    rngs: Sequence[np.random.Generator],
+                    summary_sink: Optional[Callable] = None) -> FilterBatch:
     """Bootstrap filters over the joint (slow, fast) state, one per observation path.
 
     Replication r starts from ``init_sampler(rngs[r], N)``, which must return
@@ -234,7 +227,7 @@ def run_full_filter_batch(model: MultiscaleModel, obs: Sequence[ObservationPath]
     ``summary_sink(t, states, weights, ess, resampled)`` sees every step.
     """
     times, increments = _stack_obs(obs, cfg.dt)
-    substeps = cfg.substeps_fast or model.default_substeps()
+    substeps = model.default_substeps()
     m = model.dim_slow
     init = np.stack([np.concatenate([np.asarray(x, dtype=float),
                                      np.asarray(z, dtype=float)], axis=1)
@@ -249,17 +242,15 @@ def run_full_filter_batch(model: MultiscaleModel, obs: Sequence[ObservationPath]
         return model.obs_fn(states[..., :m], states[..., m:])
 
     return _run_filter(propagate, read_out, times, increments, init, cfg,
-                       StreamBatch(rngs), keep_history, summary_sink)
+                       StreamBatch(rngs), summary_sink)
 
 
-def run_homogenized_filter_batch(hmodel: HomogenizedModel,
-                                 obs: Sequence[ObservationPath],
-                                 init_sampler: Callable, cfg: FilterConfig,
-                                 rngs: Sequence[np.random.Generator],
-                                 keep_history: bool = False,
-                                 summary_sink: Optional[Callable] = None
-                                 ) -> FilterBatch:
-    """Bootstrap filters over the slow state only, one per observation path.
+def run_homogenized_filter(hmodel: HomogenizedModel, obs: Sequence[ObservationPath],
+                           init_sampler: Callable, cfg: FilterConfig,
+                           rngs: Sequence[np.random.Generator],
+                           summary_sink: Optional[Callable] = None) -> FilterBatch:
+    """Bootstrap filters over the slow state only, one per observation path,
+    driven by the full model's observations.
 
     ``init_sampler(rngs[r], N)`` must return an array x (N, m).
     """
@@ -274,50 +265,7 @@ def run_homogenized_filter_batch(hmodel: HomogenizedModel,
     init = np.stack([np.asarray(init_sampler(g, cfg.n_particles), dtype=float)
                      for g in rngs])
     return _run_filter(propagate, hmodel.obs_avg, times, increments, init, cfg,
-                       StreamBatch(rngs), keep_history, summary_sink)
-
-
-def _lone(batch: FilterBatch) -> List[ParticleEnsemble]:
-    """The ensembles of a one-replication batch; raises the error that stopped it."""
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return [batch.ensemble(0, k) for k in range(len(batch.history))]
-
-
-def _lone_sink(summary_sink: Optional[Callable]) -> Optional[Callable]:
-    """Adapts ``summary_sink(t, mean, ess, resampled)`` to a one-row batch."""
-    if summary_sink is None:
-        return None
-    return lambda t, states, w, e, resampled: summary_sink(
-        t, w[0] @ states[0], float(e[0]), bool(resampled[0]))
-
-
-def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
-                    init_sampler: Callable, cfg: FilterConfig,
-                    rng: np.random.Generator, keep_history: bool = True,
-                    summary_sink: Optional[Callable] = None) -> List[ParticleEnsemble]:
-    """Bootstrap filter over the joint (slow, fast) state.
-
-    init_sampler(rng, n) must return arrays x (n, m) and z (n, n_fast).
-    Returns the initial ensemble followed by the ensemble after every
-    observation step (just initial and final when keep_history is False).
-    """
-    return _lone(run_full_filter_batch(model, [obs], init_sampler, cfg, [rng],
-                                       keep_history, _lone_sink(summary_sink)))
-
-
-def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
-                           init_sampler: Callable, cfg: FilterConfig,
-                           rng: np.random.Generator, keep_history: bool = True,
-                           summary_sink: Optional[Callable] = None
-                           ) -> List[ParticleEnsemble]:
-    """Bootstrap filter over the slow state only, driven by the full observations.
-
-    init_sampler(rng, n) must return an array x (n, m).
-    """
-    return _lone(run_homogenized_filter_batch(hmodel, [obs], init_sampler, cfg,
-                                              [rng], keep_history,
-                                              _lone_sink(summary_sink)))
+                       StreamBatch(rngs), summary_sink)
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, r: float,

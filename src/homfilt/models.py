@@ -68,13 +68,6 @@ class MultiscaleModel:
                     raise ModelShapeError(
                         f"{name} returned shape {out.shape}, expected {batch + tail}")
 
-    def with_epsilon(self, epsilon: float) -> "MultiscaleModel":
-        return MultiscaleModel(
-            self.dim_slow, self.dim_fast, self.dim_obs,
-            self.dim_noise_slow, self.dim_noise_fast,
-            self.drift_slow, self.diff_slow, self.drift_fast, self.diff_fast,
-            self.obs_fn, epsilon)
-
     def default_substeps(self) -> int:
         """Fast substep count keeping the 1/eps drift stable: ceil(1/eps)."""
         return int(np.ceil(1.0 / self.epsilon))
@@ -152,10 +145,10 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
 
 def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
                         horizon: float, dt_slow: float,
-                        substeps_fast: Optional[int] = None,
                         rng: Optional[np.random.Generator] = None,
                         check_finite: bool = True) -> SignalPath:
-    """Euler-Maruyama path of the joint system, sampled on the slow grid.
+    """Euler-Maruyama path of the joint system, sampled on the slow grid, with
+    ``model.default_substeps()`` fast substeps per slow step.
 
     ``x0`` and ``z0`` may carry a leading batch axis of independent paths;
     the states then have shape ``(T+1, batch, m)`` and ``(T+1, batch, n)``.
@@ -163,11 +156,10 @@ def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
     """
     if rng is None:
         rng = np.random.default_rng()
-    if substeps_fast is None:
-        substeps_fast = model.default_substeps()
     if dt_slow > horizon:
         raise ValueError("dt_slow must not exceed the horizon")
     n_steps = int(round(horizon / dt_slow))
+    substeps = model.default_substeps()
     times = np.arange(n_steps + 1) * dt_slow
     x = np.asarray(x0, dtype=float)
     z = np.asarray(z0, dtype=float)
@@ -175,7 +167,7 @@ def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
     zs = np.empty((n_steps + 1,) + z.shape[:-1] + (model.dim_fast,))
     xs[0], zs[0] = x, z
     for i in range(n_steps):
-        x, z = multiscale_step(model, x, z, dt_slow, substeps_fast, rng,
+        x, z = multiscale_step(model, x, z, dt_slow, substeps, rng,
                                step_index=i, check_finite=check_finite)
         xs[i + 1], zs[i + 1] = x, z
     return SignalPath(times=times, slow_states=xs, fast_states=zs)

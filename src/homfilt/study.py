@@ -19,7 +19,7 @@ from . import catalog, rng as rngmod
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
-                        run_full_filter_batch, run_homogenized_filter_batch)
+                        run_full_filter, run_homogenized_filter)
 from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, SignalPath, simulate_multiscale,
                      simulate_observations)
@@ -52,6 +52,8 @@ class StudyConfig:
             raise ValueError("epsilons must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if self.dt > self.horizon:
+            raise ValueError("dt must not exceed the horizon")
         # FilterConfig and default_basis check the filter and basis fields.
         self.filter_config()
         default_basis(self.basis_count, 1)
@@ -115,9 +117,9 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     obs = [simulate_observations(p, model, rng=g) for p, g in zip(paths, r_obs)]
 
     fcfg = cfg.filter_config()
-    full = run_full_filter_batch(
+    full = run_full_filter(
         model, obs, gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n), fcfg, r_full)
-    homog = run_homogenized_filter_batch(
+    homog = run_homogenized_filter(
         hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
     out = []
     for r, p in enumerate(paths):

@@ -98,7 +98,8 @@ def test_criterion_4_filter_matches_kalman():
     The signed per-replication time-averaged difference is averaged over 50
     independent replications and compared with 3x its Monte Carlo standard
     error; the sign carries the information (absolute differences never
-    average to zero at finite particle counts).
+    average to zero at finite particle counts).  The 50 filters run as one
+    batch, replication r drawing from its own stream.
     """
     t0 = time.time()
     a, q, h, r = -1.0, 1.0, 1.0, 1.0
@@ -106,27 +107,31 @@ def test_criterion_4_filter_matches_kalman():
     dt, horizon = 0.01, 2.0
     prior_mean, prior_var = 0.5, 0.25
     cfg = FilterConfig(n_particles=8192, dt=dt)
-    diffs = []
-    for rep in range(50):
+    reps = range(50)
+    obs = []
+    for rep in reps:
         truth = simulate_multiscale(model, np.array([prior_mean]), np.zeros(1),
                                     horizon, dt, rng=stream(7, rep, 0))
-        obs = simulate_observations(truth, model, rng=stream(7, rep, 1))
-        means = []
+        obs.append(simulate_observations(truth, model, rng=stream(7, rep, 1)))
+    means = []
 
-        def sink(t, mean, e, resampled):
-            means.append(mean[0])
+    def sink(t, states, w, e, resampled):
+        means.append([(w[k] @ states[k])[0] for k in reps])
 
-        def init(rng, count):
-            x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal((count, 1))
-            return x0, np.zeros((count, 1))
+    def init(rng, count):
+        x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal((count, 1))
+        return x0, np.zeros((count, 1))
 
-        run_full_filter(model, obs, init, cfg, stream(7, rep, 2),
-                        keep_history=False, summary_sink=sink)
-        kalman = kalman_reference(a, q, h, r, obs,
+    run_full_filter(model, obs, init, cfg, [stream(7, rep, 2) for rep in reps],
+                    summary_sink=sink)
+    means = np.array(means)  # (steps, replications)
+    diffs = []
+    for rep in reps:
+        kalman = kalman_reference(a, q, h, r, obs[rep],
                                   KalmanState(np.array([prior_mean]),
                                               np.array([[prior_var]])))
         km = np.array([float(np.asarray(s.mean).reshape(())) for s in kalman[1:]])
-        diffs.append(float(np.mean(np.array(means) - km)))
+        diffs.append(float(np.mean(means[:, rep] - km)))
     diffs = np.array(diffs)
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))
     elapsed = time.time() - t0

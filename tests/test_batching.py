@@ -1,5 +1,5 @@
-"""The batched (replication x particle) filter path against fixed outputs and
-against its own one-replication runs."""
+"""The batched (replication x particle) filters against fixed outputs and
+against their own one-replication runs."""
 
 import hashlib
 
@@ -11,8 +11,7 @@ from homfilt import catalog
 from homfilt.cli import main
 from homfilt.errors import BlowUpError
 from homfilt.filtering import (FilterConfig, run_full_filter,
-                               run_full_filter_batch, run_homogenized_filter,
-                               run_homogenized_filter_batch)
+                               run_homogenized_filter)
 from homfilt.measures import default_basis
 from homfilt.models import simulate_multiscale, simulate_observations
 from homfilt.study import StudyConfig, run_replication, run_study
@@ -114,18 +113,16 @@ def test_failed_replication_leaves_the_other_untouched(kind):
             x[5, 0] = np.nan
         return (x, x + rng.standard_normal((count, 1))) if kind == "full" else x
 
-    batch_fn, lone_fn, target = {
-        "full": (run_full_filter_batch, run_full_filter, model),
-        "homogenized": (run_homogenized_filter_batch, run_homogenized_filter, hm),
-    }[kind]
-    batch = batch_fn(target, [obs, obs], init, cfg,
-                     [poisoned[0], np.random.default_rng(4)])
+    run, target = {"full": (run_full_filter, model),
+                   "homogenized": (run_homogenized_filter, hm)}[kind]
+    batch = run(target, [obs, obs], init, cfg,
+                [poisoned[0], np.random.default_rng(4)])
     assert isinstance(batch.errors[0], BlowUpError)
     assert batch.errors[1] is None
-    lone = lone_fn(target, obs, init, cfg, np.random.default_rng(4),
-                   keep_history=False)[-1]
-    assert np.array_equal(batch.ensemble(1).states, lone.states)
-    assert np.array_equal(batch.ensemble(1).weights, lone.weights)
+    lone = run(target, [obs], init, cfg, [np.random.default_rng(4)])
+    assert lone.errors == [None]
+    assert np.array_equal(batch.ensemble(1).states, lone.ensemble(0).states)
+    assert np.array_equal(batch.ensemble(1).weights, lone.ensemble(0).weights)
     poisoned[0] = np.random.default_rng(3)
-    with pytest.raises(BlowUpError):
-        lone_fn(target, obs, init, cfg, poisoned[0])
+    lone_poisoned = run(target, [obs], init, cfg, [poisoned[0]])
+    assert isinstance(lone_poisoned.errors[0], BlowUpError)

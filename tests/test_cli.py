@@ -216,6 +216,19 @@ class TestErrors:
             "model": {"family": "ou_benchmark", "epsilon": 0,
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
 
+    @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 0.0), (1.0, -0.1)])
+    def test_bad_simulate_grid_is_usage_error(self, tmp_path, capsys, horizon, dt):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "horizon": horizon, "dt": dt}},
+            "simulate")
+        assert not (tmp_path / "signal.csv").exists()
+
+    def test_study_horizon_shorter_than_dt_is_usage_error(self, tmp_path, capsys):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.01, "n_particles": 8, "dt": 0.02}}, "study")
+
     @pytest.mark.parametrize("averager", [
         {"burn_in": 5.0, "sample_horizon": 2.0},
         {"grid": {"lows": [2.0], "highs": [-2.0], "counts": [3]}},

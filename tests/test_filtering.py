@@ -101,11 +101,11 @@ class TestSystematicResample:
         assert sorted(out.states[:, 0]) == list(range(n))
 
     def test_three_one_split_for_every_uniform(self):
-        # Weights (0.75, 0.25) with N=4: stratum enumeration forces counts
-        # (3, 1) regardless of the uniform draw.
-        ens2 = ensemble([[10.0], [20.0]], [0.75, 0.25])
+        # Weights (0.75, 0.25, 0, 0) with N=4: stratum enumeration forces
+        # counts (3, 1) regardless of the uniform draw.
+        ens4 = ensemble([[10.0], [20.0], [30.0], [40.0]], [0.75, 0.25, 0.0, 0.0])
         for u in (0.01, 0.3, 0.6, 0.99):
-            out = systematic_resample(ens2, _FixedUniformRng(u), n_out=4)
+            out = systematic_resample(ens4, _FixedUniformRng(u))
             counts = np.bincount((out.states[:, 0] == 20.0).astype(int), minlength=2)
             assert counts[0] == 3 and counts[1] == 1
 
@@ -148,11 +148,11 @@ class TestRunFullFilter:
             return np.full((count, 1), 1.0), np.zeros((count, 1))
 
         cfg = FilterConfig(n_particles=4000, dt=dt, resample_threshold=0.5)
-        hist = run_full_filter(model, obs, init, cfg,
-                               np.random.default_rng(3), keep_history=False)
-        mean = hist[-1].mean()[0]
+        final = run_full_filter(model, [obs], init, cfg,
+                                [np.random.default_rng(3)]).ensemble(0)
+        mean = final.mean()[0]
         # E[X(1)] = e^{-1}; Monte Carlo spread of the ensemble mean.
-        sd = np.sqrt(np.cov(hist[-1].states[:, 0], aweights=hist[-1].weights))
+        sd = np.sqrt(np.cov(final.states[:, 0], aweights=final.weights))
         assert abs(mean - np.exp(-1.0)) < 3 * sd / np.sqrt(cfg.n_particles) + 3e-3
 
     def test_single_particle_is_one_trajectory(self):
@@ -166,9 +166,16 @@ class TestRunFullFilter:
             return np.zeros((count, 1)), np.zeros((count, 1))
 
         cfg = FilterConfig(n_particles=1, dt=dt, resample_threshold=0.5)
-        hist = run_full_filter(model, obs, init, cfg, np.random.default_rng(4))
-        assert all(e.weights[0] == 1.0 for e in hist)
-        assert len(hist) == 11
+        steps = []
+
+        def sink(t, states, w, e, resampled):
+            steps.append(w[0, 0])
+
+        batch = run_full_filter(model, [obs], init, cfg, [np.random.default_rng(4)],
+                                summary_sink=sink)
+        assert batch.ensemble(0).weights[0] == 1.0
+        assert all(w == 1.0 for w in steps)
+        assert len(steps) == 10
 
     def test_grid_mismatch(self):
         model = catalog.make_model("linear")
@@ -180,7 +187,7 @@ class TestRunFullFilter:
             return np.zeros((count, 1)), np.zeros((count, 1))
 
         with pytest.raises(GridMismatchError):
-            run_full_filter(model, obs, init, cfg, np.random.default_rng(0))
+            run_full_filter(model, [obs], init, cfg, [np.random.default_rng(0)])
 
     def test_tracks_kalman_reference(self):
         # Linear-Gaussian model: the particle posterior mean should follow
@@ -199,12 +206,18 @@ class TestRunFullFilter:
             return x, np.zeros((count, 1))
 
         cfg = FilterConfig(n_particles=4000, dt=dt)
-        hist = run_full_filter(model, obs, init, cfg, np.random.default_rng(12))
+        means = []
+
+        def sink(t, states, w, e, resampled):
+            means.append((w[0] @ states[0])[0])
+
+        run_full_filter(model, [obs], init, cfg, [np.random.default_rng(12)],
+                        summary_sink=sink)
         kal = kalman_reference(a, q, h, r, obs,
                                KalmanState(mean=np.array([prior_mean]),
                                            covariance=np.array([[prior_var]])))
-        pf_means = np.array([e.mean()[0] for e in hist])
-        kal_means = np.array([k.mean[0] for k in kal])
+        pf_means = np.array(means)
+        kal_means = np.array([k.mean[0] for k in kal[1:]])
         err = np.abs(pf_means - kal_means).mean()
         assert err < 0.05  # ~3x the particle-noise scale at N=4000
 
@@ -219,9 +232,10 @@ class TestRunHomogenizedFilter:
             return np.full((count, 1), 2.5)
 
         cfg = FilterConfig(n_particles=32, dt=0.1)
-        hist = run_homogenized_filter(hm, obs, init, cfg, np.random.default_rng(5))
-        assert np.allclose(hist[-1].states, 2.5, atol=1e-12)
-        assert np.allclose(hist[-1].weights, 1.0 / 32)
+        final = run_homogenized_filter(hm, [obs], init, cfg,
+                                       [np.random.default_rng(5)]).ensemble(0)
+        assert np.allclose(final.states, 2.5, atol=1e-12)
+        assert np.allclose(final.weights, 1.0 / 32)
 
     def test_matches_full_filter_at_small_epsilon(self):
         # At epsilon = 0.01 the reduced filter's posterior mean should agree
@@ -242,14 +256,13 @@ class TestRunHomogenizedFilter:
             return 0.2 + 0.3 * rng.standard_normal((count, 1))
 
         cfg = FilterConfig(n_particles=4000, dt=dt)
-        full = run_full_filter(model, obs, init_joint, cfg,
-                               np.random.default_rng(22), keep_history=False)
-        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
-                                       np.random.default_rng(23),
-                                       keep_history=False)
-        mf = full[-1].mean()[0]
-        mh = homog[-1].mean()[0]
-        sf = np.sqrt(np.cov(full[-1].states[:, 0], aweights=full[-1].weights))
+        full = run_full_filter(model, [obs], init_joint, cfg,
+                               [np.random.default_rng(22)]).ensemble(0)
+        homog = run_homogenized_filter(hm, [obs], init_slow, cfg,
+                                       [np.random.default_rng(23)]).ensemble(0)
+        mf = full.mean()[0]
+        mh = homog.mean()[0]
+        sf = np.sqrt(np.cov(full.states[:, 0], aweights=full.weights))
         assert abs(mf - mh) < 3 * (sf / np.sqrt(cfg.n_particles)) + 0.05
 
 

@@ -131,13 +131,13 @@ class TestRunReplication:
         def init_slow(rng, count):
             return np.full((count, 1), 0.3)
 
-        full = run_full_filter(model, obs, init_joint, cfg,
-                               np.random.default_rng(0))
-        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
-                                       np.random.default_rng(1))
+        full = run_full_filter(model, [obs], init_joint, cfg,
+                               [np.random.default_rng(0)]).ensemble(0)
+        homog = run_homogenized_filter(hm, [obs], init_slow, cfg,
+                                       [np.random.default_rng(1)]).ensemble(0)
         basis = default_basis(16, 1)
-        assert metric_d(marginal_x(full[-1], 1),
-                        marginal_x(homog[-1], 1), basis) == 0.0
+        assert metric_d(marginal_x(full, 1),
+                        marginal_x(homog, 1), basis) == 0.0
 
 
 class TestRunStudyEndToEnd:
