@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
                      NotSymmetricError, UsageError)
-from .models import MultiscaleModel
+from .models import MultiscaleModel, euler_maruyama
 from . import rng as rngmod
 
 TOL_PSD = 1e-10
@@ -63,15 +63,14 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     finite, or -1.  The loop stops early once node 0 has failed.
     """
     k, r, n = len(nodes), cfg.replicates, model.dim_fast
-    z = np.stack([gen.standard_normal((r, n)) for gen in streams])
+    noise = rngmod.StreamBatch(streams)
+    z = noise.standard_normal((k, r, n))
     x = np.broadcast_to(nodes[:, None, :], (k, r, model.dim_slow))
     n_steps = int(round(cfg.sample_horizon / cfg.dt))
     i0 = int(round(cfg.burn_in / cfg.dt))
     sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
     first_bad = np.full(k, -1)
-    sq = np.sqrt(cfg.dt)
     block = min(n_steps, max(1, NOISE_BLOCK // (k * r * model.dim_noise_fast)))
-    xis = np.empty((k, block, r, model.dim_noise_fast))
 
     def accumulate(z):
         for acc, theta in zip(sums, thetas):
@@ -81,12 +80,10 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
         accumulate(z)
     for start in range(0, n_steps, block):
         steps = min(block, n_steps - start)
-        for gen, row in zip(streams, xis):
-            gen.standard_normal(out=row[:steps])
+        xis = noise.standard_normal((k, steps, r, model.dim_noise_fast))
         for j in range(steps):
-            gz = model.diff_fast(x, z)
-            z = (z + model.drift_fast(x, z) * cfg.dt
-                 + np.einsum("...nl,...l->...n", gz, xis[:, j]) * sq)
+            z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z),
+                               xis[:, j], cfg.dt)
             if not np.isfinite(z).all():
                 bad = ~np.isfinite(z).all(axis=(1, 2))
                 first_bad[bad & (first_bad < 0)] = start + j

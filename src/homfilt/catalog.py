@@ -40,11 +40,10 @@ def make_linear(epsilon: float = 1.0, a: float = -1.0, q: float = 1.0,
     """
     if q <= 0:
         raise UsageError("q must be positive")
-    sq = np.sqrt(q)
     return MultiscaleModel(
         dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
         drift_slow=lambda x, z: a * x,
-        diff_slow=_const_mat(sq),
+        diff_slow=_const_mat(np.sqrt(q)),
         drift_fast=lambda x, z: -z,
         diff_fast=_const_mat(1.0),
         obs_fn=lambda x, z: h * x,

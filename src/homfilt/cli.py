@@ -58,6 +58,11 @@ def _require(sec, key, section):
     return sec[key]
 
 
+def _given(sec, kinds):
+    """The keys of ``kinds`` set in ``sec``; the config class holds each default."""
+    return {key: kind(sec[key]) for key, kind in kinds if key in sec}
+
+
 def _manifest_lines(args, extra):
     lines = [f"# homfilt {__version__}",
              f"# subcommand={args.command}",
@@ -129,8 +134,12 @@ def cmd_simulate(args):
     if not 0.0 < dt <= horizon:
         raise UsageError(f"bad [model] config: need 0 < dt <= horizon, got dt={dt:g}, "
                          f"horizon={horizon:g}")
-    x0 = np.atleast_1d(np.asarray(sec.get("x0", [0.0] * model.dim_slow), dtype=float))
-    z0 = np.atleast_1d(np.asarray(sec.get("z0", [0.0] * model.dim_fast), dtype=float))
+    m, n = model.dim_slow, model.dim_fast
+    try:
+        x0 = np.asarray(sec.get("x0", [0.0] * m), dtype=float).reshape(m)
+        z0 = np.asarray(sec.get("z0", [0.0] * n), dtype=float).reshape(n)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad [model] config: x0/z0 need {m}/{n} numbers: {exc}") from exc
     signal = simulate_multiscale(model, x0, z0, horizon, dt,
                                  rng=rngmod.stream(args.seed, rngmod.ROLE_SIM_SIGNAL))
     obs = simulate_observations(signal, model,
@@ -138,7 +147,6 @@ def cmd_simulate(args):
     extra = {"family": family, "epsilon": repr(model.epsilon),
              "horizon": repr(horizon), "dt": repr(dt)}
     manifest = _manifest_lines(args, extra)
-    m, n = model.dim_slow, model.dim_fast
     sig_header = (["time"] + [f"x{i}" for i in range(m)] + [f"z{i}" for i in range(n)])
     sig_rows = [[float(t)] + [float(v) for v in x] + [float(v) for v in z]
                 for t, x, z in zip(signal.times, signal.slow_states, signal.fast_states)]
@@ -161,11 +169,9 @@ def cmd_homogenize(args):
             highs=tuple(float(v) for v in _require(grid_sec, "highs", "averager.grid")),
             counts=tuple(int(v) for v in _require(grid_sec, "counts", "averager.grid")),
             interpolation=grid_sec.get("interpolation", "multilinear"))
-        acfg = StationaryAverager(**{
-            key: kind(sec[key])
-            for key, kind in (("burn_in", float), ("sample_horizon", float),
-                              ("dt", float), ("replicates", int))
-            if key in sec})
+        acfg = StationaryAverager(**_given(sec, (
+            ("burn_in", float), ("sample_horizon", float), ("dt", float),
+            ("replicates", int))))
     except ValueError as exc:
         raise UsageError(f"bad [averager] config: {exc}") from exc
     hm = build_homogenized(model, grid, acfg, root_seed=args.seed)
@@ -209,7 +215,7 @@ def cmd_filter(args):
     model = None if mode == "homogenized" else _model_from_config(cfg)[0]
     try:
         fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)), dt=dt,
-                            resample_threshold=float(fsec.get("resample_threshold", 0.5)))
+                            **_given(fsec, (("resample_threshold", float),)))
         basis = (default_basis(int(fsec.get("basis_count", 16)), model.dim_slow)
                  if mode == "both" else None)
     except ValueError as exc:
@@ -278,13 +284,11 @@ def cmd_study(args):
             n_particles=int(_require(sec, "n_particles", "study")),
             dt=float(_require(sec, "dt", "study")),
             root_seed=args.seed,
-            family=msec.get("family", "ou_benchmark"),
             family_params=dict(msec.get("params", {})),
-            resample_threshold=float(sec.get("resample_threshold", 0.5)),
-            basis_count=int(sec.get("basis_count", 16)),
-            init_mean=float(sec.get("init_mean", 0.0)),
-            init_std=float(sec.get("init_std", 0.5)),
-            bootstrap_samples=int(sec.get("bootstrap_samples", 1000)))
+            **_given(msec, (("family", str),)),
+            **_given(sec, (("resample_threshold", float), ("basis_count", int),
+                           ("init_mean", float), ("init_std", float),
+                           ("bootstrap_samples", int))))
     except ValueError as exc:
         raise UsageError(f"bad [study] config: {exc}") from exc
     report = run_study(scfg)

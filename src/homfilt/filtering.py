@@ -16,7 +16,8 @@ import numpy as np
 from .averaging import HomogenizedModel
 from .errors import (BlowUpError, GridMismatchError, UsageError,
                      WeightCollapseError)
-from .models import MultiscaleModel, ObservationPath, multiscale_step
+from .models import (MultiscaleModel, ObservationPath, euler_maruyama,
+                     multiscale_step)
 from .rng import StreamBatch
 
 
@@ -197,7 +198,7 @@ def _run_filter(propagate: Callable, read_out: Callable, times: np.ndarray,
     errors = [None] * n_rows
     for i in range(increments.shape[1]):
         t = float(times[i + 1])
-        states = propagate(states, rngs, i)
+        states = propagate(states, rngs)
         _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
               lambda r: BlowUpError(i))
         if None not in errors:
@@ -233,9 +234,9 @@ def run_full_filter(model: MultiscaleModel, obs: Sequence[ObservationPath],
                                      np.asarray(z, dtype=float)], axis=1)
                      for x, z in (init_sampler(g, cfg.n_particles) for g in rngs)])
 
-    def propagate(states, streams, step):
+    def propagate(states, streams):
         x, z = multiscale_step(model, states[..., :m], states[..., m:], cfg.dt,
-                               substeps, streams, step_index=step, check_finite=False)
+                               substeps, streams)
         return np.concatenate([x, z], axis=-1)
 
     def read_out(states):
@@ -255,12 +256,10 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: Sequence[ObservationPa
     ``init_sampler(rngs[r], N)`` must return an array x (N, m).
     """
     times, increments = _stack_obs(obs, cfg.dt)
-    sq = np.sqrt(cfg.dt)
 
-    def propagate(x, streams, step):
+    def propagate(x, streams):
         xi = streams.standard_normal(x.shape)
-        return (x + hmodel.drift_avg(x) * cfg.dt
-                + np.einsum("...mk,...k->...m", hmodel.diff_avg(x), xi) * sq)
+        return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, cfg.dt)
 
     init = np.stack([np.asarray(init_sampler(g, cfg.n_particles), dtype=float)
                      for g in rngs])

@@ -11,7 +11,7 @@ This lets particle filters propagate whole ensembles with one call.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -105,57 +105,43 @@ class ObservationPath:
         return np.diff(np.asarray(self.times))
 
 
-def _check_finite(arr: np.ndarray, step: int):
-    if not np.all(np.isfinite(arr)):
-        raise BlowUpError(step)
+def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
+                   xi: np.ndarray, h: float) -> np.ndarray:
+    """One Euler-Maruyama step of size ``h``, with ``diff`` of shape
+    ``(..., dim, k)`` acting on standard normals ``xi`` of shape ``(..., k)``."""
+    return y + drift * h + np.einsum("...ik,...k->...i", diff, xi) * np.sqrt(h)
 
 
 def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
-                    dt: float, substeps: int, rng: np.random.Generator,
-                    step_index: int = 0, check_finite: bool = True
+                    dt: float, substeps: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray]:
     """One slow step of size ``dt``: fast substeps with x frozen, then the slow update.
 
     Lie splitting: z is advanced through ``substeps`` Euler substeps with drift
     scaled by 1/eps and diffusion by 1/sqrt(eps), after which x takes a single
     Euler step using the updated z.  Works on single states or batches.
-
-    Each update adds to the current state, and a non-finite value plus
-    anything stays non-finite, so one check after the slow update catches a
-    blow-up in any substep and raises BlowUpError(step_index).  A caller that
-    handles failures row by row passes ``check_finite=False``.
     """
-    eps = model.epsilon
-    dt_f = dt / substeps
+    h_fast = dt / substeps / model.epsilon
     batch = x.shape[:-1]
     for _ in range(substeps):
         xi = rng.standard_normal(batch + (model.dim_noise_fast,))
-        gz = model.diff_fast(x, z)
-        z = (z + model.drift_fast(x, z) * (dt_f / eps)
-             + np.einsum("...nl,...l->...n", gz, xi) * np.sqrt(dt_f / eps))
+        z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, h_fast)
     xi = rng.standard_normal(batch + (model.dim_noise_slow,))
-    sx = model.diff_slow(x, z)
-    x = (x + model.drift_slow(x, z) * dt
-         + np.einsum("...mk,...k->...m", sx, xi) * np.sqrt(dt))
-    if check_finite:
-        _check_finite(z, step_index)
-        _check_finite(x, step_index)
+    x = euler_maruyama(x, model.drift_slow(x, z), model.diff_slow(x, z), xi, dt)
     return x, z
 
 
 def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
-                        horizon: float, dt_slow: float,
-                        rng: Optional[np.random.Generator] = None,
+                        horizon: float, dt_slow: float, rng: np.random.Generator,
                         check_finite: bool = True) -> SignalPath:
     """Euler-Maruyama path of the joint system, sampled on the slow grid, with
     ``model.default_substeps()`` fast substeps per slow step.
 
     ``x0`` and ``z0`` may carry a leading batch axis of independent paths;
     the states then have shape ``(T+1, batch, m)`` and ``(T+1, batch, n)``.
-    ``check_finite`` is passed on to ``multiscale_step``.
+    With ``check_finite``, a non-finite state after slow step i raises BlowUpError(i);
+    a non-finite value stays non-finite, so this also catches any substep's blow-up.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if dt_slow > horizon:
         raise ValueError("dt_slow must not exceed the horizon")
     n_steps = int(round(horizon / dt_slow))
@@ -167,15 +153,16 @@ def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
     zs = np.empty((n_steps + 1,) + z.shape[:-1] + (model.dim_fast,))
     xs[0], zs[0] = x, z
     for i in range(n_steps):
-        x, z = multiscale_step(model, x, z, dt_slow, substeps, rng,
-                               step_index=i, check_finite=check_finite)
+        x, z = multiscale_step(model, x, z, dt_slow, substeps, rng)
+        if check_finite and not (np.isfinite(z).all() and np.isfinite(x).all()):
+            raise BlowUpError(i)
         xs[i + 1], zs[i + 1] = x, z
     return SignalPath(times=times, slow_states=xs, fast_states=zs)
 
 
 def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
                          horizon: float, dt: float,
-                         rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Path of the frozen-x fast process dZ = f(x,Z) dt + g(x,Z) dW at natural speed.
 
     No epsilon scaling is applied: the rescaled process is the same up to a
@@ -183,8 +170,6 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
     ``z0`` may carry a leading batch axis for independent replicates; the
     returned array then has shape ``(T+1, batch, n)``.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if dt > horizon:
         raise ValueError("dt must not exceed the horizon")
     n_steps = int(round(horizon / dt))
@@ -192,21 +177,18 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
     x = np.broadcast_to(np.asarray(x, dtype=float), z.shape[:-1] + (model.dim_slow,))
     out = np.empty((n_steps + 1,) + z.shape)
     out[0] = z
-    sq = np.sqrt(dt)
     for i in range(n_steps):
         xi = rng.standard_normal(z.shape[:-1] + (model.dim_noise_fast,))
-        gz = model.diff_fast(x, z)
-        z = z + model.drift_fast(x, z) * dt + np.einsum("...nl,...l->...n", gz, xi) * sq
-        _check_finite(z, i)
+        z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, dt)
+        if not np.isfinite(z).all():
+            raise BlowUpError(i)
         out[i + 1] = z
     return out
 
 
 def simulate_observations(signal: SignalPath, model: MultiscaleModel,
-                          rng: Optional[np.random.Generator] = None) -> ObservationPath:
+                          rng: np.random.Generator) -> ObservationPath:
     """Increments dY_i = h(x_i, z_i) dt_i + sqrt(dt_i) xi_i along a signal path."""
-    if rng is None:
-        rng = np.random.default_rng()
     times = np.asarray(signal.times)
     if len(times) < 2:
         raise ValueError("signal path must contain at least one step")

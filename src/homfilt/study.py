@@ -24,6 +24,8 @@ from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, SignalPath, simulate_multiscale,
                      simulate_observations)
 
+MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -39,7 +41,6 @@ class StudyConfig:
     basis_count: int = 16
     init_mean: float = 0.0
     init_std: float = 0.5
-    max_failure_fraction: float = 0.2
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
@@ -105,11 +106,8 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     r_init = streams(rngmod.ROLE_INIT)
 
     m, n = model.dim_slow, model.dim_fast
-    x0 = np.empty((len(rep_indices), m))
-    z0 = np.empty((len(rep_indices), n))
-    for r, gen in enumerate(r_init):
-        x0[r] = cfg.init_mean + cfg.init_std * gen.standard_normal(m)
-        z0[r] = x0[r].mean() + gen.standard_normal(n)  # near the frozen stationary law
+    init_joint = gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n)
+    x0, z0 = init_joint(rngmod.StreamBatch(r_init), len(rep_indices))
     truth = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
                                 rng=rngmod.StreamBatch(r_truth), check_finite=False)
     paths = [SignalPath(truth.times, truth.slow_states[:, r], truth.fast_states[:, r])
@@ -117,8 +115,7 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     obs = [simulate_observations(p, model, rng=g) for p, g in zip(paths, r_obs)]
 
     fcfg = cfg.filter_config()
-    full = run_full_filter(
-        model, obs, gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n), fcfg, r_full)
+    full = run_full_filter(model, obs, init_joint, fcfg, r_full)
     homog = run_homogenized_filter(
         hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
     out = []
@@ -178,18 +175,17 @@ def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
 
 
 def run_study(cfg: StudyConfig,
-              hmodel: Optional[HomogenizedModel] = None,
               distance_fn: Optional[Callable] = None) -> ConvergenceReport:
     """Run the full epsilon sweep and fit the convergence rate.
 
+    The reduced filter runs on the family's analytic homogenized model.
     ``distance_fn(epsilon, eps_index, rep_index)`` replaces the whole
     replication pipeline when given (test hook for exercising the aggregation
     and fitting machinery on synthetic distances); it may raise HomfiltError
     to simulate replication failures.
     """
     if distance_fn is None:
-        if hmodel is None:
-            hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
+        hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
         basis = default_basis(cfg.basis_count, hmodel.dim_slow)
 
     distances: List[List[float]] = []
@@ -209,10 +205,10 @@ def run_study(cfg: StudyConfig,
                     results.append(exc)
         kept = [rep for rep, r in enumerate(results) if not isinstance(r, HomfiltError)]
         n_failed = cfg.replications - len(kept)
-        if n_failed > cfg.max_failure_fraction * cfg.replications:
+        if n_failed > MAX_FAILURE_FRACTION * cfg.replications:
             raise StudyAbortError(
                 f"{n_failed}/{cfg.replications} replications failed at "
-                f"epsilon={eps:g} (limit {cfg.max_failure_fraction:.0%})")
+                f"epsilon={eps:g} (limit {MAX_FAILURE_FRACTION:.0%})")
         distances.append([results[rep] for rep in kept])
         replications.append(kept)
         failures.append(n_failed)

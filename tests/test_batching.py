@@ -2,6 +2,8 @@
 against their own one-replication runs."""
 
 import hashlib
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -126,3 +128,13 @@ def test_failed_replication_leaves_the_other_untouched(kind):
     poisoned[0] = np.random.default_rng(3)
     lone_poisoned = run(target, [obs], init, cfg, [poisoned[0]])
     assert isinstance(lone_poisoned.errors[0], BlowUpError)
+
+
+def test_no_unseeded_generator_in_the_package():
+    # Every stream derives from a root seed; an unseeded default_rng() would
+    # make a run irreproducible.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "homfilt"
+    unseeded = [f"{path.name}:{no}" for path in sorted(src.glob("*.py"))
+                for no, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"default_rng\(\s*\)", line)]
+    assert unseeded == []

@@ -223,6 +223,13 @@ class TestErrors:
             "simulate")
         assert not (tmp_path / "signal.csv").exists()
 
+    @pytest.mark.parametrize("state", [{"x0": [0.1, 0.2]}, {"z0": []}, {"x0": ["abc"]}])
+    def test_bad_initial_state_is_usage_error(self, tmp_path, capsys, state):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01, **state}},
+            "simulate")
+        assert not (tmp_path / "signal.csv").exists()
+
     def test_study_horizon_shorter_than_dt_is_usage_error(self, tmp_path, capsys):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark"},

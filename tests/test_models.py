@@ -62,17 +62,24 @@ class TestSimulateMultiscale:
             n_rep = 20000
             x = np.full((n_rep, 1), 1.0)
             z = np.zeros((n_rep, 1))
-            for i in range(int(round(1.0 / dt))):
-                x, z = multiscale_step(model, x, z, dt, 1, rng, i)
+            for _ in range(int(round(1.0 / dt))):
+                x, z = multiscale_step(model, x, z, dt, 1, rng)
             biases.append(abs(x.mean() - np.exp(-1.0)))
         assert biases[1] < biases[0]
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_blow_up_detected(self, rng):
+    def test_blow_up_detected(self):
         model = make_model(b=lambda x, z: x ** 3)
-        with pytest.raises(BlowUpError):
-            simulate_multiscale(model, np.array([10.0]), np.array([0.0]),
-                                5.0, 0.5, rng=rng)
+        args = (model, np.array([10.0]), np.array([0.0]), 5.0, 0.5)
+        with pytest.raises(BlowUpError) as raised:
+            simulate_multiscale(*args, rng=np.random.default_rng(12345))
+        # The study's rule on the unchecked path: state k + 1 comes out of step k.
+        path = simulate_multiscale(*args, rng=np.random.default_rng(12345),
+                                   check_finite=False)
+        blown = ~(np.isfinite(path.slow_states).all(axis=1)
+                  & np.isfinite(path.fast_states).all(axis=1))
+        assert blown.any()
+        assert raised.value.step == int(np.argmax(blown)) - 1
 
     def test_shape_error_at_registration(self):
         with pytest.raises(ModelShapeError):
