@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -56,6 +57,16 @@ def _require(sec, key, section):
     if key not in sec:
         raise UsageError(f"missing key {key!r} in config section [{section}]")
     return sec[key]
+
+
+@contextlib.contextmanager
+def _config_values(section):
+    """Report a value of the wrong type or out of range, read from config
+    section [section] in this block, as a usage error."""
+    try:
+        yield
+    except (ValueError, TypeError, ModelShapeError) as exc:
+        raise UsageError(f"bad [{section}] config: {exc}") from exc
 
 
 def _given(sec, kinds):
@@ -113,15 +124,13 @@ def read_csv(path):
     return manifest, header, np.array(rows)
 
 
-def _model_from_config(cfg, epsilon_override=None):
+def _model_from_config(cfg):
     sec = _section(cfg, "model")
     family = _require(sec, "family", "model")
-    eps = epsilon_override if epsilon_override is not None else sec.get("epsilon", 1.0)
-    params = dict(sec.get("params", {}))
-    try:
-        model = catalog.make_model(family, epsilon=float(eps), **params)
-    except (ValueError, ModelShapeError) as exc:
-        raise UsageError(f"bad [model] config: {exc}") from exc
+    with _config_values("model"):
+        params = dict(sec.get("params", {}))
+        model = catalog.make_model(family, epsilon=float(sec.get("epsilon", 1.0)),
+                                   **params)
     return model, family, params
 
 
@@ -129,17 +138,14 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     model, family, params = _model_from_config(cfg)
     sec = _section(cfg, "model")
-    horizon = float(_require(sec, "horizon", "model"))
-    dt = float(_require(sec, "dt", "model"))
-    if not 0.0 < dt <= horizon:
-        raise UsageError(f"bad [model] config: need 0 < dt <= horizon, got dt={dt:g}, "
-                         f"horizon={horizon:g}")
     m, n = model.dim_slow, model.dim_fast
-    try:
+    with _config_values("model"):
+        horizon = float(_require(sec, "horizon", "model"))
+        dt = float(_require(sec, "dt", "model"))
+        if not 0.0 < dt <= horizon:
+            raise ValueError(f"need 0 < dt <= horizon, got dt={dt:g}, horizon={horizon:g}")
         x0 = np.asarray(sec.get("x0", [0.0] * m), dtype=float).reshape(m)
         z0 = np.asarray(sec.get("z0", [0.0] * n), dtype=float).reshape(n)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad [model] config: x0/z0 need {m}/{n} numbers: {exc}") from exc
     signal = simulate_multiscale(model, x0, z0, horizon, dt,
                                  rng=rngmod.stream(args.seed, rngmod.ROLE_SIM_SIGNAL))
     obs = simulate_observations(signal, model,
@@ -163,7 +169,7 @@ def cmd_homogenize(args):
     model, family, params = _model_from_config(cfg)
     sec = _section(cfg, "averager")
     grid_sec = _require(sec, "grid", "averager")
-    try:
+    with _config_values("averager"):
         grid = TabulationGrid(
             lows=tuple(float(v) for v in _require(grid_sec, "lows", "averager.grid")),
             highs=tuple(float(v) for v in _require(grid_sec, "highs", "averager.grid")),
@@ -172,8 +178,6 @@ def cmd_homogenize(args):
         acfg = StationaryAverager(**_given(sec, (
             ("burn_in", float), ("sample_horizon", float), ("dt", float),
             ("replicates", int))))
-    except ValueError as exc:
-        raise UsageError(f"bad [averager] config: {exc}") from exc
     hm = build_homogenized(model, grid, acfg, root_seed=args.seed)
     out_path = os.path.join(args.out, "homogenized_table.txt")
     try:
@@ -194,7 +198,7 @@ def _obs_from_file(path):
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise IOError(f"{path}: not an observations CSV: no rows of time and increments")
     times = np.concatenate([[0.0], rows[:, 0]])
-    return ObservationPath(times=times, increments=rows[:, 1:])
+    return ObservationPath(times=times, increments=rows[:, None, 1:])
 
 
 def _table_from_file(path):
@@ -211,17 +215,14 @@ def cmd_filter(args):
     if mode not in ("full", "homogenized", "both"):
         raise UsageError(f"filter mode must be full|homogenized|both, got {mode!r}")
     obs = _obs_from_file(_require(fsec, "observations", "filter"))
-    dt = float(np.diff(obs.times)[0])
     model = None if mode == "homogenized" else _model_from_config(cfg)[0]
-    try:
-        fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)), dt=dt,
+    with _config_values("filter"):
+        fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)),
                             **_given(fsec, (("resample_threshold", float),)))
         basis = (default_basis(int(fsec.get("basis_count", 16)), model.dim_slow)
                  if mode == "both" else None)
-    except ValueError as exc:
-        raise UsageError(f"bad [filter] config: {exc}") from exc
-    init_mean = float(fsec.get("init_mean", 0.0))
-    init_std = float(fsec.get("init_std", 0.5))
+        init_mean = float(fsec.get("init_mean", 0.0))
+        init_std = float(fsec.get("init_std", 0.5))
 
     def run_one(kind):
         rows = []
@@ -245,13 +246,14 @@ def cmd_filter(args):
             m = target.dim_slow
             run, role = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG
             init = gaussian_init_slow(init_mean, init_std, m)
-        batch = run(target, [obs], init, fcfg, [rngmod.stream(args.seed, role)],
+        batch = run(target, obs, init, fcfg, [rngmod.stream(args.seed, role)],
                     summary_sink=sink)
         if batch.errors[0] is not None:
             raise batch.errors[0]
         return rows, marginal_x(batch.ensemble(0), m), m
 
-    extra = {"mode": mode, "n_particles": str(fcfg.n_particles), "dt": repr(dt)}
+    extra = {"mode": mode, "n_particles": str(fcfg.n_particles),
+             "dt": repr(float(obs.times[1]))}
     manifest = _manifest_lines(args, extra)
     kinds = ["full", "homogenized"] if mode == "both" else [mode]
     finals = {}
@@ -276,7 +278,7 @@ def cmd_study(args):
     cfg = _load_config(args.config)
     sec = _section(cfg, "study")
     msec = _section(cfg, "model")
-    try:
+    with _config_values("study"):
         scfg = StudyConfig(
             epsilons=tuple(float(e) for e in _require(sec, "epsilons", "study")),
             replications=int(_require(sec, "replications", "study")),
@@ -289,8 +291,6 @@ def cmd_study(args):
             **_given(sec, (("resample_threshold", float), ("basis_count", int),
                            ("init_mean", float), ("init_std", float),
                            ("bootstrap_samples", int))))
-    except ValueError as exc:
-        raise UsageError(f"bad [study] config: {exc}") from exc
     report = run_study(scfg)
     txt_path = os.path.join(args.out, "report.txt")
     csv_path = os.path.join(args.out, "report.csv")

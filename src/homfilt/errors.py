@@ -38,7 +38,7 @@ class NonErgodicWarning(UserWarning):
 
 
 class GridMismatchError(HomfiltError):
-    """Observation grid step does not match the filter step."""
+    """Observation grid is not uniform, so it gives the filters no one step."""
 
 
 class UsageError(HomfiltError):

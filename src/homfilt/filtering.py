@@ -27,7 +27,6 @@ class ParticleEnsemble:
 
     states: np.ndarray   # (N, dim)
     weights: np.ndarray  # (N,), nonnegative, summing to 1
-    time: float = 0.0
 
     def __post_init__(self):
         if len(self.states) != len(self.weights) or len(self.states) < 1:
@@ -46,7 +45,6 @@ class ParticleEnsemble:
 @dataclass(frozen=True)
 class FilterConfig:
     n_particles: int
-    dt: float
     resample_threshold: float = 0.5
 
     def __post_init__(self):
@@ -54,24 +52,23 @@ class FilterConfig:
             raise ValueError("n_particles must be positive")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 def gaussian_init_joint(mean: float, std: float, m: int, n: int) -> Callable:
     """Initial sampler for the full filter: x ~ N(mean, std^2) per coordinate,
     and z one standard normal away from x's first coordinate, near the frozen
-    stationary law."""
-    def init(rng, count):
-        x = mean + std * rng.standard_normal((count, m))
-        return x, x[:, :1] + rng.standard_normal((count, n))
+    stationary law.  ``init(rng, shape)`` returns x of shape ``shape + (m,)``
+    and z of shape ``shape + (n,)``, drawn in that order."""
+    def init(rng, shape):
+        x = mean + std * rng.standard_normal(shape + (m,))
+        return x, x[..., :1] + rng.standard_normal(shape + (n,))
     return init
 
 
 def gaussian_init_slow(mean: float, std: float, m: int) -> Callable:
     """Initial sampler for the reduced filter: the x draws of ``gaussian_init_joint``."""
-    def init(rng, count):
-        return mean + std * rng.standard_normal((count, m))
+    def init(rng, shape):
+        return mean + std * rng.standard_normal(shape + (m,))
     return init
 
 
@@ -79,7 +76,6 @@ def gaussian_init_slow(mean: float, std: float, m: int) -> Callable:
 class KalmanState:
     mean: np.ndarray        # (m,)
     covariance: np.ndarray  # (m, m), symmetric PSD
-    time: float = 0.0
 
 
 def ess(weights: np.ndarray) -> float:
@@ -120,7 +116,7 @@ def weight_update(ensemble: ParticleEnsemble, obs_increment: np.ndarray,
     w, mx = _reweight(ensemble.weights[None], hv[None], dy[None], dt)
     if not np.isfinite(mx[0]):
         raise WeightCollapseError(float(mx[0]))
-    return ParticleEnsemble(states=ensemble.states, weights=w[0], time=ensemble.time)
+    return ParticleEnsemble(states=ensemble.states, weights=w[0])
 
 
 def _systematic_indices(weights: np.ndarray, u: float, n: int) -> np.ndarray:
@@ -139,9 +135,7 @@ def systematic_resample(ensemble: ParticleEnsemble,
     """
     n = ensemble.n_particles
     idx = _systematic_indices(ensemble.weights, rng.uniform(), n)
-    return ParticleEnsemble(states=ensemble.states[idx],
-                            weights=np.full(n, 1.0 / n),
-                            time=ensemble.time)
+    return ParticleEnsemble(states=ensemble.states[idx], weights=np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -154,22 +148,10 @@ class FilterBatch:
 
     states: np.ndarray   # (R, N, dim)
     weights: np.ndarray  # (R, N)
-    time: float
     errors: list
 
     def ensemble(self, r: int) -> ParticleEnsemble:
-        return ParticleEnsemble(states=self.states[r], weights=self.weights[r],
-                                time=self.time)
-
-
-def _stack_obs(obs: Sequence[ObservationPath], dt: float) -> tuple:
-    """Shared time grid and (R, T, d) increments of R observation paths."""
-    for o in obs:
-        steps = o.dt
-        if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-            raise GridMismatchError(
-                f"observation step {steps[0]:g} does not match filter dt {dt:g}")
-    return obs[0].times, np.stack([np.asarray(o.increments, dtype=float) for o in obs])
+        return ParticleEnsemble(states=self.states[r], weights=self.weights[r])
 
 
 def _fail(errors: list, rows: np.ndarray, make: Callable):
@@ -179,31 +161,40 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
             errors[r] = make(r)
 
 
-def _run_filter(propagate: Callable, read_out: Callable, times: np.ndarray,
-                increments: np.ndarray, init_states: np.ndarray, cfg: FilterConfig,
-                rngs: StreamBatch, summary_sink: Optional[Callable]) -> FilterBatch:
+def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
+                init_states: np.ndarray, cfg: FilterConfig, rngs: StreamBatch,
+                summary_sink: Optional[Callable]) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    Row r draws only from ``rngs[r]``, in the order a lone run of it draws,
-    and every operation acts row by row, so each row equals its own R = 1
-    run bit for bit.  A row that goes non-finite or whose weights collapse
+    ``obs`` holds (T, R, d) increments on a uniform grid, and each step is
+    ``propagate(states, rngs, dt)`` with that grid's step.  Row r draws only
+    from ``rngs[r]``, in the order a lone run of it draws, and every
+    operation acts row by row, so each row equals its own R = 1 run bit for
+    bit.  A row that goes non-finite or whose weights collapse
     gets its error recorded and runs on as NaN without touching other rows;
     the loop stops once every row has failed.  Only the final states are
     kept, so memory does not grow with the horizon.
     """
     n = cfg.n_particles
     n_rows = len(init_states)
-    states, t = init_states, 0.0
+    increments = np.asarray(obs.increments, dtype=float)
+    if increments.ndim != 3 or increments.shape[1] != n_rows:
+        raise ValueError(f"observation increments of shape {increments.shape} "
+                         f"do not hold {n_rows} replications as (T, R, d)")
+    steps = np.diff(obs.times)
+    if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
+        raise GridMismatchError("observation grid is not uniform")
+    dt = float(steps[0]) if len(steps) else None  # a zero-step path needs none
+    states = init_states
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows
-    for i in range(increments.shape[1]):
-        t = float(times[i + 1])
-        states = propagate(states, rngs)
+    for i in range(len(increments)):
+        states = propagate(states, rngs, dt)
         _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
               lambda r: BlowUpError(i))
         if None not in errors:
             break
-        w, mx = _reweight(w, read_out(states), increments[:, i], cfg.dt)
+        w, mx = _reweight(w, read_out(states), increments[i], dt)
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
         if None not in errors:
             break
@@ -213,58 +204,58 @@ def _run_filter(propagate: Callable, read_out: Callable, times: np.ndarray,
             states[r] = states[r, _systematic_indices(w[r], rngs[r].uniform(), n)]
             w[r] = 1.0 / n
         if summary_sink is not None:
-            summary_sink(t, states, w, e, resampled)
-    return FilterBatch(states=states, weights=w, time=t, errors=errors)
+            summary_sink(float(obs.times[i + 1]), states, w, e, resampled)
+    return FilterBatch(states=states, weights=w, errors=errors)
 
 
-def run_full_filter(model: MultiscaleModel, obs: Sequence[ObservationPath],
+def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
                     init_sampler: Callable, cfg: FilterConfig,
                     rngs: Sequence[np.random.Generator],
                     summary_sink: Optional[Callable] = None) -> FilterBatch:
-    """Bootstrap filters over the joint (slow, fast) state, one per observation path.
+    """Bootstrap filters over the joint (slow, fast) state, one per replication
+    of an observation batch with (T, R, d) increments on a uniform grid, whose
+    step the filters take.
 
-    Replication r starts from ``init_sampler(rngs[r], N)``, which must return
-    arrays x (N, m) and z (N, n_fast), and then draws only from ``rngs[r]``.
+    The filters start from ``init_sampler(StreamBatch(rngs), (R, N))``, which
+    must return x (R, N, m) and z (R, N, n_fast); row r draws from ``rngs[r]``
+    only, then and at every later step.
     ``summary_sink(t, states, weights, ess, resampled)`` sees every step.
     """
-    times, increments = _stack_obs(obs, cfg.dt)
+    streams = StreamBatch(rngs)
     substeps = model.default_substeps()
     m = model.dim_slow
-    init = np.stack([np.concatenate([np.asarray(x, dtype=float),
-                                     np.asarray(z, dtype=float)], axis=1)
-                     for x, z in (init_sampler(g, cfg.n_particles) for g in rngs)])
+    init = np.concatenate(init_sampler(streams, (len(rngs), cfg.n_particles)),
+                          axis=-1, dtype=float)
 
-    def propagate(states, streams):
-        x, z = multiscale_step(model, states[..., :m], states[..., m:], cfg.dt,
+    def propagate(states, streams, dt):
+        x, z = multiscale_step(model, states[..., :m], states[..., m:], dt,
                                substeps, streams)
         return np.concatenate([x, z], axis=-1)
 
     def read_out(states):
         return model.obs_fn(states[..., :m], states[..., m:])
 
-    return _run_filter(propagate, read_out, times, increments, init, cfg,
-                       StreamBatch(rngs), summary_sink)
+    return _run_filter(propagate, read_out, obs, init, cfg, streams, summary_sink)
 
 
-def run_homogenized_filter(hmodel: HomogenizedModel, obs: Sequence[ObservationPath],
+def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
                            init_sampler: Callable, cfg: FilterConfig,
                            rngs: Sequence[np.random.Generator],
                            summary_sink: Optional[Callable] = None) -> FilterBatch:
-    """Bootstrap filters over the slow state only, one per observation path,
-    driven by the full model's observations.
+    """Bootstrap filters over the slow state only, one per replication of the
+    full model's observation batch, as in ``run_full_filter``.
 
-    ``init_sampler(rngs[r], N)`` must return an array x (N, m).
+    ``init_sampler(StreamBatch(rngs), (R, N))`` must return x (R, N, m).
     """
-    times, increments = _stack_obs(obs, cfg.dt)
+    streams = StreamBatch(rngs)
 
-    def propagate(x, streams):
+    def propagate(x, streams, dt):
         xi = streams.standard_normal(x.shape)
-        return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, cfg.dt)
+        return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, dt)
 
-    init = np.stack([np.asarray(init_sampler(g, cfg.n_particles), dtype=float)
-                     for g in rngs])
-    return _run_filter(propagate, hmodel.obs_avg, times, increments, init, cfg,
-                       StreamBatch(rngs), summary_sink)
+    init = np.array(init_sampler(streams, (len(rngs), cfg.n_particles)), dtype=float)
+    return _run_filter(propagate, hmodel.obs_avg, obs, init, cfg, streams,
+                       summary_sink)
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, r: float,
@@ -289,7 +280,5 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, r: float,
         gain = var * hh / s
         mean = mean + gain * (dy - hh * mean)
         var = (1.0 - gain * hh) * var
-        out.append(KalmanState(mean=np.array([mean]),
-                               covariance=np.array([[var]]),
-                               time=float(obs.times[i + 1])))
+        out.append(KalmanState(mean=np.array([mean]), covariance=np.array([[var]])))
     return out

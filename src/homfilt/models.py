@@ -78,8 +78,8 @@ class SignalPath:
     """Joint trajectory of the slow and fast components on the slow time grid."""
 
     times: np.ndarray        # (T+1,), strictly increasing, times[0] = 0
-    slow_states: np.ndarray  # (T+1, m)
-    fast_states: np.ndarray  # (T+1, n)
+    slow_states: np.ndarray  # (T+1, m), or (T+1, R, m) for R replications
+    fast_states: np.ndarray  # (T+1, n), or (T+1, R, n)
 
     def __post_init__(self):
         t = np.asarray(self.times)
@@ -94,15 +94,11 @@ class ObservationPath:
     """Observation increments over each step of a time grid."""
 
     times: np.ndarray       # (T+1,)
-    increments: np.ndarray  # (T, d)
+    increments: np.ndarray  # (T, d), or (T, R, d) for R replications
 
     def __post_init__(self):
         if len(self.increments) != len(self.times) - 1:
             raise ValueError("need exactly one increment per grid step")
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(np.asarray(self.times))
 
 
 def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
@@ -188,12 +184,16 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
 
 def simulate_observations(signal: SignalPath, model: MultiscaleModel,
                           rng: np.random.Generator) -> ObservationPath:
-    """Increments dY_i = h(x_i, z_i) dt_i + sqrt(dt_i) xi_i along a signal path."""
+    """Increments dY_i = h(x_i, z_i) dt_i + sqrt(dt_i) xi_i along a signal path.
+
+    States of shape ``(T+1, R, ·)`` give increments of shape ``(T, R, d)``; through
+    a ``StreamBatch``, row r draws the noise that a lone call with generator r draws.
+    """
     times = np.asarray(signal.times)
     if len(times) < 2:
         raise ValueError("signal path must contain at least one step")
-    dts = np.diff(times)
     h = model.obs_fn(signal.slow_states[:-1], signal.fast_states[:-1])
-    xi = rng.standard_normal((len(dts), model.dim_obs))
-    inc = h * dts[:, None] + xi * np.sqrt(dts)[:, None]
-    return ObservationPath(times=times, increments=inc)
+    dts = np.diff(times).reshape((-1,) + (1,) * (h.ndim - 1))
+    xi = rng.standard_normal(h.shape[1:-1] + (len(dts), model.dim_obs))
+    xi = np.moveaxis(xi, -2, 0)
+    return ObservationPath(times=times, increments=h * dts + xi * np.sqrt(dts))

@@ -21,8 +21,7 @@ from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
                         run_full_filter, run_homogenized_filter)
 from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
-from .models import (MultiscaleModel, SignalPath, simulate_multiscale,
-                     simulate_observations)
+from .models import MultiscaleModel, simulate_multiscale, simulate_observations
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
 
@@ -60,7 +59,7 @@ class StudyConfig:
         default_basis(self.basis_count, 1)
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(n_particles=self.n_particles, dt=self.dt,
+        return FilterConfig(n_particles=self.n_particles,
                             resample_threshold=self.resample_threshold)
 
 
@@ -107,24 +106,22 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
 
     m, n = model.dim_slow, model.dim_fast
     init_joint = gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n)
-    x0, z0 = init_joint(rngmod.StreamBatch(r_init), len(rep_indices))
+    x0, z0 = init_joint(rngmod.StreamBatch(r_init), (len(rep_indices),))
     truth = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
                                 rng=rngmod.StreamBatch(r_truth), check_finite=False)
-    paths = [SignalPath(truth.times, truth.slow_states[:, r], truth.fast_states[:, r])
-             for r in range(len(rep_indices))]
-    obs = [simulate_observations(p, model, rng=g) for p, g in zip(paths, r_obs)]
+    obs = simulate_observations(truth, model, rng=rngmod.StreamBatch(r_obs))
 
     fcfg = cfg.filter_config()
     full = run_full_filter(model, obs, init_joint, fcfg, r_full)
     homog = run_homogenized_filter(
         hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
+    blown = ~(np.isfinite(truth.slow_states).all(axis=-1)
+              & np.isfinite(truth.fast_states).all(axis=-1))  # (T+1, R)
     out = []
-    for r, p in enumerate(paths):
-        blown = ~(np.isfinite(p.slow_states).all(axis=1)
-                  & np.isfinite(p.fast_states).all(axis=1))
+    for r in range(len(rep_indices)):
         error = full.errors[r] or homog.errors[r]
-        if blown.any():  # state k + 1 comes out of step k
-            error = BlowUpError(int(np.argmax(blown)) - 1)
+        if blown[:, r].any():  # state k + 1 comes out of step k
+            error = BlowUpError(int(np.argmax(blown[:, r])) - 1)
         out.append(error or metric_d(marginal_x(full.ensemble(r), m),
                                      marginal_x(homog.ensemble(r), m), basis))
     return out

@@ -18,8 +18,8 @@ from homfilt.filtering import (FilterConfig, KalmanState, ParticleEnsemble,
                                kalman_reference, run_full_filter,
                                systematic_resample)
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
-from homfilt.models import simulate_multiscale, simulate_observations
-from homfilt.rng import stream
+from homfilt.models import ObservationPath, simulate_multiscale, simulate_observations
+from homfilt.rng import StreamBatch, stream
 from homfilt.study import StudyConfig, run_study
 
 
@@ -106,28 +106,29 @@ def test_criterion_4_filter_matches_kalman():
     model = catalog.make_model("linear", a=a, q=q, h=h)
     dt, horizon = 0.01, 2.0
     prior_mean, prior_var = 0.5, 0.25
-    cfg = FilterConfig(n_particles=8192, dt=dt)
+    cfg = FilterConfig(n_particles=8192)
     reps = range(50)
-    obs = []
-    for rep in reps:
-        truth = simulate_multiscale(model, np.array([prior_mean]), np.zeros(1),
-                                    horizon, dt, rng=stream(7, rep, 0))
-        obs.append(simulate_observations(truth, model, rng=stream(7, rep, 1)))
+    truth = simulate_multiscale(model, np.full((len(reps), 1), prior_mean),
+                                np.zeros((len(reps), 1)), horizon, dt,
+                                rng=StreamBatch([stream(7, rep, 0) for rep in reps]))
+    obs = simulate_observations(truth, model,
+                                rng=StreamBatch([stream(7, rep, 1) for rep in reps]))
     means = []
 
     def sink(t, states, w, e, resampled):
         means.append([(w[k] @ states[k])[0] for k in reps])
 
-    def init(rng, count):
-        x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal((count, 1))
-        return x0, np.zeros((count, 1))
+    def init(rng, shape):
+        x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal(shape + (1,))
+        return x0, np.zeros(shape + (1,))
 
     run_full_filter(model, obs, init, cfg, [stream(7, rep, 2) for rep in reps],
                     summary_sink=sink)
     means = np.array(means)  # (steps, replications)
     diffs = []
     for rep in reps:
-        kalman = kalman_reference(a, q, h, r, obs[rep],
+        kalman = kalman_reference(a, q, h, r,
+                                  ObservationPath(obs.times, obs.increments[:, rep]),
                                   KalmanState(np.array([prior_mean]),
                                               np.array([[prior_var]])))
         km = np.array([float(np.asarray(s.mean).reshape(())) for s in kalman[1:]])
@@ -171,8 +172,7 @@ def test_criterion_6_resampling_unbiasedness():
     n = 64
     w = rng.uniform(0.2, 1.0, n)
     w /= w.sum()
-    ens = ParticleEnsemble(states=np.arange(n, dtype=float)[:, None],
-                           weights=w, time=0.0)
+    ens = ParticleEnsemble(states=np.arange(n, dtype=float)[:, None], weights=w)
     trials = 10_000
     counts = np.zeros(n)
     for _ in range(trials):

@@ -15,7 +15,7 @@ from homfilt.errors import BlowUpError
 from homfilt.filtering import (FilterConfig, run_full_filter,
                                run_homogenized_filter)
 from homfilt.measures import default_basis
-from homfilt.models import simulate_multiscale, simulate_observations
+from homfilt.models import ObservationPath, simulate_multiscale, simulate_observations
 from homfilt.study import StudyConfig, run_replication, run_study
 
 
@@ -37,6 +37,13 @@ FILTER_SHA256 = {
         "37b5f216a3e759b26e351aac0a62868f849e7b1380e5f94d601fd7920d384d71",
     "filter_distance.txt":
         "4ef0fdabb029b750c45ff90bb80636c0a67f2e02c3bdbfbdaa7b43a943135157",
+}
+# The simulate call that feeds the filter outputs above; pins the unbatched
+# path of simulate_observations.
+SIMULATE_SHA256 = {
+    "signal.csv": "1c9042df654b61f55f6c3e9cef8dffd750de19e640cc8d27399efd60b0aadc38",
+    "observations.csv":
+        "1078e3a5bcd38fcfd39695fc0dab12aef468678aa02fc4f4fb30354f4516a030",
 }
 # A small grid-wide averaging run; pins the per-node streams.
 TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"
@@ -67,6 +74,8 @@ class TestPinnedOutputs:
                        "observations": "./sim/observations.csv"}}))
         assert main(["--config", "./filter.yaml", "--seed", "5", "--out", "./sim",
                      "simulate"]) == 0
+        simulated = {f: sha256(tmp_path / "sim" / f) for f in SIMULATE_SHA256}
+        assert simulated == SIMULATE_SHA256
         assert main(["--config", "./filter.yaml", "--seed", "5", "--out", "./filt",
                      "filter"]) == 0
         got = {f: sha256(tmp_path / "filt" / f) for f in FILTER_SHA256}
@@ -103,30 +112,31 @@ def test_study_distances_equal_lone_replications():
 def test_failed_replication_leaves_the_other_untouched(kind):
     model = catalog.make_model("ou_benchmark", epsilon=0.25)
     hm = catalog.make_analytic_homogenized("ou_benchmark")
-    truth = simulate_multiscale(model, np.array([0.2]), np.array([0.2]), 0.3, 0.02,
+    truth = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]), 0.3, 0.02,
                                 rng=np.random.default_rng(1))
     obs = simulate_observations(truth, model, rng=np.random.default_rng(2))
-    cfg = FilterConfig(n_particles=128, dt=0.02)
-    poisoned = [np.random.default_rng(3)]   # init puts a NaN into this stream's run
+    cfg = FilterConfig(n_particles=128)
+    poisoned = [np.random.default_rng(3)]   # init puts a NaN into this stream's row
 
-    def init(rng, count):
-        x = 0.5 * rng.standard_normal((count, 1))
-        if rng is poisoned[0]:
-            x[5, 0] = np.nan
-        return (x, x + rng.standard_normal((count, 1))) if kind == "full" else x
+    def init(rng, shape):
+        x = 0.5 * rng.standard_normal(shape + (1,))
+        if rng[0] is poisoned[0]:
+            x[0, 5, 0] = np.nan
+        return (x, x + rng.standard_normal(shape + (1,))) if kind == "full" else x
 
     run, target = {"full": (run_full_filter, model),
                    "homogenized": (run_homogenized_filter, hm)}[kind]
-    batch = run(target, [obs, obs], init, cfg,
+    pair = ObservationPath(obs.times, np.repeat(obs.increments, 2, axis=1))
+    batch = run(target, pair, init, cfg,
                 [poisoned[0], np.random.default_rng(4)])
     assert isinstance(batch.errors[0], BlowUpError)
     assert batch.errors[1] is None
-    lone = run(target, [obs], init, cfg, [np.random.default_rng(4)])
+    lone = run(target, obs, init, cfg, [np.random.default_rng(4)])
     assert lone.errors == [None]
     assert np.array_equal(batch.ensemble(1).states, lone.ensemble(0).states)
     assert np.array_equal(batch.ensemble(1).weights, lone.ensemble(0).weights)
     poisoned[0] = np.random.default_rng(3)
-    lone_poisoned = run(target, [obs], init, cfg, [poisoned[0]])
+    lone_poisoned = run(target, obs, init, cfg, [poisoned[0]])
     assert isinstance(lone_poisoned.errors[0], BlowUpError)
 
 

@@ -1,4 +1,6 @@
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -268,6 +270,26 @@ class TestErrors:
             "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
                       "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}, "study")
 
+    @pytest.mark.parametrize("section, bad, command", [
+        ("filter", {"init_mean": "abc"}, "filter"),
+        ("filter", {"n_particles": [8]}, "filter"),
+        ("study", {"basis_count": [4]}, "study"),
+        ("averager", {"replicates": [4]}, "homogenize"),
+        ("model", {"params": [1]}, "simulate"),
+        ("model", {"horizon": "abc"}, "simulate"),
+    ])
+    def test_wrong_config_type_is_usage_error(self, tmp_path, capsys, section, bad,
+                                              command):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        cfg = {"model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
+               "filter": {"observations": str(obs)},
+               "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                         "horizon": 0.1, "n_particles": 8, "dt": 0.02},
+               "averager": {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]}}}
+        cfg[section].update(bad)
+        self._usage_error(tmp_path, capsys, cfg, command)
+
     def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
         path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},
                                        "filter": filter_sec})
@@ -290,12 +312,23 @@ class TestErrors:
                                           "table": str(table)}, table)
 
 
-def _exits_without_scipy(code, cwd=None):
+def _exit_code(code, cwd=None):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code += "\nsys.exit('scipy' in sys.modules)"
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                          timeout=120).returncode == 0
+                          timeout=120).returncode
+
+
+def _exits_without_scipy(code, cwd=None):
+    return _exit_code(code + "\nsys.exit('scipy' in sys.modules)", cwd) == 0
+
+
+def test_readme_example_runs(tmp_path):
+    # The quick example calls the library API, so running it catches drift
+    # between the API and its documentation.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    (code,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert _exit_code(code, cwd=tmp_path) == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():

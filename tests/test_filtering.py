@@ -12,10 +12,9 @@ from homfilt.models import (ObservationPath, simulate_multiscale,
                             simulate_observations)
 
 
-def ensemble(states, weights, time=0.0):
+def ensemble(states, weights):
     return ParticleEnsemble(states=np.asarray(states, dtype=float),
-                            weights=np.asarray(weights, dtype=float),
-                            time=time)
+                            weights=np.asarray(weights, dtype=float))
 
 
 class TestWeightUpdate:
@@ -142,13 +141,13 @@ class TestRunFullFilter:
         obs = ObservationPath(
             times=times,
             increments=np.random.default_rng(0).standard_normal(
-                (len(times) - 1, 1)) * np.sqrt(dt))
+                (len(times) - 1, 1, 1)) * np.sqrt(dt))
 
-        def init(rng, count):
-            return np.full((count, 1), 1.0), np.zeros((count, 1))
+        def init(rng, shape):
+            return np.full(shape + (1,), 1.0), np.zeros(shape + (1,))
 
-        cfg = FilterConfig(n_particles=4000, dt=dt, resample_threshold=0.5)
-        final = run_full_filter(model, [obs], init, cfg,
+        cfg = FilterConfig(n_particles=4000, resample_threshold=0.5)
+        final = run_full_filter(model, obs, init, cfg,
                                 [np.random.default_rng(3)]).ensemble(0)
         mean = final.mean()[0]
         # E[X(1)] = e^{-1}; Monte Carlo spread of the ensemble mean.
@@ -160,34 +159,35 @@ class TestRunFullFilter:
         dt = 0.01
         times = np.arange(11) * dt
         obs = ObservationPath(times=times,
-                              increments=np.zeros((10, 1)))
+                              increments=np.zeros((10, 1, 1)))
 
-        def init(rng, count):
-            return np.zeros((count, 1)), np.zeros((count, 1))
+        def init(rng, shape):
+            return np.zeros(shape + (1,)), np.zeros(shape + (1,))
 
-        cfg = FilterConfig(n_particles=1, dt=dt, resample_threshold=0.5)
+        cfg = FilterConfig(n_particles=1, resample_threshold=0.5)
         steps = []
 
         def sink(t, states, w, e, resampled):
             steps.append(w[0, 0])
 
-        batch = run_full_filter(model, [obs], init, cfg, [np.random.default_rng(4)],
+        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(4)],
                                 summary_sink=sink)
         assert batch.ensemble(0).weights[0] == 1.0
         assert all(w == 1.0 for w in steps)
         assert len(steps) == 10
 
     def test_grid_mismatch(self):
+        # The filters take their step from the grid, so it must be uniform.
         model = catalog.make_model("linear")
-        obs = ObservationPath(times=np.array([0.0, 0.1, 0.2]),
-                              increments=np.zeros((2, 1)))
-        cfg = FilterConfig(n_particles=4, dt=0.05)
+        obs = ObservationPath(times=np.array([0.0, 0.1, 0.25]),
+                              increments=np.zeros((2, 1, 1)))
+        cfg = FilterConfig(n_particles=4)
 
-        def init(rng, count):
-            return np.zeros((count, 1)), np.zeros((count, 1))
+        def init(rng, shape):
+            return np.zeros(shape + (1,)), np.zeros(shape + (1,))
 
         with pytest.raises(GridMismatchError):
-            run_full_filter(model, [obs], init, cfg, [np.random.default_rng(0)])
+            run_full_filter(model, obs, init, cfg, [np.random.default_rng(0)])
 
     def test_tracks_kalman_reference(self):
         # Linear-Gaussian model: the particle posterior mean should follow
@@ -196,22 +196,22 @@ class TestRunFullFilter:
         model = catalog.make_model("linear", a=a, q=q, h=h)
         dt, horizon = 0.01, 2.0
         r_truth = np.random.default_rng(10)
-        truth = simulate_multiscale(model, np.array([0.5]), np.array([0.0]),
+        truth = simulate_multiscale(model, np.array([[0.5]]), np.array([[0.0]]),
                                     horizon, dt, rng=r_truth)
         obs = simulate_observations(truth, model, rng=np.random.default_rng(11))
         prior_mean, prior_var = 0.5, 0.25
 
-        def init(rng, count):
-            x = prior_mean + np.sqrt(prior_var) * rng.standard_normal((count, 1))
-            return x, np.zeros((count, 1))
+        def init(rng, shape):
+            x = prior_mean + np.sqrt(prior_var) * rng.standard_normal(shape + (1,))
+            return x, np.zeros(shape + (1,))
 
-        cfg = FilterConfig(n_particles=4000, dt=dt)
+        cfg = FilterConfig(n_particles=4000)
         means = []
 
         def sink(t, states, w, e, resampled):
             means.append((w[0] @ states[0])[0])
 
-        run_full_filter(model, [obs], init, cfg, [np.random.default_rng(12)],
+        run_full_filter(model, obs, init, cfg, [np.random.default_rng(12)],
                         summary_sink=sink)
         kal = kalman_reference(a, q, h, r, obs,
                                KalmanState(mean=np.array([prior_mean]),
@@ -226,13 +226,13 @@ class TestRunHomogenizedFilter:
     def test_frozen_dynamics_keeps_point_mass(self):
         hm = catalog.make_analytic_homogenized("linear", a=0.0, q=1e-30, h=0.0)
         times = np.arange(6) * 0.1
-        obs = ObservationPath(times=times, increments=np.zeros((5, 1)))
+        obs = ObservationPath(times=times, increments=np.zeros((5, 1, 1)))
 
-        def init(rng, count):
-            return np.full((count, 1), 2.5)
+        def init(rng, shape):
+            return np.full(shape + (1,), 2.5)
 
-        cfg = FilterConfig(n_particles=32, dt=0.1)
-        final = run_homogenized_filter(hm, [obs], init, cfg,
+        cfg = FilterConfig(n_particles=32)
+        final = run_homogenized_filter(hm, obs, init, cfg,
                                        [np.random.default_rng(5)]).ensemble(0)
         assert np.allclose(final.states, 2.5, atol=1e-12)
         assert np.allclose(final.weights, 1.0 / 32)
@@ -244,26 +244,43 @@ class TestRunHomogenizedFilter:
         model = catalog.make_model("ou_benchmark", epsilon=eps)
         hm = catalog.make_analytic_homogenized("ou_benchmark")
         dt, horizon = 0.01, 1.0
-        truth = simulate_multiscale(model, np.array([0.2]), np.array([0.2]),
+        truth = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]),
                                     horizon, dt, rng=np.random.default_rng(20))
         obs = simulate_observations(truth, model, rng=np.random.default_rng(21))
 
-        def init_joint(rng, count):
-            x = 0.2 + 0.3 * rng.standard_normal((count, 1))
-            return x, x + rng.standard_normal((count, 1))
+        def init_joint(rng, shape):
+            x = 0.2 + 0.3 * rng.standard_normal(shape + (1,))
+            return x, x + rng.standard_normal(shape + (1,))
 
-        def init_slow(rng, count):
-            return 0.2 + 0.3 * rng.standard_normal((count, 1))
+        def init_slow(rng, shape):
+            return 0.2 + 0.3 * rng.standard_normal(shape + (1,))
 
-        cfg = FilterConfig(n_particles=4000, dt=dt)
-        full = run_full_filter(model, [obs], init_joint, cfg,
+        cfg = FilterConfig(n_particles=4000)
+        full = run_full_filter(model, obs, init_joint, cfg,
                                [np.random.default_rng(22)]).ensemble(0)
-        homog = run_homogenized_filter(hm, [obs], init_slow, cfg,
+        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
                                        [np.random.default_rng(23)]).ensemble(0)
         mf = full.mean()[0]
         mh = homog.mean()[0]
         sf = np.sqrt(np.cov(full.states[:, 0], aweights=full.weights))
         assert abs(mf - mh) < 3 * (sf / np.sqrt(cfg.n_particles)) + 0.05
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("n_obs, n_rngs", [(1, 2), (2, 1)])
+def test_replication_count_must_match_generators(kind, n_obs, n_rngs):
+    obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, n_obs, 1)))
+    run, target = {"full": (run_full_filter, catalog.make_model("linear")),
+                   "homogenized": (run_homogenized_filter,
+                                   catalog.make_analytic_homogenized("linear"))}[kind]
+
+    def init(rng, shape):
+        x = np.zeros(shape + (1,))
+        return (x, x) if kind == "full" else x
+
+    with pytest.raises(ValueError):
+        run(target, obs, init, FilterConfig(n_particles=4),
+            [np.random.default_rng(r) for r in range(n_rngs)])
 
 
 class TestKalmanReference:

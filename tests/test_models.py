@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from homfilt import catalog
 from homfilt.errors import BlowUpError, ModelShapeError
 from homfilt.models import (MultiscaleModel, SignalPath, multiscale_step,
                             simulate_frozen_fast, simulate_multiscale,
                             simulate_observations)
+from homfilt.rng import StreamBatch
 
 from conftest import const_mat
 
@@ -156,6 +158,21 @@ class TestSimulateObservations:
                           fast_states=np.zeros((11, 1)))
         obs = simulate_observations(path, model, rng=_ZeroRng())
         assert np.allclose(obs.increments, 0.02, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["ou_benchmark", "sinusoidal"])
+    def test_batch_rows_equal_lone_calls(self, family):
+        model = catalog.make_model(family, epsilon=0.25)
+        start = np.linspace(-0.5, 0.5, 3)[:, None]
+        truth = simulate_multiscale(model, start, start, 0.2, 0.02,
+                                    rng=np.random.default_rng(7))
+        gens = [np.random.default_rng(100 + r) for r in range(3)]
+        batch = simulate_observations(truth, model, rng=StreamBatch(gens))
+        assert batch.increments.shape == (10, 3, 1)
+        for r in range(3):
+            path = SignalPath(truth.times, truth.slow_states[:, r],
+                              truth.fast_states[:, r])
+            lone = simulate_observations(path, model, rng=np.random.default_rng(100 + r))
+            assert batch.increments[:, r].tobytes() == lone.increments.tobytes()
 
 
 class _ZeroRng:

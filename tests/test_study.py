@@ -122,18 +122,18 @@ class TestRunReplication:
         # marginals are the same delta measure, so the distance is 0.
         model = catalog.make_model("ou_benchmark", epsilon=0.5)
         hm = catalog.make_analytic_homogenized("ou_benchmark")
-        obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1)))
-        cfg = FilterConfig(n_particles=16, dt=0.02)
+        obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
+        cfg = FilterConfig(n_particles=16)
 
-        def init_joint(rng, count):
-            return np.full((count, 1), 0.3), np.full((count, 1), 0.3)
+        def init_joint(rng, shape):
+            return np.full(shape + (1,), 0.3), np.full(shape + (1,), 0.3)
 
-        def init_slow(rng, count):
-            return np.full((count, 1), 0.3)
+        def init_slow(rng, shape):
+            return np.full(shape + (1,), 0.3)
 
-        full = run_full_filter(model, [obs], init_joint, cfg,
+        full = run_full_filter(model, obs, init_joint, cfg,
                                [np.random.default_rng(0)]).ensemble(0)
-        homog = run_homogenized_filter(hm, [obs], init_slow, cfg,
+        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
                                        [np.random.default_rng(1)]).ensemble(0)
         basis = default_basis(16, 1)
         assert metric_d(marginal_x(full, 1),
