@@ -159,7 +159,7 @@ def cmd_simulate(args):
     _write_csv(os.path.join(args.out, "signal.csv"), manifest, sig_header, sig_rows)
     obs_header = ["time"] + [f"dy{i}" for i in range(model.dim_obs)]
     obs_rows = [[float(t)] + [float(v) for v in dy]
-                for t, dy in zip(obs.times[1:], obs.increments)]
+                for t, dy in zip(obs.times[1:], obs.increments[:, 0])]
     _write_csv(os.path.join(args.out, "observations.csv"), manifest, obs_header, obs_rows)
     return EXIT_OK
 
@@ -191,14 +191,14 @@ def cmd_homogenize(args):
 def _obs_from_file(path):
     try:
         manifest, header, rows = read_csv(path)
+        if rows.ndim != 2 or rows.shape[1] < 2:
+            raise ValueError("no rows of time and increments")
+        return ObservationPath(times=np.concatenate([[0.0], rows[:, 0]]),
+                               increments=rows[:, None, 1:])
     except OSError as exc:
         raise IOError(f"cannot read observations {path}: {exc}")
     except ValueError as exc:
         raise IOError(f"{path}: not an observations CSV: {exc}")
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise IOError(f"{path}: not an observations CSV: no rows of time and increments")
-    times = np.concatenate([[0.0], rows[:, 0]])
-    return ObservationPath(times=times, increments=rows[:, None, 1:])
 
 
 def _table_from_file(path):

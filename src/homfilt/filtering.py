@@ -34,10 +34,6 @@ class ParticleEnsemble:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
 
-    @property
-    def n_particles(self) -> int:
-        return len(self.weights)
-
     def mean(self) -> np.ndarray:
         return self.weights @ self.states
 
@@ -133,7 +129,7 @@ def systematic_resample(ensemble: ParticleEnsemble,
     Offspring counts are determined by one uniform draw; the expected count of
     particle i is exactly N * w_i.
     """
-    n = ensemble.n_particles
+    n = len(ensemble.weights)
     idx = _systematic_indices(ensemble.weights, rng.uniform(), n)
     return ParticleEnsemble(states=ensemble.states[idx], weights=np.full(n, 1.0 / n))
 
@@ -166,7 +162,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
                 summary_sink: Optional[Callable]) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    ``obs`` holds (T, R, d) increments on a uniform grid, and each step is
+    ``obs`` must hold R replications on a uniform grid, and each step is
     ``propagate(states, rngs, dt)`` with that grid's step.  Row r draws only
     from ``rngs[r]``, in the order a lone run of it draws, and every
     operation acts row by row, so each row equals its own R = 1 run bit for
@@ -178,9 +174,9 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     n = cfg.n_particles
     n_rows = len(init_states)
     increments = np.asarray(obs.increments, dtype=float)
-    if increments.ndim != 3 or increments.shape[1] != n_rows:
+    if increments.shape[1] != n_rows:
         raise ValueError(f"observation increments of shape {increments.shape} "
-                         f"do not hold {n_rows} replications as (T, R, d)")
+                         f"do not hold {n_rows} replications")
     steps = np.diff(obs.times)
     if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("observation grid is not uniform")
@@ -264,14 +260,17 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, r: float,
 
     Model: dX = a_lin X dt + sqrt(q) dV, with each observation increment
     treated as a reading of h_lin * X * dt corrupted by noise of variance
-    r * dt.  Returns the prior followed by the state after each increment.
+    r * dt.  ``obs`` holds one replication, increments of shape (T, 1, 1).
+    Returns the prior followed by the state after each increment.
     """
     if q <= 0 or r <= 0:
         raise UsageError("q and r must be positive")
+    if obs.increments.shape[1:] != (1, 1):
+        raise ValueError(f"increments {obs.increments.shape} are not one scalar path")
     mean = float(np.asarray(prior.mean).reshape(()))
     var = float(np.asarray(prior.covariance).reshape(()))
     out = [prior]
-    for i, dy in enumerate(np.asarray(obs.increments).reshape(-1)):
+    for i, dy in enumerate(obs.increments[:, 0, 0]):
         dt = float(obs.times[i + 1] - obs.times[i])
         mean = (1.0 + a_lin * dt) * mean
         var = (1.0 + a_lin * dt) ** 2 * var + q * dt

@@ -73,6 +73,13 @@ class MultiscaleModel:
         return int(np.ceil(1.0 / self.epsilon))
 
 
+def _check_times(times) -> np.ndarray:
+    t = np.asarray(times)
+    if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        raise ValueError("times must start at 0 and be strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class SignalPath:
     """Joint trajectory of the slow and fast components on the slow time grid."""
@@ -82,23 +89,23 @@ class SignalPath:
     fast_states: np.ndarray  # (T+1, n), or (T+1, R, n)
 
     def __post_init__(self):
-        t = np.asarray(self.times)
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must start at 0 and be strictly increasing")
+        t = _check_times(self.times)
         if len(t) != len(self.slow_states) or len(t) != len(self.fast_states):
             raise ValueError("times and state sequences must have equal length")
 
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Observation increments over each step of a time grid."""
+    """Observation increments of R replications over each step of a time grid."""
 
-    times: np.ndarray       # (T+1,)
-    increments: np.ndarray  # (T, d), or (T, R, d) for R replications
+    times: np.ndarray       # (T+1,), strictly increasing, times[0] = 0
+    increments: np.ndarray  # (T, R, d)
 
     def __post_init__(self):
-        if len(self.increments) != len(self.times) - 1:
-            raise ValueError("need exactly one increment per grid step")
+        steps = len(_check_times(self.times)) - 1
+        if np.ndim(self.increments) != 3 or len(self.increments) != steps:
+            raise ValueError(f"increments of shape {np.shape(self.increments)} are not "
+                             f"laid out as (T, R, d) with one row per step, T = {steps}")
 
 
 def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
@@ -186,14 +193,15 @@ def simulate_observations(signal: SignalPath, model: MultiscaleModel,
                           rng: np.random.Generator) -> ObservationPath:
     """Increments dY_i = h(x_i, z_i) dt_i + sqrt(dt_i) xi_i along a signal path.
 
-    States of shape ``(T+1, R, ·)`` give increments of shape ``(T, R, d)``; through
-    a ``StreamBatch``, row r draws the noise that a lone call with generator r draws.
+    States of shape ``(T+1, R, ·)`` give increments of shape ``(T, R, d)``, and a
+    lone path ``(T+1, ·)`` gives ``(T, 1, d)``.  Through a ``StreamBatch``, row r
+    draws the noise that a lone call with generator r draws.
     """
     times = np.asarray(signal.times)
     if len(times) < 2:
         raise ValueError("signal path must contain at least one step")
+    dts = np.diff(times)[:, None, None]
     h = model.obs_fn(signal.slow_states[:-1], signal.fast_states[:-1])
-    dts = np.diff(times).reshape((-1,) + (1,) * (h.ndim - 1))
-    xi = rng.standard_normal(h.shape[1:-1] + (len(dts), model.dim_obs))
-    xi = np.moveaxis(xi, -2, 0)
+    h = h.reshape(len(dts), -1, model.dim_obs)
+    xi = np.moveaxis(rng.standard_normal((h.shape[1], len(dts), model.dim_obs)), 1, 0)
     return ObservationPath(times=times, increments=h * dts + xi * np.sqrt(dts))

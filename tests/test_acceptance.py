@@ -128,7 +128,7 @@ def test_criterion_4_filter_matches_kalman():
     diffs = []
     for rep in reps:
         kalman = kalman_reference(a, q, h, r,
-                                  ObservationPath(obs.times, obs.increments[:, rep]),
+                                  ObservationPath(obs.times, obs.increments[:, rep:rep + 1]),
                                   KalmanState(np.array([prior_mean]),
                                               np.array([[prior_var]])))
         km = np.array([float(np.asarray(s.mean).reshape(())) for s in kalman[1:]])

@@ -302,6 +302,14 @@ class TestErrors:
         obs.write_text("time,dy0\n0.01,0.3\n0.02,oops\n")
         self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
 
+    @pytest.mark.parametrize("rows", ["0.0,0.3\n0.0,-0.1\n", "-0.01,0.3\n-0.02,-0.1\n",
+                                      "0.02,0.3\n0.01,-0.1\n"])
+    def test_non_increasing_observation_times_is_io_error(self, tmp_path, capsys, rows):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n" + rows)
+        self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
+        assert not (tmp_path / "filter_full.csv").exists()
+
     def test_malformed_table_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")

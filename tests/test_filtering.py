@@ -283,11 +283,24 @@ def test_replication_count_must_match_generators(kind, n_obs, n_rngs):
             [np.random.default_rng(r) for r in range(n_rngs)])
 
 
+def test_initial_draws_are_independent_arrays():
+    # m == n, so x and z are drawn with one shape; each draw must be its own.
+    model = catalog.make_model("ou_benchmark")
+    obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
+
+    def init(rng, shape):
+        return rng.standard_normal(shape + (1,)), rng.standard_normal(shape + (1,))
+
+    final = run_full_filter(model, obs, init, FilterConfig(n_particles=8),
+                            [np.random.default_rng(0)]).ensemble(0)
+    assert not np.array_equal(final.states[:, 0], final.states[:, 1])
+
+
 class TestKalmanReference:
     def make_obs(self, dt, horizon, increments=None):
         times = np.arange(int(round(horizon / dt)) + 1) * dt
         if increments is None:
-            increments = np.zeros((len(times) - 1, 1))
+            increments = np.zeros((len(times) - 1, 1, 1))
         return ObservationPath(times=times, increments=increments)
 
     def test_no_observation_is_pure_prediction(self):
@@ -317,4 +330,11 @@ class TestKalmanReference:
         from homfilt.errors import UsageError
         with pytest.raises(UsageError):
             kalman_reference(-1.0, 0.0, 1.0, 1.0, obs,
+                             KalmanState(np.array([0.0]), np.array([[1.0]])))
+
+    @pytest.mark.parametrize("tail", [(2, 1), (1, 2)])
+    def test_takes_one_scalar_replication(self, tail):
+        obs = self.make_obs(0.1, 0.5, np.zeros((5,) + tail))
+        with pytest.raises(ValueError):
+            kalman_reference(-1.0, 1.0, 1.0, 1.0, obs,
                              KalmanState(np.array([0.0]), np.array([[1.0]])))

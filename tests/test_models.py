@@ -3,9 +3,9 @@ import pytest
 
 from homfilt import catalog
 from homfilt.errors import BlowUpError, ModelShapeError
-from homfilt.models import (MultiscaleModel, SignalPath, multiscale_step,
-                            simulate_frozen_fast, simulate_multiscale,
-                            simulate_observations)
+from homfilt.models import (MultiscaleModel, ObservationPath, SignalPath,
+                            multiscale_step, simulate_frozen_fast,
+                            simulate_multiscale, simulate_observations)
 from homfilt.rng import StreamBatch
 
 from conftest import const_mat
@@ -157,6 +157,7 @@ class TestSimulateObservations:
         path = SignalPath(times=times, slow_states=np.full((11, 1), 2.0),
                           fast_states=np.zeros((11, 1)))
         obs = simulate_observations(path, model, rng=_ZeroRng())
+        assert obs.increments.shape == (10, 1, 1)  # a lone path is one replication
         assert np.allclose(obs.increments, 0.02, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("family", ["ou_benchmark", "sinusoidal"])
@@ -173,6 +174,19 @@ class TestSimulateObservations:
                               truth.fast_states[:, r])
             lone = simulate_observations(path, model, rng=np.random.default_rng(100 + r))
             assert batch.increments[:, r].tobytes() == lone.increments.tobytes()
+
+
+class TestObservationPath:
+    @pytest.mark.parametrize("times", [[0.0, 0.0, 0.1], [0.0, -0.01, -0.02],
+                                       [0.1, 0.2, 0.3]])
+    def test_times_start_at_zero_and_increase(self, times):
+        with pytest.raises(ValueError):
+            ObservationPath(times=np.array(times), increments=np.zeros((2, 1, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 1, 1, 1), (3, 1, 1)])
+    def test_increments_are_one_per_step_as_t_r_d(self, shape):
+        with pytest.raises(ValueError):
+            ObservationPath(times=np.array([0.0, 0.1, 0.2]), increments=np.zeros(shape))
 
 
 class _ZeroRng:
