@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
                         build_homogenized, estimate_stationary_average,
                         load_tabulated, matrix_sqrt_psd, save_tabulated)
-from .errors import (BlowUpError, GridMismatchError, HomfiltError,
-                     ModelShapeError, NotPSDError, NotSymmetricError,
-                     StudyAbortError, UsageError, WeightCollapseError)
+from .errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
+                     NotSymmetricError, StudyAbortError, UsageError,
+                     WeightCollapseError)
 from .filtering import (FilterBatch, FilterConfig, KalmanState,
                         ParticleEnsemble, ess, kalman_reference,
                         run_full_filter, run_homogenized_filter,

@@ -214,7 +214,6 @@ class HomogenizedModel:
     diffsq_avg: Callable   # averaged sigma sigma^T
     diff_avg: Callable     # PSD square root of diffsq_avg
     obs_avg: Callable      # averaged h
-    provenance: str = "analytic"
     grid: Optional[TabulationGrid] = None
     table: Optional[dict] = None  # node arrays, present when tabulated
 
@@ -269,7 +268,7 @@ def _tabulated_model(m: int, d: int, grid: TabulationGrid,
         diffsq_avg=_interpolator(grid, table["a"]),
         diff_avg=_interpolator(grid, table["sigma"]),
         obs_avg=_interpolator(grid, table["h"]),
-        provenance="tabulated", grid=grid, table=table)
+        grid=grid, table=table)
 
 
 def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
@@ -331,7 +330,7 @@ def _fmt_row(values) -> str:
 
 
 def save_tabulated(hm: HomogenizedModel, path: str):
-    if hm.provenance != "tabulated" or hm.table is None or hm.grid is None:
+    if hm.table is None:
         raise ValueError("only tabulated models can be serialized")
     g, t = hm.grid, hm.table
     cfg = t["averager"]

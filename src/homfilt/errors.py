@@ -37,10 +37,6 @@ class NonErgodicWarning(UserWarning):
     """Replicate disagreement far beyond the pooled standard error."""
 
 
-class GridMismatchError(HomfiltError):
-    """Observation grid is not uniform, so it gives the filters no one step."""
-
-
 class UsageError(HomfiltError):
     """Invalid configuration or command-line input."""
 

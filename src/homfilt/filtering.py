@@ -14,8 +14,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .averaging import HomogenizedModel
-from .errors import (BlowUpError, GridMismatchError, UsageError,
-                     WeightCollapseError)
+from .errors import BlowUpError, UsageError, WeightCollapseError
 from .models import (MultiscaleModel, ObservationPath, euler_maruyama,
                      multiscale_step)
 from .rng import StreamBatch
@@ -162,8 +161,9 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
                 summary_sink: Optional[Callable]) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    ``obs`` must hold R replications on a uniform grid, and each step is
-    ``propagate(states, rngs, dt)`` with that grid's step.  Row r draws only
+    ``obs`` holds R replications on a uniform grid (``ObservationPath``
+    checks it), and each step is ``propagate(states, rngs, dt)`` with that
+    grid's step, ``times[1]``.  Row r draws only
     from ``rngs[r]``, in the order a lone run of it draws, and every
     operation acts row by row, so each row equals its own R = 1 run bit for
     bit.  A row that goes non-finite or whose weights collapse
@@ -177,10 +177,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     if increments.shape[1] != n_rows:
         raise ValueError(f"observation increments of shape {increments.shape} "
                          f"do not hold {n_rows} replications")
-    steps = np.diff(obs.times)
-    if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
-        raise GridMismatchError("observation grid is not uniform")
-    dt = float(steps[0]) if len(steps) else None  # a zero-step path needs none
+    dt = float(obs.times[1]) if len(increments) else None  # a zero-step path needs none
     states = init_states
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows

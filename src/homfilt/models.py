@@ -98,14 +98,17 @@ class SignalPath:
 class ObservationPath:
     """Observation increments of R replications over each step of a time grid."""
 
-    times: np.ndarray       # (T+1,), strictly increasing, times[0] = 0
+    times: np.ndarray       # (T+1,), uniform, strictly increasing, times[0] = 0
     increments: np.ndarray  # (T, R, d)
 
     def __post_init__(self):
-        steps = len(_check_times(self.times)) - 1
-        if np.ndim(self.increments) != 3 or len(self.increments) != steps:
+        steps = np.diff(_check_times(self.times))
+        if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
+            raise ValueError("observation grid is not uniform")
+        if np.ndim(self.increments) != 3 or len(self.increments) != len(steps):
             raise ValueError(f"increments of shape {np.shape(self.increments)} are not "
-                             f"laid out as (T, R, d) with one row per step, T = {steps}")
+                             "laid out as (T, R, d) with one row per step, "
+                             f"T = {len(steps)}")
 
 
 def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,

@@ -32,7 +32,7 @@ def report(number, name, ok, detail=""):
 def test_criterion_1_averaging_oracle():
     """Stationary averages of z and z^2 for the fast OU process match x, x^2+1."""
     t0 = time.time()
-    model = catalog.make_ou_benchmark()
+    model = catalog.make_model("ou_benchmark")
     cfg = StationaryAverager()
     rows = []
     for i, x in enumerate((-1.0, 0.5, 1.0)):

@@ -263,6 +263,17 @@ class TestErrors:
             "filter": {"observations": str(obs), **bad}}, "filter")
         assert not (tmp_path / "filter_full.csv").exists()
 
+    # Warnings as errors: a parameter checked after its first use would warn
+    # (sqrt of a negative q) on top of the one-line message.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, params", [("linear", {"q": -1.0}),
+                                                ("ou_benchmark", {"relax": -1.0})])
+    def test_bad_family_value_is_usage_error(self, tmp_path, capsys, family, params):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": family, "params": params},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02}}, "study")
+
     @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"basis_count": 0}])
     def test_bad_study_filter_or_basis_is_usage_error(self, tmp_path, capsys, bad):
         self._usage_error(tmp_path, capsys, {
@@ -309,6 +320,12 @@ class TestErrors:
         obs.write_text("time,dy0\n" + rows)
         self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
         assert not (tmp_path / "filter_full.csv").exists()
+
+    def test_non_uniform_observation_times_is_io_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.03,-0.1\n")
+        self._io_error(tmp_path, capsys, {"observations": str(obs), "n_particles": 8},
+                       obs)
 
     def test_malformed_table_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
