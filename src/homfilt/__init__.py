@@ -9,8 +9,8 @@ reduced filter approaches the slow marginal of the full one.
 __version__ = "0.1.0"
 
 from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
-                        build_homogenized, estimate_stationary_average,
-                        load_tabulated, matrix_sqrt_psd, save_tabulated)
+                        build_homogenized, load_tabulated, matrix_sqrt_psd,
+                        save_tabulated)
 from .errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
                      NotSymmetricError, StudyAbortError, UsageError,
                      WeightCollapseError)
@@ -19,7 +19,7 @@ from .filtering import (FilterBatch, FilterConfig, KalmanState,
                         run_full_filter, run_homogenized_filter,
                         systematic_resample, weight_update)
 from .measures import (EmpiricalMeasure, TestFunctionBasis, default_basis,
-                       integrate, marginal_x, metric_d)
+                       marginal_x, metric_d)
 from . import catalog
 from .rng import stream
 from .models import (MultiscaleModel, ObservationPath, SignalPath,

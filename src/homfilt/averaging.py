@@ -10,7 +10,7 @@ a tabulation grid or supplied analytically for families where they are known.
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ TOL_PSD = 1e-10
 # Each generator draws the fast noise of several steps in one call, with at
 # most this many doubles for the whole grid per call.
 NOISE_BLOCK = 1 << 16
+
+TABLE_KEYS = ("b", "a", "h", "b_se", "a_se", "h_se")  # node arrays, in file order
 
 
 @dataclass(frozen=True)
@@ -95,55 +97,36 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     return sums, n_steps + 1 - i0, first_bad
 
 
-def _estimates(rep_sums: Sequence[np.ndarray], count: int, cfg: StationaryAverager,
-               x: np.ndarray) -> list:
-    """One (estimate, standard_error) pair per integrand from one node's sums.
+def _estimates(sums: Sequence[np.ndarray], count: int, cfg: StationaryAverager,
+               nodes: np.ndarray) -> list:
+    """One (estimates, standard_errors) pair per integrand from ``_frozen_sums``.
 
-    The standard error is the across-replicate spread of the per-replicate
-    time averages.
+    Each (nodes, replicates) + tail array of sums gives (nodes,) + tail
+    estimates and standard errors; the standard error is the across-replicate
+    spread of the per-replicate time averages.  A node whose replicates
+    disagree warns once per integrand, in node order.
     """
-    results = []
-    for acc in rep_sums:
-        rep_means = acc / count               # (replicates,) + tail
-        est = rep_means.mean(axis=0)
+    results, flagged = [], []
+    for acc in sums:
+        rep_means = acc / count               # (nodes, replicates) + tail
+        est = rep_means.mean(axis=1)
         if cfg.replicates > 1:
-            se = rep_means.std(axis=0, ddof=1) / np.sqrt(cfg.replicates)
-            spread = np.abs(rep_means - est).max(axis=0)
-            # 10x the per-replicate scatter: unreachable for any ergodic
-            # process at these replicate counts, a red flag otherwise.
-            if np.any(spread > 10.0 * np.sqrt(cfg.replicates) * se + 1e-300):
-                warnings.warn("replicate disagreement exceeds 10x pooled standard "
-                              f"error at x={x.tolist()}", NonErgodicWarning)
+            se = rep_means.std(axis=1, ddof=1) / np.sqrt(cfg.replicates)
+            spread = np.abs(rep_means - est[:, None]).max(axis=1)
+            # This is spread > 10 s, s the sample SD of the replicate means, and
+            # Samuelson's inequality (spread <= s (R - 1) / sqrt(R)) keeps it from
+            # firing at R <= 101 replicates (default 64), even if z never mixes.
+            bad = spread > 10.0 * np.sqrt(cfg.replicates) * se + 1e-300
+            flagged.append(bad.reshape(len(nodes), -1).any(axis=1))
         else:
             se = np.zeros_like(est)
         results.append((est, se))
+    for i, x in enumerate(nodes):
+        for bad in flagged:
+            if bad[i]:
+                warnings.warn("replicate disagreement exceeds 10x pooled standard "
+                              f"error at x={x.tolist()}", NonErgodicWarning)
     return results
-
-
-def _frozen_time_averages(model: MultiscaleModel, x: np.ndarray,
-                          thetas: Sequence[Callable], cfg: StationaryAverager,
-                          rng: np.random.Generator):
-    """Time averages of several integrands along one shared frozen-x path.
-
-    The one-node case of ``_frozen_sums``; returns one (estimate,
-    standard_error) pair per integrand.
-    """
-    x = np.asarray(x, dtype=float)
-    sums, count, first_bad = _frozen_sums(model, x[None], thetas, cfg, [rng])
-    if first_bad[0] >= 0:
-        raise BlowUpError(int(first_bad[0]))
-    return _estimates([acc[0] for acc in sums], count, cfg, x)
-
-
-def estimate_stationary_average(model: MultiscaleModel, x: np.ndarray,
-                                theta: Callable, cfg: StationaryAverager,
-                                rng: np.random.Generator):
-    """Estimate the stationary expectation of theta(x, Z) for the frozen fast process.
-
-    theta must broadcast like a model coefficient; scalar-, vector- and
-    matrix-valued integrands are all supported.
-    """
-    return _frozen_time_averages(model, x, [theta], cfg, rng)[0]
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -260,13 +243,21 @@ def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
     return query
 
 
-def _tabulated_model(m: int, d: int, grid: TabulationGrid,
-                     table: dict) -> HomogenizedModel:
+def _tabulated_model(grid: TabulationGrid, table: dict) -> HomogenizedModel:
+    """Wrap a table of node arrays as a model, adding the PSD root ``sigma``
+    of each node's ``a``; a failure names its node."""
+    sigma = np.empty_like(table["a"])
+    for i, (x, a) in enumerate(zip(grid.nodes(), table["a"])):
+        try:
+            sigma[i] = matrix_sqrt_psd(a)
+        except HomfiltError as exc:
+            raise type(exc)(f"node {i} at x={x.tolist()}: {exc}") from exc
+    table = {**table, "sigma": sigma}
     return HomogenizedModel(
-        dim_slow=m, dim_obs=d,
+        dim_slow=table["b"].shape[1], dim_obs=table["h"].shape[1],
         drift_avg=_interpolator(grid, table["b"]),
         diffsq_avg=_interpolator(grid, table["a"]),
-        diff_avg=_interpolator(grid, table["sigma"]),
+        diff_avg=_interpolator(grid, sigma),
         obs_avg=_interpolator(grid, table["h"]),
         grid=grid, table=table)
 
@@ -292,33 +283,16 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
     streams = [rngmod.stream(root_seed, rngmod.NODE_STREAM, i) for i in range(len(nodes))]
     sums, count, first_bad = _frozen_sums(
         model, nodes, [model.drift_slow, theta_a, model.obs_fn], cfg, streams)
-    m, d = model.dim_slow, model.dim_obs
-    nb = np.empty((len(nodes), m))
-    na = np.empty((len(nodes), m, m))
-    nh = np.empty((len(nodes), d))
-    ns = np.empty((len(nodes), m, m))
-    nb_se = np.empty_like(nb)
-    na_se = np.empty_like(na)
-    nh_se = np.empty_like(nh)
-    for i, x in enumerate(nodes):
-        where = f"node {i} at x={x.tolist()}"
-        if first_bad[i] >= 0:
-            raise BlowUpError(int(first_bad[i]),
-                              f"{where}: numerical blow-up at step {first_bad[i]}")
-        (b, b_se), (a, a_se), (h, h_se) = _estimates(
-            [acc[i] for acc in sums], count, cfg, x)
-        a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        try:
-            ns[i] = matrix_sqrt_psd(a)
-        except HomfiltError as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-        nb[i], na[i], nh[i] = b, a, h
-        nb_se[i], na_se[i], nh_se[i] = b_se, a_se, h_se
-
-    table = {"b": nb, "a": na, "h": nh, "sigma": ns,
-             "b_se": nb_se, "a_se": na_se, "h_se": nh_se,
+    failed = np.flatnonzero(first_bad >= 0)
+    if failed.size:
+        i = failed[0]
+        raise BlowUpError(int(first_bad[i]), f"node {i} at x={nodes[i].tolist()}: "
+                          f"numerical blow-up at step {first_bad[i]}")
+    (b, b_se), (a, a_se), (h, h_se) = _estimates(sums, count, cfg, nodes)
+    table = {"b": b, "a": 0.5 * (a + np.swapaxes(a, -1, -2)), "h": h,
+             "b_se": b_se, "a_se": a_se, "h_se": h_se,
              "root_seed": root_seed, "averager": cfg}
-    return _tabulated_model(m, d, grid, table)
+    return _tabulated_model(grid, table)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +319,7 @@ def save_tabulated(hm: HomogenizedModel, path: str):
              f"replicates={cfg.replicates}"]
     for lo, hi, c in zip(g.lows, g.highs, g.counts):
         lines.append(f"axis={lo!r} {hi!r} {c}")
-    for key in ("b", "a", "h", "b_se", "a_se", "h_se"):
+    for key in TABLE_KEYS:
         lines.append(f"[{key}]")
         for row in t[key]:
             lines.append(_fmt_row(row))
@@ -381,17 +355,11 @@ def load_tabulated(path: str) -> HomogenizedModel:
         rows = [np.fromstring(raw[j], sep=" ") for j in range(i + 1, i + 1 + n_nodes)]
         blocks[key] = np.array(rows)
         i += 1 + n_nodes
-    nb = blocks["b"].reshape(n_nodes, m)
-    na = blocks["a"].reshape(n_nodes, m, m)
-    nh = blocks["h"].reshape(n_nodes, d)
-    ns = np.array([matrix_sqrt_psd(a) for a in na])
     cfg = StationaryAverager(burn_in=float(header["burn_in"]),
                              sample_horizon=float(header["sample_horizon"]),
                              dt=float(header["dt"]),
                              replicates=int(header["replicates"]))
-    table = {"b": nb, "a": na, "h": nh, "sigma": ns,
-             "b_se": blocks["b_se"].reshape(n_nodes, m),
-             "a_se": blocks["a_se"].reshape(n_nodes, m, m),
-             "h_se": blocks["h_se"].reshape(n_nodes, d),
-             "root_seed": int(header["root_seed"]), "averager": cfg}
-    return _tabulated_model(m, d, grid, table)
+    shapes = {"b": (m,), "a": (m, m), "h": (d,)}  # per node, for a key and its _se
+    table = {key: blocks[key].reshape((n_nodes,) + shapes[key[0]]) for key in TABLE_KEYS}
+    table.update(root_seed=int(header["root_seed"]), averager=cfg)
+    return _tabulated_model(grid, table)

@@ -18,6 +18,8 @@ take and check the same parameter list.  User-defined coefficient functions
 are a code-level extension point: construct a MultiscaleModel directly.
 """
 
+import numbers
+
 import numpy as np
 
 from .averaging import HomogenizedModel
@@ -106,6 +108,10 @@ def _build(name: str, epsilon: float, **params):
     if name not in _FAMILIES:
         raise UsageError(f"unknown model family {name!r}; "
                          f"known: {', '.join(sorted(_FAMILIES))}")
+    for key, value in params.items():
+        if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+            raise UsageError(f"model family {name!r}: {key} must be a finite "
+                             f"number, got {value!r}")
     try:
         coefficients, averaged = _FAMILIES[name](**params)
         return MultiscaleModel(**coefficients, epsilon=epsilon), averaged

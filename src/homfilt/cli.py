@@ -204,7 +204,7 @@ def _obs_from_file(path):
 def _table_from_file(path):
     try:
         return load_tabulated(path)
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, HomfiltError) as exc:
         raise IOError(f"{path}: not a tabulated model file: {exc}")
 
 

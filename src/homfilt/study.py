@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import catalog, rng as rngmod
+from . import catalog, measures, rng as rngmod
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
@@ -222,7 +222,7 @@ def run_study(cfg: StudyConfig,
         counts=tuple(len(d) for d in distances),
         failures=tuple(failures),
         slope=slope, intercept=intercept, slope_ci=slope_ci,
-        basis_count=cfg.basis_count, basis_version="gauss-v1",
+        basis_count=cfg.basis_count, basis_version=measures.ENUMERATION_VERSION,
         root_seed=cfg.root_seed,
         config=_config_snapshot(cfg),
         distances=tuple(tuple(float(v) for v in d) for d in distances),

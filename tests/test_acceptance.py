@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from homfilt import catalog
-from homfilt.averaging import StationaryAverager, _frozen_time_averages, matrix_sqrt_psd
+from homfilt.averaging import StationaryAverager, _estimates, _frozen_sums, matrix_sqrt_psd
 from homfilt.cli import main as cli_main
 from homfilt.filtering import (FilterConfig, KalmanState, ParticleEnsemble,
                                kalman_reference, run_full_filter,
@@ -34,17 +34,17 @@ def test_criterion_1_averaging_oracle():
     t0 = time.time()
     model = catalog.make_model("ou_benchmark")
     cfg = StationaryAverager()
-    rows = []
-    for i, x in enumerate((-1.0, 0.5, 1.0)):
-        rng = stream(2026, i)
-        (e1, s1), (e2, s2) = _frozen_time_averages(
-            model, np.array([x]),
-            [lambda xb, zb: zb[..., 0], lambda xb, zb: zb[..., 0] ** 2],
-            cfg, rng)
-        rows.append((x, float(e1), float(s1), float(e2), float(s2)))
+    nodes = np.array([[-1.0], [0.5], [1.0]])
+    # One time loop over the three nodes; node i draws from stream(2026, i).
+    sums, count, first_bad = _frozen_sums(
+        model, nodes, [lambda xb, zb: zb[..., 0], lambda xb, zb: zb[..., 0] ** 2],
+        cfg, [stream(2026, i) for i in range(len(nodes))])
+    (e1, s1), (e2, s2) = _estimates(sums, count, cfg, nodes)
+    rows = [(x, float(e1[i]), float(s1[i]), float(e2[i]), float(s2[i]))
+            for i, (x,) in enumerate(nodes.tolist())]
     elapsed = time.time() - t0
-    ok = elapsed < 60.0
-    detail = [f"elapsed={elapsed:.1f}s"]
+    ok = elapsed < 60.0 and (first_bad < 0).all()
+    detail = [f"elapsed={elapsed:.1f}s", f"first_bad={first_bad.tolist()}"]
     for x, e1, s1, e2, s2 in rows:
         ok &= abs(e1 - x) <= 3 * s1 and s1 < 0.02
         ok &= abs(e2 - (x * x + 1.0)) <= 3 * s2 and s2 < 0.02

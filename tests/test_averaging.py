@@ -1,15 +1,16 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from homfilt import rng as rngmod
 from homfilt.averaging import (HomogenizedModel, StationaryAverager,
-                               TabulationGrid, _interpolator, build_homogenized,
-                               estimate_stationary_average, load_tabulated,
+                               TabulationGrid, _estimates, _frozen_sums,
+                               _interpolator, build_homogenized, load_tabulated,
                                matrix_sqrt_psd, save_tabulated)
-from homfilt.errors import BlowUpError, NotPSDError, NotSymmetricError
+from homfilt.errors import BlowUpError, NonErgodicWarning, NotPSDError, NotSymmetricError
 from homfilt.models import MultiscaleModel
 
 from conftest import const_mat
@@ -30,27 +31,37 @@ def ou_model(diff_slow=None, drift_slow=None, obs_fn=None):
         obs_fn=obs_fn or (lambda x, z: x))
 
 
+def lone_average(model, x, theta, cfg, rng):
+    """(estimate, standard error) of one integrand at one node x, drawn from rng."""
+    nodes = np.asarray(x, dtype=float)[None]
+    sums, count, first_bad = _frozen_sums(model, nodes, [theta], cfg, [rng])
+    if first_bad[0] >= 0:
+        raise BlowUpError(int(first_bad[0]))
+    ((est, se),) = _estimates(sums, count, cfg, nodes)
+    return est[0], se[0]
+
+
 class TestEstimateStationaryAverage:
     def test_constant_integrand(self, rng):
-        est, se = estimate_stationary_average(
+        est, se = lone_average(
             ou_model(), np.array([0.3]), lambda x, z: np.ones(z.shape[:-1]),
             FAST_CFG, rng)
         assert est == 1.0
         assert se == 0.0
 
     def test_ou_first_moment(self, rng):
-        est, se = estimate_stationary_average(
+        est, se = lone_average(
             ou_model(), np.array([0.7]), lambda x, z: z[..., 0], FAST_CFG, rng)
         assert abs(est - 0.7) < 3 * se
 
     def test_ou_second_moment(self, rng):
-        est, se = estimate_stationary_average(
+        est, se = lone_average(
             ou_model(), np.array([0.5]), lambda x, z: z[..., 0] ** 2,
             FAST_CFG, rng)
         assert abs(est - 1.25) < 3 * se
 
     def test_z_independent_integrand_zero_se(self, rng):
-        est, se = estimate_stationary_average(
+        est, se = lone_average(
             ou_model(), np.array([2.0]), lambda x, z: x[..., 0], FAST_CFG, rng)
         assert est == 2.0
         assert se == 0.0
@@ -62,12 +73,32 @@ class TestEstimateStationaryAverage:
         for horizon in (32.0, 62.0):
             cfg = StationaryAverager(burn_in=2.0, sample_horizon=horizon,
                                      dt=1e-3, replicates=8)
-            _, se = estimate_stationary_average(
+            _, se = lone_average(
                 ou_model(), np.array([0.0]), lambda x, z: z[..., 0], cfg,
                 np.random.default_rng(99))
             ses.append(se)
         ratio = ses[1] / ses[0]
         assert 1.0 / (2 * np.sqrt(2)) < ratio < 2.0 / np.sqrt(2)
+
+
+def test_estimates_reduce_each_node_and_warn_in_node_order():
+    # Node arrays give each node's own reductions; a lone outlier among 200
+    # replicates trips the disagreement check, once per node and integrand.
+    rng = np.random.default_rng(3)
+    nodes = np.array([[0.0], [1.0], [2.0]])
+    sums = [rng.standard_normal((3, 200)), rng.standard_normal((3, 200, 2))]
+    sums[0][1, 0] = sums[1][1, 0, 1] = sums[1][2, 5, 0] = 1e6
+    cfg = StationaryAverager(replicates=200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = _estimates(sums, 7, cfg, nodes)
+    assert [str(w.message)[-7:] for w in caught] == ["x=[1.0]", "x=[1.0]", "x=[2.0]"]
+    assert all(w.category is NonErgodicWarning for w in caught)
+    for acc, (est, se) in zip(sums, results):
+        for i in range(3):
+            rep_means = acc[i] / 7
+            assert np.array_equal(est[i], rep_means.mean(axis=0))
+            assert np.array_equal(se[i], rep_means.std(axis=0, ddof=1) / np.sqrt(200))
 
 
 class TestMatrixSqrtPsd:
@@ -182,7 +213,7 @@ class TestBuildHomogenized:
                   "a": lambda x, z: model.diff_slow(x, z) ** 2}
         for i, node in enumerate(grid.nodes()):
             for key, theta in thetas.items():
-                est, se = estimate_stationary_average(
+                est, se = lone_average(
                     model, node, theta, cfg, rngmod.stream(12, rngmod.NODE_STREAM, i))
                 assert np.array_equal(hm.table[key][i], est)
                 assert np.array_equal(hm.table[key + "_se"][i], se)
@@ -218,8 +249,8 @@ class TestBuildHomogenized:
                 build_homogenized(model, grid, cfg, root_seed=1)
             for i, x in ((3, 0.5), (4, 1.0)):
                 with pytest.raises(BlowUpError) as exc:
-                    estimate_stationary_average(model, np.array([x]), model.obs_fn,
-                                                cfg, rngmod.stream(1, rngmod.NODE_STREAM, i))
+                    lone_average(model, np.array([x]), model.obs_fn, cfg,
+                                 rngmod.stream(1, rngmod.NODE_STREAM, i))
                 lone[i] = exc.value.step
         assert lone[4] < lone[3]
         assert str(info.value).startswith("node 3 at x=[0.5]: ")

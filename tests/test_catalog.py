@@ -14,6 +14,8 @@ BAD_VALUE = {"linear": {"q": 0.0}, "ou_benchmark": {"relax": 0.0},
 @pytest.mark.parametrize("view", [catalog.make_model, catalog.make_analytic_homogenized])
 def test_both_views_take_the_same_parameters(view, family):
     view(family)
-    for params in ({"bogus": 1.0}, BAD_VALUE[family]):
+    # Every family has a drift coefficient a, which must be a finite number.
+    for params in ({"bogus": 1.0}, BAD_VALUE[family], {"a": float("nan")},
+                   {"a": float("inf")}, {"a": "-1.0"}):
         with pytest.raises(UsageError):
             view(family, **params)

@@ -266,8 +266,10 @@ class TestErrors:
     # Warnings as errors: a parameter checked after its first use would warn
     # (sqrt of a negative q) on top of the one-line message.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("family, params", [("linear", {"q": -1.0}),
-                                                ("ou_benchmark", {"relax": -1.0})])
+    @pytest.mark.parametrize("family, params", [
+        ("linear", {"q": -1.0}), ("ou_benchmark", {"relax": -1.0}),
+        ("linear", {"q": float("nan")}), ("ou_benchmark", {"sigma0": float("nan")}),
+        ("ou_benchmark", {"relax": float("inf")})])
     def test_bad_family_value_is_usage_error(self, tmp_path, capsys, family, params):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": family, "params": params},
@@ -307,6 +309,7 @@ class TestErrors:
         assert run(["--config", path, "--out", tmp_path, "filter"]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"io error: {bad_path}: ") and err.count("\n") == 1
+        return err
 
     def test_non_numeric_observations_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -335,6 +338,21 @@ class TestErrors:
         self._io_error(tmp_path, capsys, {"mode": "homogenized",
                                           "observations": str(obs),
                                           "table": str(table)}, table)
+
+    def test_not_psd_table_is_io_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join([
+            "# homfilt tabulated homogenized model v1", "dim_slow=1", "dim_obs=1",
+            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
+            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2",
+            "[b]", "0.0", "0.0", "[a]", "1.0", "-1.0", "[h]", "0.0", "0.0",
+            "[b_se]", "0.0", "0.0", "[a_se]", "0.0", "0.0", "[h_se]", "0.0", "0.0"]))
+        err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                                "observations": str(obs),
+                                                "table": str(table)}, table)
+        assert ": not a tabulated model file: node 1 at x=[1.0]: eigenvalue -1 " in err
 
 
 def _exit_code(code, cwd=None):

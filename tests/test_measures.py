@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homfilt.filtering import ParticleEnsemble
-from homfilt.measures import (EmpiricalMeasure, default_basis, integrate,
-                              marginal_x, metric_d)
+from homfilt.measures import EmpiricalMeasure, default_basis, marginal_x, metric_d
 
 
 def measure(atoms, weights=None):
@@ -42,30 +41,7 @@ class TestMarginalX:
         w /= w.sum()
         ens = ParticleEnsemble(states=states, weights=w)
         mu = marginal_x(ens, 1)
-        assert integrate(mu, lambda x: x[:, 0]) == pytest.approx(w @ states[:, 0])
-
-
-class TestIntegrate:
-    def test_constant(self, rng):
-        mu = random_measure(rng, 10)
-        assert integrate(mu, lambda x: np.ones(len(x))) == pytest.approx(1.0)
-
-    def test_delta_at_zero(self):
-        mu = measure([0.0])
-        assert integrate(mu, lambda x: np.exp(-x[:, 0] ** 2)) == 1.0
-
-    def test_two_atom_oracle(self):
-        mu = measure([0.0, 1.0])
-        val = integrate(mu, lambda x: np.exp(-x[:, 0] ** 2))
-        assert val == pytest.approx((1.0 + np.exp(-1.0)) / 2.0)
-        assert abs(val - 0.6839) < 1e-4
-
-    def test_linear_in_phi_and_weights(self, rng):
-        mu = random_measure(rng, 8)
-        f = lambda x: x[:, 0]
-        g = lambda x: x[:, 0] ** 2
-        combo = integrate(mu, lambda x: 2.0 * f(x) + 3.0 * g(x))
-        assert combo == pytest.approx(2 * integrate(mu, f) + 3 * integrate(mu, g))
+        assert mu.weights @ mu.atoms[:, 0] == pytest.approx(w @ states[:, 0])
 
 
 class TestDefaultBasis:
@@ -129,6 +105,14 @@ class TestMetricD:
         val = metric_d(measure([0.0]), measure([1.0]), basis)
         assert val == pytest.approx(abs(1.0 - np.exp(-1.0)) / 2.0)
         assert abs(val - 0.31606) < 1e-4
+
+    def test_two_atom_oracle(self):
+        # exp(-x^2) integrates to (1 + e^-1)/2 against the atoms {0, 1}, to 1
+        # against a point mass at 0.
+        basis = default_basis(1, 1)
+        val = metric_d(measure([0.0, 1.0]), measure([0.0]), basis)
+        assert val == pytest.approx(abs((1.0 + np.exp(-1.0)) / 2.0 - 1.0) / 2.0)
+        assert abs(val - 0.15803) < 1e-4
 
     def test_dimension_mismatch(self):
         basis = default_basis(4, 1)
