@@ -14,12 +14,11 @@ from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
 from .errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
                      NotSymmetricError, StudyAbortError, UsageError,
                      WeightCollapseError)
-from .filtering import (FilterBatch, FilterConfig, KalmanState,
-                        ParticleEnsemble, ess, kalman_reference,
-                        run_full_filter, run_homogenized_filter,
-                        systematic_resample, weight_update)
-from .measures import (EmpiricalMeasure, TestFunctionBasis, default_basis,
-                       marginal_x, metric_d)
+from .filtering import (FilterBatch, FilterConfig, ParticleEnsemble, ess,
+                        kalman_reference, run_full_filter,
+                        run_homogenized_filter, systematic_resample,
+                        weight_update)
+from .measures import EmpiricalMeasure, TestFunctionBasis, default_basis, metric_d
 from . import catalog
 from .rng import stream
 from .models import (MultiscaleModel, ObservationPath, SignalPath,

@@ -348,18 +348,28 @@ def load_tabulated(path: str) -> HomogenizedModel:
                           counts=tuple(a[2] for a in axes),
                           interpolation=header["interpolation"])
     m, d = int(header["dim_slow"]), int(header["dim_obs"])
-    n_nodes = int(np.prod(grid.counts))
+    nodes = grid.nodes()
     blocks = {}
-    while i < len(raw):
-        key = raw[i].strip("[]")
-        rows = [np.fromstring(raw[j], sep=" ") for j in range(i + 1, i + 1 + n_nodes)]
+    for line in raw[i:]:
+        if line.startswith("["):
+            blocks[line.strip("[]")] = rows = []
+        else:
+            rows.append([float(v) for v in line.split()])
+    for key, rows in blocks.items():
+        if len(rows) != len(nodes):
+            raise ValueError(f"block [{key}] has {len(rows)} rows, not one for each "
+                             f"node 0..{len(nodes) - 1}")
+        bad = [j for j, row in enumerate(rows) if not np.isfinite(row).all()]
+        if bad:
+            raise ValueError(f"block [{key}] node {bad[0]} at x={nodes[bad[0]].tolist()}: "
+                             "non-finite value")
         blocks[key] = np.array(rows)
-        i += 1 + n_nodes
     cfg = StationaryAverager(burn_in=float(header["burn_in"]),
                              sample_horizon=float(header["sample_horizon"]),
                              dt=float(header["dt"]),
                              replicates=int(header["replicates"]))
     shapes = {"b": (m,), "a": (m, m), "h": (d,)}  # per node, for a key and its _se
-    table = {key: blocks[key].reshape((n_nodes,) + shapes[key[0]]) for key in TABLE_KEYS}
+    table = {key: blocks[key].reshape((len(nodes),) + shapes[key[0]])
+             for key in TABLE_KEYS}
     table.update(root_seed=int(header["root_seed"]), averager=cfg)
     return _tabulated_model(grid, table)

@@ -1,10 +1,10 @@
 """Command-line front end: simulate | homogenize | filter | study.
 
 A single YAML config file drives every subcommand (sections: model, averager,
-filter, study, output); a few global flags override config values, and flags
-win.  Every emitted CSV starts with a '#'-prefixed manifest block recording
-the resolved inputs that produced it, so outputs are self-describing and
-reproducible.
+filter, study); a key that no subcommand reads is a usage error.  A few
+global flags override config values, and flags win.  Every emitted CSV
+starts with a '#'-prefixed manifest block recording the resolved inputs that
+produced it, so outputs are self-describing and reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
 """
@@ -23,7 +23,7 @@ from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
 from .errors import HomfiltError, ModelShapeError, UsageError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
                         run_full_filter, run_homogenized_filter)
-from .measures import default_basis, marginal_x, metric_d
+from .measures import EmpiricalMeasure, default_basis, metric_d
 from .models import ObservationPath, simulate_multiscale, simulate_observations
 from .study import StudyConfig, run_study, report_csv, report_text
 
@@ -31,6 +31,18 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# Every key a config section may hold, over all subcommands: one file drives them all.
+_KEYS = {
+    "model": {"family", "epsilon", "params", "horizon", "dt", "x0", "z0"},
+    "averager": {"grid", "burn_in", "sample_horizon", "dt", "replicates"},
+    "averager.grid": {"lows", "highs", "counts", "interpolation"},
+    "filter": {"mode", "observations", "table", "n_particles", "resample_threshold",
+               "basis_count", "init_mean", "init_std"},
+    "study": {"epsilons", "replications", "horizon", "n_particles", "dt",
+              "resample_threshold", "basis_count", "init_mean", "init_std",
+              "bootstrap_samples"},
+}
 
 
 def _load_config(path):
@@ -43,13 +55,21 @@ def _load_config(path):
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a mapping of sections")
+    for name in cfg:
+        if name not in _KEYS or "." in name:  # [averager.grid] sits in [averager]
+            raise UsageError(f"unknown config section [{name}]")
     return cfg
 
 
-def _section(cfg, name):
-    sec = cfg.get(name, {})
+def _section(cfg, name, key=None):
+    """Config section [name], held under ``key`` (default ``name``): a mapping
+    whose keys must all appear in ``_KEYS[name]``."""
+    sec = cfg.get(key or name, {})
     if not isinstance(sec, dict):
         raise UsageError(f"config section [{name}] must be a mapping")
+    for k in sec:
+        if k not in _KEYS[name]:
+            raise UsageError(f"unknown key {k!r} in config section [{name}]")
     return sec
 
 
@@ -75,20 +95,14 @@ def _given(sec, kinds):
 
 
 def _manifest_lines(args, extra):
-    lines = [f"# homfilt {__version__}",
-             f"# subcommand={args.command}",
-             f"# config={args.config}",
-             f"# seed={args.seed}"]
-    lines += [f"# {k}={v}" for k, v in extra.items()]
-    return lines
+    run = {"subcommand": args.command, "config": args.config, "seed": args.seed}
+    return [f"# homfilt {__version__}"] + [f"# {k}={v}" for k, v in (run | extra).items()]
 
 
 def _write_csv(path, manifest, header, rows):
     try:
         with open(path, "w") as fh:
-            for line in manifest:
-                fh.write(line + "\n")
-            fh.write(",".join(header) + "\n")
+            fh.write("\n".join(manifest + [",".join(header)]) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
@@ -112,9 +126,8 @@ def read_csv(path):
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
+                k, eq, v = line[1:].strip().partition("=")
+                if eq:
                     manifest[k] = v
                 continue
             if header is None:
@@ -168,7 +181,8 @@ def cmd_homogenize(args):
     cfg = _load_config(args.config)
     model, family, params = _model_from_config(cfg)
     sec = _section(cfg, "averager")
-    grid_sec = _require(sec, "grid", "averager")
+    _require(sec, "grid", "averager")
+    grid_sec = _section(sec, "averager.grid", "grid")
     with _config_values("averager"):
         grid = TabulationGrid(
             lows=tuple(float(v) for v in _require(grid_sec, "lows", "averager.grid")),
@@ -250,7 +264,7 @@ def cmd_filter(args):
                     summary_sink=sink)
         if batch.errors[0] is not None:
             raise batch.errors[0]
-        return rows, marginal_x(batch.ensemble(0), m), m
+        return rows, EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0]), m
 
     extra = {"mode": mode, "n_particles": str(fcfg.n_particles),
              "dt": repr(float(obs.times[1]))}
@@ -267,9 +281,7 @@ def cmd_filter(args):
         dist = metric_d(finals["full"], finals["homogenized"], basis)
         path = os.path.join(args.out, "filter_distance.txt")
         with open(path, "w") as fh:
-            for line in manifest:
-                fh.write(line + "\n")
-            fh.write(f"metric_d={dist!r}\n")
+            fh.write("\n".join(manifest + [f"metric_d={dist!r}"]) + "\n")
         print(f"metric_d={dist!r}")
     return EXIT_OK
 

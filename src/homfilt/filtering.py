@@ -9,7 +9,7 @@ filter -- that pairing is the whole point of the construction.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .rng import StreamBatch
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Weighted particle cloud at a fixed time."""
+    """One weighted particle cloud, the unit of ``weight_update`` and
+    ``systematic_resample``; the filters hold R clouds as (R, N, dim) arrays."""
 
     states: np.ndarray   # (N, dim)
     weights: np.ndarray  # (N,), nonnegative, summing to 1
@@ -32,9 +33,6 @@ class ParticleEnsemble:
             raise ValueError("states and weights must have equal length >= 1")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.states
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,11 @@ def gaussian_init_slow(mean: float, std: float, m: int) -> Callable:
     return init
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    mean: np.ndarray        # (m,)
-    covariance: np.ndarray  # (m, m), symmetric PSD
-
-
-def ess(weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum(w_i^2) of normalized weights."""
+def ess(weights: np.ndarray):
+    """Effective sample size 1 / sum(w_i^2) of normalized weights, over the
+    last axis: a float for one weight vector, an (R,) array for (R, N) rows."""
     w = np.asarray(weights)
-    return 1.0 / float(w @ w)
+    return 1.0 / (w[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def _reweight(weights: np.ndarray, obs_values: np.ndarray, obs_increments: np.ndarray,
@@ -105,9 +98,7 @@ def weight_update(ensemble: ParticleEnsemble, obs_increment: np.ndarray,
     accumulated in log space with max-subtraction to avoid underflow.
     """
     dy = np.atleast_1d(np.asarray(obs_increment, dtype=float))
-    hv = np.asarray(obs_values, dtype=float)
-    if hv.ndim == 1:
-        hv = hv[:, None]
+    hv = np.asarray(obs_values, dtype=float).reshape(len(ensemble.weights), -1)
     w, mx = _reweight(ensemble.weights[None], hv[None], dy[None], dt)
     if not np.isfinite(mx[0]):
         raise WeightCollapseError(float(mx[0]))
@@ -144,9 +135,6 @@ class FilterBatch:
     states: np.ndarray   # (R, N, dim)
     weights: np.ndarray  # (R, N)
     errors: list
-
-    def ensemble(self, r: int) -> ParticleEnsemble:
-        return ParticleEnsemble(states=self.states[r], weights=self.weights[r])
 
 
 def _fail(errors: list, rows: np.ndarray, make: Callable):
@@ -191,7 +179,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
         if None not in errors:
             break
-        e = np.array([ess(row) for row in w])
+        e = ess(w)
         resampled = e < cfg.resample_threshold * n
         for r in np.flatnonzero(resampled):
             states[r] = states[r, _systematic_indices(w[r], rngs[r].uniform(), n)]
@@ -251,30 +239,31 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
                        summary_sink)
 
 
-def kalman_reference(a_lin: float, q: float, h_lin: float, r: float,
-                     obs: ObservationPath, prior: KalmanState) -> List[KalmanState]:
-    """Discrete Kalman recursion for the Euler-discretized scalar linear model.
+def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
+                     prior_mean: float, prior_var: float) -> tuple:
+    """Discrete Kalman recursion for the Euler-discretized scalar linear model,
+    over every replication of an observation batch at once.
 
-    Model: dX = a_lin X dt + sqrt(q) dV, with each observation increment
-    treated as a reading of h_lin * X * dt corrupted by noise of variance
-    r * dt.  ``obs`` holds one replication, increments of shape (T, 1, 1).
-    Returns the prior followed by the state after each increment.
+    Model: dX = a_lin X dt + sqrt(q) dV, with each increment of ``obs``,
+    (T, R, 1) on a uniform grid of step ``times[1]``, a reading of
+    h_lin * X * dt plus unit-rate noise dB.  Returns the means (T+1, R) and
+    the variances (T+1,), which do not depend on the observations; row 0 is
+    the prior.
     """
-    if q <= 0 or r <= 0:
-        raise UsageError("q and r must be positive")
-    if obs.increments.shape[1:] != (1, 1):
-        raise ValueError(f"increments {obs.increments.shape} are not one scalar path")
-    mean = float(np.asarray(prior.mean).reshape(()))
-    var = float(np.asarray(prior.covariance).reshape(()))
-    out = [prior]
-    for i, dy in enumerate(obs.increments[:, 0, 0]):
-        dt = float(obs.times[i + 1] - obs.times[i])
-        mean = (1.0 + a_lin * dt) * mean
-        var = (1.0 + a_lin * dt) ** 2 * var + q * dt
+    if q <= 0:
+        raise UsageError("q must be positive")
+    increments = np.asarray(obs.increments, dtype=float)
+    if increments.shape[2:] != (1,):
+        raise ValueError(f"increments {increments.shape} are not scalar paths")
+    means = np.empty((len(increments) + 1, increments.shape[1]))
+    variances = np.empty(len(increments) + 1)
+    means[0], variances[0] = prior_mean, prior_var
+    dt = float(obs.times[1]) if len(increments) else None  # a zero-step path needs none
+    for i, dy in enumerate(increments[:, :, 0]):
+        mean = (1.0 + a_lin * dt) * means[i]
+        var = (1.0 + a_lin * dt) ** 2 * variances[i] + q * dt
         hh = h_lin * dt
-        s = hh * hh * var + r * dt
-        gain = var * hh / s
-        mean = mean + gain * (dy - hh * mean)
-        var = (1.0 - gain * hh) * var
-        out.append(KalmanState(mean=np.array([mean]), covariance=np.array([[var]])))
-    return out
+        gain = var * hh / (hh * hh * var + dt)
+        means[i + 1] = mean + gain * (dy - hh * mean)
+        variances[i + 1] = (1.0 - gain * hh) * var
+    return means, variances

@@ -22,8 +22,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .filtering import ParticleEnsemble
-
 ENUMERATION_VERSION = "gauss-v1"
 
 
@@ -43,12 +41,6 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return np.asarray(self.atoms).shape[1]
-
-
-def marginal_x(ensemble: ParticleEnsemble, dim_slow: int) -> EmpiricalMeasure:
-    """Project a joint (slow, fast) ensemble onto its slow coordinates."""
-    return EmpiricalMeasure(atoms=np.asarray(ensemble.states)[:, :dim_slow],
-                            weights=np.asarray(ensemble.weights))
 
 
 def _lattice_centers(dim: int, count: int) -> List[Tuple[int, ...]]:

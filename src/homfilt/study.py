@@ -20,7 +20,7 @@ from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
                         run_full_filter, run_homogenized_filter)
-from .measures import default_basis, marginal_x, metric_d, TestFunctionBasis
+from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
 from .models import MultiscaleModel, simulate_multiscale, simulate_observations
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
@@ -73,9 +73,7 @@ class ConvergenceReport:
     slope: float
     intercept: float
     slope_ci: tuple               # (lo, hi), bootstrap percentile interval
-    basis_count: int
     basis_version: str
-    root_seed: int
     config: dict                  # flat snapshot of the study configuration
     distances: tuple              # per epsilon: tuple of per-replication distances
     replications: tuple           # per epsilon: the replication index of each distance
@@ -122,8 +120,9 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
         error = full.errors[r] or homog.errors[r]
         if blown[:, r].any():  # state k + 1 comes out of step k
             error = BlowUpError(int(np.argmax(blown[:, r])) - 1)
-        out.append(error or metric_d(marginal_x(full.ensemble(r), m),
-                                     marginal_x(homog.ensemble(r), m), basis))
+        out.append(error or metric_d(
+            EmpiricalMeasure(full.states[r, :, :m], full.weights[r]),
+            EmpiricalMeasure(homog.states[r, :, :m], homog.weights[r]), basis))
     return out
 
 
@@ -222,9 +221,7 @@ def run_study(cfg: StudyConfig,
         counts=tuple(len(d) for d in distances),
         failures=tuple(failures),
         slope=slope, intercept=intercept, slope_ci=slope_ci,
-        basis_count=cfg.basis_count, basis_version=measures.ENUMERATION_VERSION,
-        root_seed=cfg.root_seed,
-        config=_config_snapshot(cfg),
+        basis_version=measures.ENUMERATION_VERSION, config=_config_snapshot(cfg),
         distances=tuple(tuple(float(v) for v in d) for d in distances),
         replications=tuple(tuple(reps) for reps in replications))
 

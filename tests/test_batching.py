@@ -133,8 +133,8 @@ def test_failed_replication_leaves_the_other_untouched(kind):
     assert batch.errors[1] is None
     lone = run(target, obs, init, cfg, [np.random.default_rng(4)])
     assert lone.errors == [None]
-    assert np.array_equal(batch.ensemble(1).states, lone.ensemble(0).states)
-    assert np.array_equal(batch.ensemble(1).weights, lone.ensemble(0).weights)
+    assert np.array_equal(batch.states[1], lone.states[0])
+    assert np.array_equal(batch.weights[1], lone.weights[0])
     poisoned[0] = np.random.default_rng(3)
     lone_poisoned = run(target, obs, init, cfg, [poisoned[0]])
     assert isinstance(lone_poisoned.errors[0], BlowUpError)

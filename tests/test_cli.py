@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import pathlib
 import re
@@ -201,6 +202,7 @@ class TestErrors:
         assert run(["--config", path, "--out", tmp_path, command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        return err
 
     def test_bad_study_config_is_usage_error(self, tmp_path, capsys):
         self._usage_error(tmp_path, capsys, {
@@ -303,6 +305,34 @@ class TestErrors:
         cfg[section].update(bad)
         self._usage_error(tmp_path, capsys, cfg, command)
 
+    @pytest.mark.parametrize("section, key, command", [
+        ("model", "epsilom", "simulate"),
+        ("averager", "replicate", "homogenize"),
+        ("averager.grid", "count", "homogenize"),
+        ("filter", "n_particle", "filter"),
+        ("study", "resample_treshold", "study"),
+    ])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, section, key,
+                                               command):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        cfg = {"model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
+               "filter": {"observations": str(obs), "n_particles": 8},
+               "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                         "horizon": 0.1, "n_particles": 8, "dt": 0.02},
+               "averager": {"replicates": 2, "sample_horizon": 0.1, "burn_in": 0.1,
+                            "grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]}}}
+        sec = cfg["averager"]["grid"] if section == "averager.grid" else cfg[section]
+        sec[key] = 0.9
+        err = self._usage_error(tmp_path, capsys, cfg, command)
+        assert err == f"usage error: unknown key {key!r} in config section [{section}]\n"
+
+    def test_unknown_config_section_is_usage_error(self, tmp_path, capsys):
+        err = self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
+            "output": {"dir": "out"}}, "simulate")
+        assert err == "usage error: unknown config section [output]\n"
+
     def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
         path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},
                                        "filter": filter_sec})
@@ -354,6 +384,27 @@ class TestErrors:
                                                 "table": str(table)}, table)
         assert ": not a tabulated model file: node 1 at x=[1.0]: eigenvalue -1 " in err
 
+    @pytest.mark.parametrize("block, bad", [("[a]", ("1.0", "nan")),
+                                            ("[b]", ("0.0",))])
+    def test_malformed_table_block_is_io_error(self, tmp_path, capsys, block, bad):
+        # A non-finite value, or a block that is one row short of the grid.
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        blocks = {"[b]": ("0.0", "0.0"), "[a]": ("1.0", "1.0"), "[h]": ("0.0", "0.0"),
+                  "[b_se]": ("0.0", "0.0"), "[a_se]": ("0.0", "0.0"),
+                  "[h_se]": ("0.0", "0.0"), block: bad}
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join([
+            "# homfilt tabulated homogenized model v1", "dim_slow=1", "dim_obs=1",
+            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
+            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2"]
+            + [line for key, rows in blocks.items() for line in (key,) + rows]))
+        err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                                "observations": str(obs),
+                                                "table": str(table)}, table)
+        assert {"[a]": "block [a] node 1 at x=[1.0]: non-finite value",
+                "[b]": "block [b] has 1 rows, not one for each node 0..1"}[block] in err
+
 
 def _exit_code(code, cwd=None):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -394,3 +445,21 @@ def test_tabulated_model_leaves_scipy_unloaded(tmp_path):
             "for command in ('simulate', 'homogenize', 'filter'):\n"
             "    assert main(['--config', 'config.yaml', command]) == 0")
     assert _exits_without_scipy(code, cwd=tmp_path)
+
+
+def test_benchmark_configs_pass_the_key_check(tmp_path):
+    # perfbench writes its configs with its own code; a key the CLI rejects
+    # would fail every benchmark call.  Read-only: the module only writes
+    # into tmp_path.
+    from homfilt import cli
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads_keys",
+        pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for write in (workloads._sweep_config, workloads._track_config):
+        cfg = cli._load_config(write(str(tmp_path)))
+        for name in cfg:
+            cli._section(cfg, name)
+        if "averager" in cfg:
+            cli._section(cfg["averager"], "averager.grid", "grid")

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homfilt import catalog
-from homfilt.errors import WeightCollapseError
-from homfilt.filtering import (FilterConfig, KalmanState, ParticleEnsemble,
-                               ess, kalman_reference, run_full_filter,
+from homfilt.errors import UsageError, WeightCollapseError
+from homfilt.filtering import (FilterConfig, ParticleEnsemble, ess,
+                               kalman_reference, run_full_filter,
                                run_homogenized_filter, systematic_resample,
                                weight_update)
 from homfilt.models import (ObservationPath, simulate_multiscale,
@@ -85,6 +85,16 @@ class TestEss:
         w /= w.sum()
         assert 1.0 - 1e-9 <= ess(w) <= n + 1e-9
 
+    def test_rows_equal_lone_vectors(self):
+        # The filters take every row's ESS in one call; each must be the
+        # value of that row alone, bit for bit.
+        r = np.random.default_rng(9)
+        w = r.uniform(0.0, 1.0, (25, 2048))
+        w /= w.sum(axis=1, keepdims=True)
+        assert ess(w).shape == (25,)
+        assert ([float(v).hex() for v in ess(w)]
+                == [float(ess(row)).hex() for row in w])
+
 
 class TestSystematicResample:
     def test_degenerate_weight(self, rng):
@@ -147,11 +157,11 @@ class TestRunFullFilter:
             return np.full(shape + (1,), 1.0), np.zeros(shape + (1,))
 
         cfg = FilterConfig(n_particles=4000, resample_threshold=0.5)
-        final = run_full_filter(model, obs, init, cfg,
-                                [np.random.default_rng(3)]).ensemble(0)
-        mean = final.mean()[0]
+        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(3)])
+        states, w = batch.states[0], batch.weights[0]
+        mean = (w @ states)[0]
         # E[X(1)] = e^{-1}; Monte Carlo spread of the ensemble mean.
-        sd = np.sqrt(np.cov(final.states[:, 0], aweights=final.weights))
+        sd = np.sqrt(np.cov(states[:, 0], aweights=w))
         assert abs(mean - np.exp(-1.0)) < 3 * sd / np.sqrt(cfg.n_particles) + 3e-3
 
     def test_single_particle_is_one_trajectory(self):
@@ -172,7 +182,7 @@ class TestRunFullFilter:
 
         batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(4)],
                                 summary_sink=sink)
-        assert batch.ensemble(0).weights[0] == 1.0
+        assert batch.weights[0, 0] == 1.0
         assert all(w == 1.0 for w in steps)
         assert len(steps) == 10
 
@@ -185,7 +195,7 @@ class TestRunFullFilter:
     def test_tracks_kalman_reference(self):
         # Linear-Gaussian model: the particle posterior mean should follow
         # the exact discrete Kalman recursion.
-        a, q, h, r = -1.0, 1.0, 1.0, 1.0
+        a, q, h = -1.0, 1.0, 1.0
         model = catalog.make_model("linear", a=a, q=q, h=h)
         dt, horizon = 0.01, 2.0
         r_truth = np.random.default_rng(10)
@@ -206,12 +216,8 @@ class TestRunFullFilter:
 
         run_full_filter(model, obs, init, cfg, [np.random.default_rng(12)],
                         summary_sink=sink)
-        kal = kalman_reference(a, q, h, r, obs,
-                               KalmanState(mean=np.array([prior_mean]),
-                                           covariance=np.array([[prior_var]])))
-        pf_means = np.array(means)
-        kal_means = np.array([k.mean[0] for k in kal[1:]])
-        err = np.abs(pf_means - kal_means).mean()
+        kal_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
+        err = np.abs(np.array(means) - kal_means[1:, 0]).mean()
         assert err < 0.05  # ~3x the particle-noise scale at N=4000
 
 
@@ -225,10 +231,9 @@ class TestRunHomogenizedFilter:
             return np.full(shape + (1,), 2.5)
 
         cfg = FilterConfig(n_particles=32)
-        final = run_homogenized_filter(hm, obs, init, cfg,
-                                       [np.random.default_rng(5)]).ensemble(0)
-        assert np.allclose(final.states, 2.5, atol=1e-12)
-        assert np.allclose(final.weights, 1.0 / 32)
+        final = run_homogenized_filter(hm, obs, init, cfg, [np.random.default_rng(5)])
+        assert np.allclose(final.states[0], 2.5, atol=1e-12)
+        assert np.allclose(final.weights[0], 1.0 / 32)
 
     def test_matches_full_filter_at_small_epsilon(self):
         # At epsilon = 0.01 the reduced filter's posterior mean should agree
@@ -249,13 +254,12 @@ class TestRunHomogenizedFilter:
             return 0.2 + 0.3 * rng.standard_normal(shape + (1,))
 
         cfg = FilterConfig(n_particles=4000)
-        full = run_full_filter(model, obs, init_joint, cfg,
-                               [np.random.default_rng(22)]).ensemble(0)
+        full = run_full_filter(model, obs, init_joint, cfg, [np.random.default_rng(22)])
         homog = run_homogenized_filter(hm, obs, init_slow, cfg,
-                                       [np.random.default_rng(23)]).ensemble(0)
-        mf = full.mean()[0]
-        mh = homog.mean()[0]
-        sf = np.sqrt(np.cov(full.states[:, 0], aweights=full.weights))
+                                       [np.random.default_rng(23)])
+        mf = (full.weights[0] @ full.states[0])[0]
+        mh = (homog.weights[0] @ homog.states[0])[0]
+        sf = np.sqrt(np.cov(full.states[0, :, 0], aweights=full.weights[0]))
         assert abs(mf - mh) < 3 * (sf / np.sqrt(cfg.n_particles)) + 0.05
 
 
@@ -285,8 +289,8 @@ def test_initial_draws_are_independent_arrays():
         return rng.standard_normal(shape + (1,)), rng.standard_normal(shape + (1,))
 
     final = run_full_filter(model, obs, init, FilterConfig(n_particles=8),
-                            [np.random.default_rng(0)]).ensemble(0)
-    assert not np.array_equal(final.states[:, 0], final.states[:, 1])
+                            [np.random.default_rng(0)])
+    assert not np.array_equal(final.states[0, :, 0], final.states[0, :, 1])
 
 
 class TestKalmanReference:
@@ -298,36 +302,41 @@ class TestKalmanReference:
 
     def test_no_observation_is_pure_prediction(self):
         obs = self.make_obs(0.1, 1.0)
-        out = kalman_reference(-1.0, 1.0, 0.0, 1.0, obs,
-                               KalmanState(np.array([1.0]), np.array([[0.5]])))
+        _, variances = kalman_reference(-1.0, 1.0, 0.0, obs, 1.0, 0.5)
         var = 0.5
-        for k in out[1:]:
+        for v in variances[1:]:
             var = 0.81 * var + 0.1
-            assert abs(k.covariance[0, 0] - var) < 1e-12
+            assert abs(v - var) < 1e-12
 
     def test_riccati_steady_state(self):
         obs = self.make_obs(1e-3, 20.0)
-        out = kalman_reference(-1.0, 1.0, 1.0, 1.0, obs,
-                               KalmanState(np.array([0.0]), np.array([[1.0]])))
-        assert abs(out[-1].covariance[0, 0] - (np.sqrt(2.0) - 1.0)) < 1e-3
+        _, variances = kalman_reference(-1.0, 1.0, 1.0, obs, 0.0, 1.0)
+        assert abs(variances[-1] - (np.sqrt(2.0) - 1.0)) < 1e-3
 
     def test_deterministic_mean_zero_variance(self):
         obs = self.make_obs(0.01, 1.0)
-        out = kalman_reference(-1.0, 1e-12, 0.0, 1.0, obs,
-                               KalmanState(np.array([1.0]), np.array([[0.0]])))
-        assert abs(out[-1].mean[0] - np.exp(-1.0)) < 5e-3
-        assert out[-1].covariance[0, 0] < 1e-9
+        means, variances = kalman_reference(-1.0, 1e-12, 0.0, obs, 1.0, 0.0)
+        assert abs(means[-1, 0] - np.exp(-1.0)) < 5e-3
+        assert variances[-1] < 1e-9
 
     def test_parameter_validation(self):
         obs = self.make_obs(0.1, 0.5)
-        from homfilt.errors import UsageError
         with pytest.raises(UsageError):
-            kalman_reference(-1.0, 0.0, 1.0, 1.0, obs,
-                             KalmanState(np.array([0.0]), np.array([[1.0]])))
+            kalman_reference(-1.0, 0.0, 1.0, obs, 0.0, 1.0)
 
-    @pytest.mark.parametrize("tail", [(2, 1), (1, 2)])
-    def test_takes_one_scalar_replication(self, tail):
-        obs = self.make_obs(0.1, 0.5, np.zeros((5,) + tail))
+    def test_rejects_vector_observations(self):
+        obs = self.make_obs(0.1, 0.5, np.zeros((5, 1, 2)))
         with pytest.raises(ValueError):
-            kalman_reference(-1.0, 1.0, 1.0, 1.0, obs,
-                             KalmanState(np.array([0.0]), np.array([[1.0]])))
+            kalman_reference(-1.0, 1.0, 1.0, obs, 0.0, 1.0)
+
+    def test_batch_equals_lone_replications(self):
+        obs = self.make_obs(0.01, 0.5, 0.1 * np.random.default_rng(6).standard_normal(
+            (50, 3, 1)))
+        means, variances = kalman_reference(-1.0, 1.0, 2.0, obs, 0.5, 0.25)
+        assert means.shape == (51, 3) and variances.shape == (51,)
+        for r in range(3):
+            lone = kalman_reference(-1.0, 1.0, 2.0,
+                                    ObservationPath(obs.times, obs.increments[:, r:r + 1]),
+                                    0.5, 0.25)
+            assert np.array_equal(means[:, r], lone[0][:, 0])
+            assert np.array_equal(variances, lone[1])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homfilt.filtering import ParticleEnsemble
-from homfilt.measures import EmpiricalMeasure, default_basis, marginal_x, metric_d
+from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 
 
 def measure(atoms, weights=None):
@@ -18,30 +17,6 @@ def measure(atoms, weights=None):
 def random_measure(rng, n, dim=1):
     w = rng.uniform(0.05, 1.0, n)
     return measure(rng.standard_normal((n, dim)), w / w.sum())
-
-
-class TestMarginalX:
-    def test_projection(self):
-        ens = ParticleEnsemble(states=np.array([[1.0, 5.0], [2.0, 7.0]]),
-                               weights=np.array([0.5, 0.5]))
-        mu = marginal_x(ens, 1)
-        assert np.array_equal(mu.atoms, [[1.0], [2.0]])
-        assert np.array_equal(mu.weights, [0.5, 0.5])
-
-    def test_single_atom(self):
-        ens = ParticleEnsemble(states=np.array([[3.0, -1.0, 4.0]]),
-                               weights=np.array([1.0]))
-        mu = marginal_x(ens, 2)
-        assert np.array_equal(mu.atoms, [[3.0, -1.0]])
-        assert mu.weights[0] == 1.0
-
-    def test_mean_identity(self, rng):
-        states = rng.standard_normal((20, 3))
-        w = rng.uniform(0.1, 1.0, 20)
-        w /= w.sum()
-        ens = ParticleEnsemble(states=states, weights=w)
-        mu = marginal_x(ens, 1)
-        assert mu.weights @ mu.atoms[:, 0] == pytest.approx(w @ states[:, 0])
 
 
 class TestDefaultBasis:

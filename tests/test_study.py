@@ -4,7 +4,7 @@ import pytest
 from homfilt import catalog
 from homfilt.errors import HomfiltError, StudyAbortError
 from homfilt.filtering import FilterConfig, run_full_filter, run_homogenized_filter
-from homfilt.measures import default_basis, marginal_x, metric_d
+from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import ObservationPath
 from homfilt.study import (StudyConfig, fit_loglog_slope, report_csv,
                            report_text, run_replication, run_study)
@@ -131,13 +131,13 @@ class TestRunReplication:
         def init_slow(rng, shape):
             return np.full(shape + (1,), 0.3)
 
-        full = run_full_filter(model, obs, init_joint, cfg,
-                               [np.random.default_rng(0)]).ensemble(0)
+        full = run_full_filter(model, obs, init_joint, cfg, [np.random.default_rng(0)])
         homog = run_homogenized_filter(hm, obs, init_slow, cfg,
-                                       [np.random.default_rng(1)]).ensemble(0)
+                                       [np.random.default_rng(1)])
         basis = default_basis(16, 1)
-        assert metric_d(marginal_x(full, 1),
-                        marginal_x(homog, 1), basis) == 0.0
+        assert metric_d(EmpiricalMeasure(full.states[0, :, :1], full.weights[0]),
+                        EmpiricalMeasure(homog.states[0], homog.weights[0]),
+                        basis) == 0.0
 
 
 class TestRunStudyEndToEnd:
