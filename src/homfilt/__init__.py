@@ -14,10 +14,9 @@ from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
 from .errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
                      NotSymmetricError, StudyAbortError, UsageError,
                      WeightCollapseError)
-from .filtering import (FilterBatch, FilterConfig, ParticleEnsemble, ess,
-                        kalman_reference, run_full_filter,
-                        run_homogenized_filter, systematic_resample,
-                        weight_update)
+from .filtering import (FilterBatch, FilterConfig, ess, kalman_reference,
+                        run_full_filter, run_homogenized_filter,
+                        systematic_resample, weight_update)
 from .measures import EmpiricalMeasure, TestFunctionBasis, default_basis, metric_d
 from . import catalog
 from .rng import stream
@@ -26,4 +25,4 @@ from .models import (MultiscaleModel, ObservationPath, SignalPath,
                      simulate_multiscale, simulate_observations)
 from .study import (ConvergenceReport, StudyConfig, fit_loglog_slope,
                     report_csv, report_text, run_replication,
-                    run_replications, run_study)
+                    run_replications, run_study, summarize)

@@ -228,52 +228,54 @@ def cmd_filter(args):
     mode = fsec.get("mode", "both")
     if mode not in ("full", "homogenized", "both"):
         raise UsageError(f"filter mode must be full|homogenized|both, got {mode!r}")
-    obs = _obs_from_file(_require(fsec, "observations", "filter"))
-    model = None if mode == "homogenized" else _model_from_config(cfg)[0]
+    obs_path = _require(fsec, "observations", "filter")
+    obs = _obs_from_file(obs_path)
+    targets = {}
+    if mode != "homogenized":
+        targets["full"] = _model_from_config(cfg)[0]
+    if mode != "full":
+        table_path = fsec.get("table")
+        if table_path:
+            hm = _table_from_file(table_path)
+            if "full" in targets and hm.dim_slow != targets["full"].dim_slow:
+                raise IOError(f"{table_path}: the table's slow state has dimension "
+                              f"{hm.dim_slow}, the model's {targets['full'].dim_slow}")
+        else:
+            _, family, params = _model_from_config(cfg)
+            hm = catalog.make_analytic_homogenized(family, **params)
+        targets["homogenized"] = hm
+    d = obs.increments.shape[2]
+    for kind, target in targets.items():
+        if d != target.dim_obs:
+            raise IOError(f"{obs_path}: observations of dimension {d}, "
+                          f"but the {kind} model's read-out has {target.dim_obs}")
+    m = next(iter(targets.values())).dim_slow
     with _config_values("filter"):
         fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)),
                             **_given(fsec, (("resample_threshold", float),)))
-        basis = (default_basis(int(fsec.get("basis_count", 16)), model.dim_slow)
+        basis = (default_basis(int(fsec.get("basis_count", 16)), m)
                  if mode == "both" else None)
         init_mean = float(fsec.get("init_mean", 0.0))
         init_std = float(fsec.get("init_std", 0.5))
 
-    def run_one(kind):
-        rows = []
-
-        def sink(t, states, w, e, resampled):
-            # The full filter's mean covers (x, z); the columns name x only.
-            rows.append([t] + [float(v) for v in (w[0] @ states[0])[:m]]
-                        + [float(e[0]), bool(resampled[0])])
-
+    manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(fcfg.n_particles),
+                                      "dt": repr(float(obs.times[1]))})
+    finals = {}
+    for kind, target in targets.items():
         if kind == "full":
-            m = model.dim_slow
-            run, target, role = run_full_filter, model, rngmod.ROLE_FILTER_FULL
-            init = gaussian_init_joint(init_mean, init_std, m, model.dim_fast)
+            run, role = run_full_filter, rngmod.ROLE_FILTER_FULL
+            init = gaussian_init_joint(init_mean, init_std, m, target.dim_fast)
         else:
-            table_path = fsec.get("table")
-            if table_path:
-                target = _table_from_file(table_path)
-            else:
-                _, family, params = _model_from_config(cfg)
-                target = catalog.make_analytic_homogenized(family, **params)
-            m = target.dim_slow
             run, role = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG
             init = gaussian_init_slow(init_mean, init_std, m)
-        batch = run(target, obs, init, fcfg, [rngmod.stream(args.seed, role)],
-                    summary_sink=sink)
+        batch = run(target, obs, init, fcfg, [rngmod.stream(args.seed, role)])
         if batch.errors[0] is not None:
             raise batch.errors[0]
-        return rows, EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0]), m
-
-    extra = {"mode": mode, "n_particles": str(fcfg.n_particles),
-             "dt": repr(float(obs.times[1]))}
-    manifest = _manifest_lines(args, extra)
-    kinds = ["full", "homogenized"] if mode == "both" else [mode]
-    finals = {}
-    for kind in kinds:
-        rows, final, m = run_one(kind)
-        finals[kind] = final
+        finals[kind] = EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0])
+        # The full filter's mean covers (x, z); the columns name x only.
+        rows = [[t, *mean, e, flag] for t, mean, e, flag in zip(
+            obs.times[1:].tolist(), batch.means[:, 0, :m].tolist(),
+            batch.ess[:, 0].tolist(), batch.resampled[:, 0].tolist())]
         header = ["time"] + [f"mean{i}" for i in range(m)] + ["ess", "resampled"]
         _write_csv(os.path.join(args.out, f"filter_{kind}.csv"),
                    manifest, header, rows)

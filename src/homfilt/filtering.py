@@ -9,30 +9,16 @@ filter -- that pairing is the whole point of the construction.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, UsageError, WeightCollapseError
+from .measures import EmpiricalMeasure
 from .models import (MultiscaleModel, ObservationPath, euler_maruyama,
                      multiscale_step)
 from .rng import StreamBatch
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """One weighted particle cloud, the unit of ``weight_update`` and
-    ``systematic_resample``; the filters hold R clouds as (R, N, dim) arrays."""
-
-    states: np.ndarray   # (N, dim)
-    weights: np.ndarray  # (N,), nonnegative, summing to 1
-
-    def __post_init__(self):
-        if len(self.states) != len(self.weights) or len(self.states) < 1:
-            raise ValueError("states and weights must have equal length >= 1")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -89,9 +75,14 @@ def _reweight(weights: np.ndarray, obs_values: np.ndarray, obs_increments: np.nd
     return w, mx
 
 
-def weight_update(ensemble: ParticleEnsemble, obs_increment: np.ndarray,
-                  obs_values: np.ndarray, dt: float) -> ParticleEnsemble:
-    """Multiply weights by the discrete Girsanov factor and renormalize.
+def ParticleEnsemble(states: np.ndarray, weights: np.ndarray) -> EmpiricalMeasure:
+    """One weighted particle cloud, built by keyword as ``states`` and ``weights``."""
+    return EmpiricalMeasure(states, weights)
+
+
+def weight_update(ensemble: EmpiricalMeasure, obs_increment: np.ndarray,
+                  obs_values: np.ndarray, dt: float) -> EmpiricalMeasure:
+    """Multiply one cloud's weights by the discrete Girsanov factor and renormalize.
 
     obs_values[i] is the (averaged) read-out evaluated at particle i; the
     factor is exp(obs_values[i] . dY - 0.5 |obs_values[i]|^2 dt).  Weights are
@@ -102,7 +93,7 @@ def weight_update(ensemble: ParticleEnsemble, obs_increment: np.ndarray,
     w, mx = _reweight(ensemble.weights[None], hv[None], dy[None], dt)
     if not np.isfinite(mx[0]):
         raise WeightCollapseError(float(mx[0]))
-    return ParticleEnsemble(states=ensemble.states, weights=w[0])
+    return EmpiricalMeasure(ensemble.atoms, w[0])
 
 
 def _systematic_indices(weights: np.ndarray, u: float, n: int) -> np.ndarray:
@@ -112,29 +103,34 @@ def _systematic_indices(weights: np.ndarray, u: float, n: int) -> np.ndarray:
     return np.minimum(idx, len(weights) - 1)  # cumsum rounding at 1.0
 
 
-def systematic_resample(ensemble: ParticleEnsemble,
-                        rng: np.random.Generator) -> ParticleEnsemble:
-    """Systematic (single-uniform stratified) resampling to uniform weights.
+def systematic_resample(ensemble: EmpiricalMeasure,
+                        rng: np.random.Generator) -> EmpiricalMeasure:
+    """Systematic (single-uniform stratified) resampling of one cloud to uniform weights.
 
     Offspring counts are determined by one uniform draw; the expected count of
     particle i is exactly N * w_i.
     """
     n = len(ensemble.weights)
     idx = _systematic_indices(ensemble.weights, rng.uniform(), n)
-    return ParticleEnsemble(states=ensemble.states[idx], weights=np.full(n, 1.0 / n))
+    return EmpiricalMeasure(ensemble.atoms[idx], np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
 class FilterBatch:
-    """Filters of R replications run together, at their final time.
+    """Filters of R replications run together: final clouds and a per-step record.
 
     ``errors[r]`` is None, or the HomfiltError that stopped replication r,
-    whose final states are meaningless.
+    whose final states and record from its failure on are meaningless.
+    Steps after the loop stopped early are NaN in ``means`` and ``ess`` and
+    False in ``resampled``.
     """
 
-    states: np.ndarray   # (R, N, dim)
-    weights: np.ndarray  # (R, N)
+    states: np.ndarray     # (R, N, dim)
+    weights: np.ndarray    # (R, N)
     errors: list
+    means: np.ndarray      # (T, R, dim), weighted mean after the step's resampling
+    ess: np.ndarray        # (T, R), effective sample size before resampling
+    resampled: np.ndarray  # (T, R), bool
 
 
 def _fail(errors: list, rows: np.ndarray, make: Callable):
@@ -145,19 +141,20 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
 
 
 def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
-                init_states: np.ndarray, cfg: FilterConfig, rngs: StreamBatch,
-                summary_sink: Optional[Callable]) -> FilterBatch:
+                init_states: np.ndarray, cfg: FilterConfig,
+                rngs: StreamBatch) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
     ``obs`` holds R replications on a uniform grid (``ObservationPath``
     checks it), and each step is ``propagate(states, rngs, dt)`` with that
-    grid's step, ``times[1]``.  Row r draws only
-    from ``rngs[r]``, in the order a lone run of it draws, and every
-    operation acts row by row, so each row equals its own R = 1 run bit for
-    bit.  A row that goes non-finite or whose weights collapse
-    gets its error recorded and runs on as NaN without touching other rows;
-    the loop stops once every row has failed.  Only the final states are
-    kept, so memory does not grow with the horizon.
+    grid's step, ``times[1]``.  Row r draws only from ``rngs[r]``, in the
+    order a lone run of it draws, and every operation acts row by row, so
+    each row equals its own R = 1 run bit for bit.  A row that goes
+    non-finite or whose weights collapse gets its error recorded and runs on
+    as NaN without touching other rows; the loop stops once every row has
+    failed.  Of each step only the (R, dim) means and the (R,) ESS and
+    resample flags are kept, so memory grows with the horizon only as the
+    (T, R, d) observations do, and never with N.
     """
     n = cfg.n_particles
     n_rows = len(init_states)
@@ -169,6 +166,9 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     states = init_states
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows
+    means = np.full((len(increments), n_rows, states.shape[-1]), np.nan)
+    ess_steps = np.full((len(increments), n_rows), np.nan)
+    resampled = np.zeros((len(increments), n_rows), dtype=bool)
     for i in range(len(increments)):
         states = propagate(states, rngs, dt)
         _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
@@ -179,20 +179,19 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
         if None not in errors:
             break
-        e = ess(w)
-        resampled = e < cfg.resample_threshold * n
-        for r in np.flatnonzero(resampled):
+        ess_steps[i] = ess(w)
+        resampled[i] = ess_steps[i] < cfg.resample_threshold * n
+        for r in np.flatnonzero(resampled[i]):
             states[r] = states[r, _systematic_indices(w[r], rngs[r].uniform(), n)]
             w[r] = 1.0 / n
-        if summary_sink is not None:
-            summary_sink(float(obs.times[i + 1]), states, w, e, resampled)
-    return FilterBatch(states=states, weights=w, errors=errors)
+        means[i] = (w[:, None, :] @ states)[:, 0]
+    return FilterBatch(states=states, weights=w, errors=errors, means=means,
+                       ess=ess_steps, resampled=resampled)
 
 
 def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
                     init_sampler: Callable, cfg: FilterConfig,
-                    rngs: Sequence[np.random.Generator],
-                    summary_sink: Optional[Callable] = None) -> FilterBatch:
+                    rngs: Sequence[np.random.Generator]) -> FilterBatch:
     """Bootstrap filters over the joint (slow, fast) state, one per replication
     of an observation batch with (T, R, d) increments on a uniform grid, whose
     step the filters take.
@@ -200,7 +199,6 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
     The filters start from ``init_sampler(StreamBatch(rngs), (R, N))``, which
     must return x (R, N, m) and z (R, N, n_fast); row r draws from ``rngs[r]``
     only, then and at every later step.
-    ``summary_sink(t, states, weights, ess, resampled)`` sees every step.
     """
     streams = StreamBatch(rngs)
     substeps = model.default_substeps()
@@ -216,13 +214,12 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
     def read_out(states):
         return model.obs_fn(states[..., :m], states[..., m:])
 
-    return _run_filter(propagate, read_out, obs, init, cfg, streams, summary_sink)
+    return _run_filter(propagate, read_out, obs, init, cfg, streams)
 
 
 def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
                            init_sampler: Callable, cfg: FilterConfig,
-                           rngs: Sequence[np.random.Generator],
-                           summary_sink: Optional[Callable] = None) -> FilterBatch:
+                           rngs: Sequence[np.random.Generator]) -> FilterBatch:
     """Bootstrap filters over the slow state only, one per replication of the
     full model's observation batch, as in ``run_full_filter``.
 
@@ -235,8 +232,7 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
         return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, dt)
 
     init = np.array(init_sampler(streams, (len(rngs), cfg.n_particles)), dtype=float)
-    return _run_filter(propagate, hmodel.obs_avg, obs, init, cfg, streams,
-                       summary_sink)
+    return _run_filter(propagate, hmodel.obs_avg, obs, init, cfg, streams)
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,

@@ -11,7 +11,7 @@ predicts slope 1/2 up to particle noise.
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,10 @@ class StudyConfig:
             raise ValueError("epsilons must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if self.dt > self.horizon:
-            raise ValueError("dt must not exceed the horizon")
+        if not 0.0 < self.dt <= self.horizon:
+            raise ValueError(f"dt={self.dt:g} must lie in (0, horizon={self.horizon:g}]")
+        if self.bootstrap_samples < 1:
+            raise ValueError("bootstrap_samples must be positive")
         # FilterConfig and default_basis check the filter and basis fields.
         self.filter_config()
         default_basis(self.basis_count, 1)
@@ -170,42 +172,42 @@ def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
     return _fit_slope(le, lm, weights)
 
 
-def run_study(cfg: StudyConfig,
-              distance_fn: Optional[Callable] = None) -> ConvergenceReport:
+def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Run the full epsilon sweep and fit the convergence rate.
 
-    The reduced filter runs on the family's analytic homogenized model.
-    ``distance_fn(epsilon, eps_index, rep_index)`` replaces the whole
-    replication pipeline when given (test hook for exercising the aggregation
-    and fitting machinery on synthetic distances); it may raise HomfiltError
-    to simulate replication failures.
+    The reduced filter runs on the family's analytic homogenized model.  No
+    epsilon runs after one whose failures abort the study.
     """
-    if distance_fn is None:
-        hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
-        basis = default_basis(cfg.basis_count, hmodel.dim_slow)
+    hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
+    basis = default_basis(cfg.basis_count, hmodel.dim_slow)
+    return summarize(cfg, (
+        run_replications(catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params),
+                         hmodel, cfg, basis, ei, range(cfg.replications))
+        for ei, eps in enumerate(cfg.epsilons)))
 
+
+def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceReport:
+    """The convergence report of a sweep's results.
+
+    ``results`` holds, for each epsilon of ``cfg`` in order, one entry per
+    replication: its distance, or the HomfiltError that stopped it.  It is
+    read one epsilon at a time, and not past the first epsilon whose
+    failures exceed ``MAX_FAILURE_FRACTION``, which raises StudyAbortError.
+    """
     distances: List[List[float]] = []
     replications: List[List[int]] = []
     failures: List[int] = []
-    for ei, eps in enumerate(cfg.epsilons):
-        if distance_fn is None:
-            model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
-            results = run_replications(model, hmodel, cfg, basis, ei,
-                                       range(cfg.replications))
-        else:
-            results = []
-            for rep in range(cfg.replications):
-                try:
-                    results.append(distance_fn(eps, ei, rep))
-                except HomfiltError as exc:
-                    results.append(exc)
-        kept = [rep for rep, r in enumerate(results) if not isinstance(r, HomfiltError)]
+    for eps, entries in zip(cfg.epsilons, results, strict=True):
+        if len(entries) != cfg.replications:
+            raise ValueError(f"{len(entries)} results, not {cfg.replications}, "
+                             f"at epsilon={eps:g}")
+        kept = [rep for rep, r in enumerate(entries) if not isinstance(r, HomfiltError)]
         n_failed = cfg.replications - len(kept)
         if n_failed > MAX_FAILURE_FRACTION * cfg.replications:
             raise StudyAbortError(
                 f"{n_failed}/{cfg.replications} replications failed at "
                 f"epsilon={eps:g} (limit {MAX_FAILURE_FRACTION:.0%})")
-        distances.append([results[rep] for rep in kept])
+        distances.append([entries[rep] for rep in kept])
         replications.append(kept)
         failures.append(n_failed)
 

@@ -112,20 +112,15 @@ def test_criterion_4_filter_matches_kalman():
                                 rng=StreamBatch([stream(7, rep, 0) for rep in reps]))
     obs = simulate_observations(truth, model,
                                 rng=StreamBatch([stream(7, rep, 1) for rep in reps]))
-    means = []
-
-    def sink(t, states, w, e, resampled):
-        means.append((w[:, None, :] @ states[:, :, :1])[:, 0, 0])
 
     def init(rng, shape):
         x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal(shape + (1,))
         return x0, np.zeros(shape + (1,))
 
-    run_full_filter(model, obs, init, cfg, [stream(7, rep, 2) for rep in reps],
-                    summary_sink=sink)
+    batch = run_full_filter(model, obs, init, cfg, [stream(7, rep, 2) for rep in reps])
     kalman_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
     # (steps, replications) -> the time-averaged difference of each replication
-    diffs = (np.array(means) - kalman_means[1:]).mean(axis=0)
+    diffs = (batch.means[:, :, 0] - kalman_means[1:]).mean(axis=0)
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))
     elapsed = time.time() - t0
     ok = abs(diffs.mean()) <= 3 * se and elapsed < 300.0
@@ -169,7 +164,7 @@ def test_criterion_6_resampling_unbiasedness():
     counts = np.zeros(n)
     for _ in range(trials):
         out = systematic_resample(ens, rng)
-        counts += np.bincount(out.states[:, 0].astype(int), minlength=n)
+        counts += np.bincount(out.atoms[:, 0].astype(int), minlength=n)
     freq = counts / trials
     se = np.sqrt(n * w * (1.0 - w) / trials)
     ok = np.all(np.abs(freq - n * w) <= 4 * se + 1e-9)

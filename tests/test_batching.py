@@ -135,6 +135,8 @@ def test_failed_replication_leaves_the_other_untouched(kind):
     assert lone.errors == [None]
     assert np.array_equal(batch.states[1], lone.states[0])
     assert np.array_equal(batch.weights[1], lone.weights[0])
+    for record in ("means", "ess", "resampled"):
+        assert np.array_equal(getattr(batch, record)[:, 1], getattr(lone, record)[:, 0])
     poisoned[0] = np.random.default_rng(3)
     lone_poisoned = run(target, obs, init, cfg, [poisoned[0]])
     assert isinstance(lone_poisoned.errors[0], BlowUpError)

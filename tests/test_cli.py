@@ -405,6 +405,60 @@ class TestErrors:
         assert {"[a]": "block [a] node 1 at x=[1.0]: non-finite value",
                 "[b]": "block [b] has 1 rows, not one for each node 0..1"}[block] in err
 
+    def test_observations_of_another_dimension_is_io_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0,dy1\n0.01,0.3,0.1\n0.02,-0.1,0.2\n")
+        err = self._io_error(tmp_path, capsys, {"observations": str(obs),
+                                                "n_particles": 8}, obs)
+        assert err.endswith(": observations of dimension 2, "
+                            "but the full model's read-out has 1\n")
+        assert not (tmp_path / "filter_full.csv").exists()
+
+    def test_table_of_another_dimension_is_io_error(self, tmp_path, capsys):
+        # A 2 x 2 grid of a 2-D slow state, read against the 1-D ou_benchmark.
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        blocks = {"[b]": "0.0 0.0", "[a]": "1.0 0.0 0.0 1.0", "[h]": "0.0",
+                  "[b_se]": "0.0 0.0", "[a_se]": "0.0 0.0 0.0 0.0", "[h_se]": "0.0"}
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join([
+            "# homfilt tabulated homogenized model v1", "dim_slow=2", "dim_obs=1",
+            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
+            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2",
+            "axis=-1.0 1.0 2"]
+            + [line for key, row in blocks.items() for line in (key,) + (row,) * 4]))
+        err = self._io_error(tmp_path, capsys, {"mode": "both", "observations": str(obs),
+                                                "n_particles": 8, "table": str(table)},
+                             table)
+        assert err.endswith(": the table's slow state has dimension 2, the model's 1\n")
+        assert not (tmp_path / "filter_full.csv").exists()
+
+    @pytest.mark.parametrize("bad", [{"dt": 0.0}, {"dt": -0.02},
+                                     {"bootstrap_samples": -1},
+                                     {"bootstrap_samples": 0}])
+    def test_bad_study_grid_or_bootstrap_is_usage_error(self, tmp_path, capsys, bad):
+        self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}, "study")
+        assert not (tmp_path / "report.txt").exists()
+
+
+def test_readme_key_table_names_the_config_keys():
+    # README's table of config keys, section by section, against the
+    # table the CLI checks configs with.
+    from homfilt import cli
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("| Section | Key | Default | Read by |")[1]
+    documented, section = {}, None
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        first, keys = line.split("|")[1:3]
+        section = first.strip().strip("`") or section
+        documented.setdefault(section, set()).update(re.findall(r"`(\w+)`", keys))
+    assert documented == cli._KEYS
+
 
 def _exit_code(code, cwd=None):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -100,14 +100,14 @@ class TestSystematicResample:
     def test_degenerate_weight(self, rng):
         ens = ensemble([[1.0], [2.0], [3.0]], [0.0, 1.0, 0.0])
         out = systematic_resample(ens, rng)
-        assert np.all(out.states == 2.0)
+        assert np.all(out.atoms == 2.0)
         assert np.allclose(out.weights, 1.0 / 3.0)
 
     def test_uniform_weights_keep_everyone(self, rng):
         n = 8
         ens = ensemble(np.arange(n)[:, None], np.full(n, 1.0 / n))
         out = systematic_resample(ens, rng)
-        assert sorted(out.states[:, 0]) == list(range(n))
+        assert sorted(out.atoms[:, 0]) == list(range(n))
 
     def test_three_one_split_for_every_uniform(self):
         # Weights (0.75, 0.25, 0, 0) with N=4: stratum enumeration forces
@@ -115,7 +115,7 @@ class TestSystematicResample:
         ens4 = ensemble([[10.0], [20.0], [30.0], [40.0]], [0.75, 0.25, 0.0, 0.0])
         for u in (0.01, 0.3, 0.6, 0.99):
             out = systematic_resample(ens4, _FixedUniformRng(u))
-            counts = np.bincount((out.states[:, 0] == 20.0).astype(int), minlength=2)
+            counts = np.bincount((out.atoms[:, 0] == 20.0).astype(int), minlength=2)
             assert counts[0] == 3 and counts[1] == 1
 
     def test_unbiasedness(self):
@@ -128,7 +128,7 @@ class TestSystematicResample:
         counts = np.zeros(n)
         for _ in range(trials):
             out = systematic_resample(ens, r)
-            counts += np.bincount(out.states[:, 0].astype(int), minlength=n)
+            counts += np.bincount(out.atoms[:, 0].astype(int), minlength=n)
         freq = counts / trials
         se = np.sqrt(n * w * (1 - w) / trials)  # binomial scale per particle
         assert np.all(np.abs(freq - n * w) <= 4 * se + 1e-9)
@@ -175,16 +175,11 @@ class TestRunFullFilter:
             return np.zeros(shape + (1,)), np.zeros(shape + (1,))
 
         cfg = FilterConfig(n_particles=1, resample_threshold=0.5)
-        steps = []
-
-        def sink(t, states, w, e, resampled):
-            steps.append(w[0, 0])
-
-        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(4)],
-                                summary_sink=sink)
+        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(4)])
         assert batch.weights[0, 0] == 1.0
-        assert all(w == 1.0 for w in steps)
-        assert len(steps) == 10
+        # With N = 1 an ESS of 1 at every step means every weight was 1.
+        assert batch.ess.shape == (10, 1)
+        assert np.all(batch.ess[:, 0] == 1.0)
 
     def test_grid_mismatch(self):
         # The filters take their step from the grid, so it must be uniform.
@@ -209,15 +204,9 @@ class TestRunFullFilter:
             return x, np.zeros(shape + (1,))
 
         cfg = FilterConfig(n_particles=4000)
-        means = []
-
-        def sink(t, states, w, e, resampled):
-            means.append((w[0] @ states[0])[0])
-
-        run_full_filter(model, obs, init, cfg, [np.random.default_rng(12)],
-                        summary_sink=sink)
+        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(12)])
         kal_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
-        err = np.abs(np.array(means) - kal_means[1:, 0]).mean()
+        err = np.abs(batch.means[:, 0, 0] - kal_means[1:, 0]).mean()
         assert err < 0.05  # ~3x the particle-noise scale at N=4000
 
 

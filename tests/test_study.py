@@ -7,7 +7,7 @@ from homfilt.filtering import FilterConfig, run_full_filter, run_homogenized_fil
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import ObservationPath
 from homfilt.study import (StudyConfig, fit_loglog_slope, report_csv,
-                           report_text, run_replication, run_study)
+                           report_text, run_replication, run_study, summarize)
 
 
 def small_config(**overrides):
@@ -45,15 +45,27 @@ class TestSlopeFit:
         assert abs(slope - 0.5) < 1e-3
 
 
+def sweep(cfg, distance):
+    """Per epsilon of ``cfg``, ``distance(eps, ei, ri)`` for each replication;
+    an entry is the HomfiltError that ``distance`` raised, if it raised one."""
+    def entry(eps, ei, ri):
+        try:
+            return distance(eps, ei, ri)
+        except HomfiltError as exc:
+            return exc
+    return [[entry(eps, ei, ri) for ri in range(cfg.replications)]
+            for ei, eps in enumerate(cfg.epsilons)]
+
+
 class TestRunStudySynthetic:
     def test_sqrt_injector_recovers_half(self):
-        report = run_study(small_config(),
-                           distance_fn=lambda eps, ei, ri: 0.3 * np.sqrt(eps))
+        cfg = small_config()
+        report = summarize(cfg, sweep(cfg, lambda eps, ei, ri: 0.3 * np.sqrt(eps)))
         assert abs(report.slope - 0.5) < 1e-12
 
     def test_constant_injector_gives_zero_slope(self):
-        report = run_study(small_config(),
-                           distance_fn=lambda eps, ei, ri: 0.2)
+        cfg = small_config()
+        report = summarize(cfg, sweep(cfg, lambda eps, ei, ri: 0.2))
         assert abs(report.slope) < 1e-12
 
     def test_abort_on_failures(self):
@@ -62,8 +74,9 @@ class TestRunStudySynthetic:
                 raise HomfiltError("forced failure")
             return 0.1
 
+        cfg = small_config()
         with pytest.raises(StudyAbortError):
-            run_study(small_config(), distance_fn=flaky)
+            summarize(cfg, sweep(cfg, flaky))
 
     def test_tolerated_failures_are_counted(self):
         def flaky(eps, ei, ri):
@@ -71,7 +84,8 @@ class TestRunStudySynthetic:
                 raise HomfiltError("forced failure")
             return 0.1 * np.sqrt(eps) + 0.01 * ri
 
-        report = run_study(small_config(replications=8), distance_fn=flaky)
+        cfg = small_config(replications=8)
+        report = summarize(cfg, sweep(cfg, flaky))
         assert report.failures == (1, 0, 0)
         assert report.counts == (7, 8, 8)
 
@@ -81,7 +95,8 @@ class TestRunStudySynthetic:
                 raise HomfiltError("forced failure")
             return eps + 0.01 * ri
 
-        report = run_study(small_config(replications=6), distance_fn=flaky)
+        cfg = small_config(replications=6)
+        report = summarize(cfg, sweep(cfg, flaky))
         assert report.failures == (1, 1, 1)
         rows = report_csv(report).splitlines()
         assert rows[1:3] == [f"0.5,0,{0.5!r}", f"0.5,2,{0.5 + 0.02!r}"]
@@ -90,11 +105,37 @@ class TestRunStudySynthetic:
     def test_report_serialization_deterministic(self):
         cfg = small_config()
         fn = lambda eps, ei, ri: 0.1 * np.sqrt(eps) + 0.003 * ri
-        r1 = run_study(cfg, distance_fn=fn)
-        r2 = run_study(cfg, distance_fn=fn)
+        r1 = summarize(cfg, sweep(cfg, fn))
+        r2 = summarize(cfg, sweep(cfg, fn))
         assert report_text(r1) == report_text(r2)
         assert report_csv(r1) == report_csv(r2)
         assert "epsilon,replication,distance" in report_csv(r1)
+
+    def test_abort_reads_no_later_epsilon(self):
+        # run_study hands summarize a generator that runs each epsilon's
+        # replications when it is read; an aborting epsilon ends the sweep.
+        cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625))
+        read = []
+
+        def results():
+            for ei in range(len(cfg.epsilons)):
+                read.append(ei)
+                yield [HomfiltError("forced failure")] * 4 if ei == 1 else [0.1] * 4
+
+        with pytest.raises(StudyAbortError, match="epsilon=0.25"):
+            summarize(cfg, results())
+        assert read == [0, 1]
+
+    @pytest.mark.parametrize("entries", [[[0.1] * 4, [0.1] * 3, [0.1] * 4],
+                                         [[0.1] * 4, [0.1] * 5, [0.1] * 4]])
+    def test_rejects_wrong_replication_count(self, entries):
+        with pytest.raises(ValueError, match="epsilon=0.25"):
+            summarize(small_config(), entries)
+
+    @pytest.mark.parametrize("n_eps", [2, 4])
+    def test_rejects_wrong_epsilon_count(self, n_eps):
+        with pytest.raises(ValueError):
+            summarize(small_config(), [[0.1] * 4] * n_eps)
 
 
 class TestRunReplication:
