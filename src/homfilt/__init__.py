@@ -20,9 +20,9 @@ from .filtering import (FilterBatch, FilterConfig, ess, kalman_reference,
 from .measures import EmpiricalMeasure, TestFunctionBasis, default_basis, metric_d
 from . import catalog
 from .rng import stream
-from .models import (MultiscaleModel, ObservationPath, SignalPath,
+from .models import (MultiscaleModel, ObservationPath, blow_up_steps,
                      multiscale_step, simulate_frozen_fast,
-                     simulate_multiscale, simulate_observations)
+                     simulate_multiscale, simulate_observations, step_count)
 from .study import (ConvergenceReport, StudyConfig, fit_loglog_slope,
                     report_csv, report_text, run_replication,
                     run_replications, run_study, summarize)

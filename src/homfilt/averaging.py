@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
                      NotSymmetricError, UsageError)
-from .models import MultiscaleModel, euler_maruyama
+from .models import MultiscaleModel, euler_maruyama, step_count
 from . import rng as rngmod
 
 TOL_PSD = 1e-10
@@ -43,12 +43,12 @@ class StationaryAverager:
     replicates: int = 64
 
     def __post_init__(self):
-        if not (0 < self.burn_in < self.sample_horizon):
-            raise ValueError("need 0 < burn_in < sample_horizon")
-        if self.dt <= 0 or self.replicates < 1:
-            raise ValueError("dt must be positive and replicates >= 1")
-        if self.dt > self.sample_horizon:
-            raise ValueError("dt must not exceed the sample horizon")
+        if not self.burn_in < self.sample_horizon:
+            raise ValueError("need burn_in < sample_horizon")
+        if self.replicates < 1:
+            raise ValueError("need replicates >= 1")
+        step_count(self.burn_in, self.dt)
+        step_count(self.sample_horizon, self.dt)
 
 
 def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
@@ -68,18 +68,12 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     noise = rngmod.StreamBatch(streams)
     z = noise.standard_normal((k, r, n))
     x = np.broadcast_to(nodes[:, None, :], (k, r, model.dim_slow))
-    n_steps = int(round(cfg.sample_horizon / cfg.dt))
-    i0 = int(round(cfg.burn_in / cfg.dt))
+    n_steps = step_count(cfg.sample_horizon, cfg.dt)
+    i0 = step_count(cfg.burn_in, cfg.dt)
     sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
     first_bad = np.full(k, -1)
     block = min(n_steps, max(1, NOISE_BLOCK // (k * r * model.dim_noise_fast)))
 
-    def accumulate(z):
-        for acc, theta in zip(sums, thetas):
-            acc += np.asarray(theta(x, z), dtype=float)
-
-    if i0 == 0:
-        accumulate(z)
     for start in range(0, n_steps, block):
         steps = min(block, n_steps - start)
         xis = noise.standard_normal((k, steps, r, model.dim_noise_fast))
@@ -93,7 +87,8 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
                     return sums, n_steps + 1 - i0, first_bad
                 z[bad] = 0.0  # keeps failed nodes quiet; their sums are dropped
             if start + j + 1 >= i0:
-                accumulate(z)
+                for acc, theta in zip(sums, thetas):
+                    acc += np.asarray(theta(x, z), dtype=float)
     return sums, n_steps + 1 - i0, first_bad
 
 

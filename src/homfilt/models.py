@@ -10,12 +10,12 @@ Coefficient functions must broadcast over a leading batch axis: drifts map
 This lets particle filters propagate whole ensembles with one call.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, ModelShapeError
+from .errors import ModelShapeError
 
 Coeff = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -73,27 +73,6 @@ class MultiscaleModel:
         return int(np.ceil(1.0 / self.epsilon))
 
 
-def _check_times(times) -> np.ndarray:
-    t = np.asarray(times)
-    if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must start at 0 and be strictly increasing")
-    return t
-
-
-@dataclass(frozen=True)
-class SignalPath:
-    """Joint trajectory of the slow and fast components on the slow time grid."""
-
-    times: np.ndarray        # (T+1,), strictly increasing, times[0] = 0
-    slow_states: np.ndarray  # (T+1, m), or (T+1, R, m) for R replications
-    fast_states: np.ndarray  # (T+1, n), or (T+1, R, n)
-
-    def __post_init__(self):
-        t = _check_times(self.times)
-        if len(t) != len(self.slow_states) or len(t) != len(self.fast_states):
-            raise ValueError("times and state sequences must have equal length")
-
-
 @dataclass(frozen=True)
 class ObservationPath:
     """Observation increments of R replications over each step of a time grid."""
@@ -102,7 +81,10 @@ class ObservationPath:
     increments: np.ndarray  # (T, R, d)
 
     def __post_init__(self):
-        steps = np.diff(_check_times(self.times))
+        times = np.asarray(self.times)
+        steps = np.diff(times)
+        if times[0] != 0.0 or np.any(steps <= 0):
+            raise ValueError("times must start at 0 and be strictly increasing")
         if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
             raise ValueError("observation grid is not uniform")
         if np.ndim(self.increments) != 3 or len(self.increments) != len(steps):
@@ -137,22 +119,33 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
     return x, z
 
 
+def step_count(span: float, dt: float) -> int:
+    """The number of steps of size ``dt`` that make up ``span``.
+
+    Raises ValueError unless 0 < dt <= span < inf and span / dt is a whole
+    number to within 1e-9 (relative), so no grid is silently cut short.
+    """
+    if not 0.0 < dt <= span < np.inf:
+        raise ValueError(f"need 0 < dt <= span < inf, got dt={dt:g}, span={span:g}")
+    n = int(round(span / dt))
+    if abs(span / dt - n) > 1e-9 * n:
+        raise ValueError(f"span={span:g} is not a whole number of steps of dt={dt:g}")
+    return n
+
+
 def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
-                        horizon: float, dt_slow: float, rng: np.random.Generator,
-                        check_finite: bool = True) -> SignalPath:
+                        horizon: float, dt_slow: float, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama path of the joint system, sampled on the slow grid, with
     ``model.default_substeps()`` fast substeps per slow step.
 
-    ``x0`` and ``z0`` may carry a leading batch axis of independent paths;
-    the states then have shape ``(T+1, batch, m)`` and ``(T+1, batch, n)``.
-    With ``check_finite``, a non-finite state after slow step i raises BlowUpError(i);
-    a non-finite value stays non-finite, so this also catches any substep's blow-up.
+    Returns the states ``xs (T+1, m)`` and ``zs (T+1, n)``; ``x0`` and ``z0``
+    may carry a leading batch axis of independent paths, which gives
+    ``(T+1, batch, m)`` and ``(T+1, batch, n)``.  A path that blows up runs on
+    with non-finite states; ``blow_up_steps`` finds them.
     """
-    if dt_slow > horizon:
-        raise ValueError("dt_slow must not exceed the horizon")
-    n_steps = int(round(horizon / dt_slow))
+    n_steps = step_count(horizon, dt_slow)
     substeps = model.default_substeps()
-    times = np.arange(n_steps + 1) * dt_slow
     x = np.asarray(x0, dtype=float)
     z = np.asarray(z0, dtype=float)
     xs = np.empty((n_steps + 1,) + x.shape[:-1] + (model.dim_slow,))
@@ -160,10 +153,17 @@ def simulate_multiscale(model: MultiscaleModel, x0: np.ndarray, z0: np.ndarray,
     xs[0], zs[0] = x, z
     for i in range(n_steps):
         x, z = multiscale_step(model, x, z, dt_slow, substeps, rng)
-        if check_finite and not (np.isfinite(z).all() and np.isfinite(x).all()):
-            raise BlowUpError(i)
         xs[i + 1], zs[i + 1] = x, z
-    return SignalPath(times=times, slow_states=xs, fast_states=zs)
+    return xs, zs
+
+
+def blow_up_steps(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per path of ``simulate_multiscale`` states ``(T+1, R, ·)``, or ``(T+1, ·)``
+    for a lone path, the step whose output is the first non-finite state, or -1;
+    state k + 1 comes out of step k.  A non-finite value stays non-finite, so
+    this also catches a blow-up inside a step's fast substeps."""
+    blown = ~(np.isfinite(xs[1:]).all(axis=-1) & np.isfinite(zs[1:]).all(axis=-1))
+    return np.where(blown.any(axis=0), np.argmax(blown, axis=0), -1)
 
 
 def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
@@ -176,9 +176,7 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
     ``z0`` may carry a leading batch axis for independent replicates; the
     returned array then has shape ``(T+1, batch, n)``.
     """
-    if dt > horizon:
-        raise ValueError("dt must not exceed the horizon")
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     z = np.asarray(z0, dtype=float)
     x = np.broadcast_to(np.asarray(x, dtype=float), z.shape[:-1] + (model.dim_slow,))
     out = np.empty((n_steps + 1,) + z.shape)
@@ -186,25 +184,24 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
     for i in range(n_steps):
         xi = rng.standard_normal(z.shape[:-1] + (model.dim_noise_fast,))
         z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, dt)
-        if not np.isfinite(z).all():
-            raise BlowUpError(i)
         out[i + 1] = z
     return out
 
 
-def simulate_observations(signal: SignalPath, model: MultiscaleModel,
-                          rng: np.random.Generator) -> ObservationPath:
-    """Increments dY_i = h(x_i, z_i) dt_i + sqrt(dt_i) xi_i along a signal path.
+def simulate_observations(xs: np.ndarray, zs: np.ndarray, model: MultiscaleModel,
+                          dt: float, rng: np.random.Generator) -> ObservationPath:
+    """Increments dY_i = h(x_i, z_i) dt + sqrt(dt) xi_i along states ``xs``, ``zs``
+    on the grid of step ``dt`` that starts at 0.
 
     States of shape ``(T+1, R, ·)`` give increments of shape ``(T, R, d)``, and a
     lone path ``(T+1, ·)`` gives ``(T, 1, d)``.  Through a ``StreamBatch``, row r
     draws the noise that a lone call with generator r draws.
     """
-    times = np.asarray(signal.times)
-    if len(times) < 2:
+    if len(xs) < 2:
         raise ValueError("signal path must contain at least one step")
+    times = np.arange(len(xs)) * dt
     dts = np.diff(times)[:, None, None]
-    h = model.obs_fn(signal.slow_states[:-1], signal.fast_states[:-1])
+    h = model.obs_fn(xs[:-1], zs[:-1])
     h = h.reshape(len(dts), -1, model.dim_obs)
     xi = np.moveaxis(rng.standard_normal((h.shape[1], len(dts), model.dim_obs)), 1, 0)
     return ObservationPath(times=times, increments=h * dts + xi * np.sqrt(dts))

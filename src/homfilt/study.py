@@ -21,7 +21,8 @@ from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
                         run_full_filter, run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
-from .models import MultiscaleModel, simulate_multiscale, simulate_observations
+from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
+                     simulate_observations, step_count)
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
 
@@ -52,8 +53,7 @@ class StudyConfig:
             raise ValueError("epsilons must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if not 0.0 < self.dt <= self.horizon:
-            raise ValueError(f"dt={self.dt:g} must lie in (0, horizon={self.horizon:g}]")
+        step_count(self.horizon, self.dt)
         if self.bootstrap_samples < 1:
             raise ValueError("bootstrap_samples must be positive")
         # FilterConfig and default_basis check the filter and basis fields.
@@ -107,21 +107,20 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     m, n = model.dim_slow, model.dim_fast
     init_joint = gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n)
     x0, z0 = init_joint(rngmod.StreamBatch(r_init), (len(rep_indices),))
-    truth = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
-                                rng=rngmod.StreamBatch(r_truth), check_finite=False)
-    obs = simulate_observations(truth, model, rng=rngmod.StreamBatch(r_obs))
+    xs, zs = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
+                                 rng=rngmod.StreamBatch(r_truth))
+    obs = simulate_observations(xs, zs, model, cfg.dt, rng=rngmod.StreamBatch(r_obs))
 
     fcfg = cfg.filter_config()
     full = run_full_filter(model, obs, init_joint, fcfg, r_full)
     homog = run_homogenized_filter(
         hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
-    blown = ~(np.isfinite(truth.slow_states).all(axis=-1)
-              & np.isfinite(truth.fast_states).all(axis=-1))  # (T+1, R)
+    blown = blow_up_steps(xs, zs)
     out = []
     for r in range(len(rep_indices)):
         error = full.errors[r] or homog.errors[r]
-        if blown[:, r].any():  # state k + 1 comes out of step k
-            error = BlowUpError(int(np.argmax(blown[:, r])) - 1)
+        if blown[r] >= 0:
+            error = BlowUpError(int(blown[r]))
         out.append(error or metric_d(
             EmpiricalMeasure(full.states[r, :, :m], full.weights[r]),
             EmpiricalMeasure(homog.states[r, :, :m], homog.weights[r]), basis))

@@ -81,8 +81,8 @@ def test_criterion_3_kalman_steady_state():
     a, q, h, dt, horizon = -1.0, 1.0, 1.0, 1e-3, 20.0
     model = catalog.make_model("linear", a=a, q=q, h=h)
     rng = stream(11, 0)
-    truth = simulate_multiscale(model, np.zeros(1), np.zeros(1), horizon, dt, rng=rng)
-    obs = simulate_observations(truth, model, rng=stream(11, 1))
+    xs, zs = simulate_multiscale(model, np.zeros(1), np.zeros(1), horizon, dt, rng=rng)
+    obs = simulate_observations(xs, zs, model, dt, rng=stream(11, 1))
     _, variances = kalman_reference(a, q, h, obs, 0.0, 1.0)
     var = float(variances[-1])
     target = np.sqrt(2.0) - 1.0
@@ -107,10 +107,10 @@ def test_criterion_4_filter_matches_kalman():
     prior_mean, prior_var = 0.5, 0.25
     cfg = FilterConfig(n_particles=8192)
     reps = range(50)
-    truth = simulate_multiscale(model, np.full((len(reps), 1), prior_mean),
-                                np.zeros((len(reps), 1)), horizon, dt,
-                                rng=StreamBatch([stream(7, rep, 0) for rep in reps]))
-    obs = simulate_observations(truth, model,
+    xs, zs = simulate_multiscale(model, np.full((len(reps), 1), prior_mean),
+                                 np.zeros((len(reps), 1)), horizon, dt,
+                                 rng=StreamBatch([stream(7, rep, 0) for rep in reps]))
+    obs = simulate_observations(xs, zs, model, dt,
                                 rng=StreamBatch([stream(7, rep, 1) for rep in reps]))
 
     def init(rng, shape):

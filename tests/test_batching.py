@@ -112,9 +112,9 @@ def test_study_distances_equal_lone_replications():
 def test_failed_replication_leaves_the_other_untouched(kind):
     model = catalog.make_model("ou_benchmark", epsilon=0.25)
     hm = catalog.make_analytic_homogenized("ou_benchmark")
-    truth = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]), 0.3, 0.02,
-                                rng=np.random.default_rng(1))
-    obs = simulate_observations(truth, model, rng=np.random.default_rng(2))
+    xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]), 0.3, 0.02,
+                                 rng=np.random.default_rng(1))
+    obs = simulate_observations(xs, zs, model, 0.02, rng=np.random.default_rng(2))
     cfg = FilterConfig(n_particles=128)
     poisoned = [np.random.default_rng(3)]   # init puts a NaN into this stream's row
 

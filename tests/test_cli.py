@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,7 +221,8 @@ class TestErrors:
             "model": {"family": "ou_benchmark", "epsilon": 0,
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
 
-    @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 0.0), (1.0, -0.1)])
+    @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 0.0), (1.0, -0.1),
+                                             (1.0, 0.3)])
     def test_bad_simulate_grid_is_usage_error(self, tmp_path, capsys, horizon, dt):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark", "horizon": horizon, "dt": dt}},
@@ -247,6 +249,8 @@ class TestErrors:
                   "interpolation": "cubic"}},
         {"grid": {"lows": [-2.0, -2.0], "highs": [2.0, 2.0], "counts": [3, 3]}},
         {"burn_in": 0.5, "sample_horizon": 1.0, "dt": 2.0},
+        {"burn_in": 0.25, "sample_horizon": 1.0, "dt": 0.1},
+        {"burn_in": 0.5, "sample_horizon": 1.05, "dt": 0.1},
     ])
     def test_bad_averager_config_is_usage_error(self, tmp_path, capsys, averager):
         averager = {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]},
@@ -332,6 +336,47 @@ class TestErrors:
             "model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
             "output": {"dir": "out"}}, "simulate")
         assert err == "usage error: unknown config section [output]\n"
+
+    # A model whose slow state overflows within two steps.  Warnings as
+    # errors: numpy's overflow warnings would add lines to the message.
+    _OVERFLOW = {"family": "ou_benchmark", "params": {"a": 1.0e200}, "x0": [1.0],
+                 "horizon": 0.1, "dt": 0.01}
+
+    def _numeric_failure(self, tmp_path, capsys, cfg, command):
+        path = write_config(tmp_path, cfg)
+        assert run(["--config", path, "--out", tmp_path, command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_blow_up_is_numeric_failure(self, tmp_path, capsys):
+        err = self._numeric_failure(tmp_path, capsys, {"model": self._OVERFLOW},
+                                    "simulate")
+        assert err == "numeric failure: numerical blow-up at step 1\n"
+        assert not (tmp_path / "signal.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_study_blow_up_is_numeric_failure(self, tmp_path, capsys):
+        self._numeric_failure(tmp_path, capsys, {
+            "model": self._OVERFLOW,
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02}}, "study")
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_filter_blow_up_is_numeric_failure(self, tmp_path, capsys):
+        # A read-out that ignores the state, so the particles overflow before
+        # their weights can collapse.
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n" + "".join(f"{0.01 * i!r},0.1\n" for i in range(1, 11)))
+        model = dict(self._OVERFLOW, params={"a": 1.0e200, "h_x": 0.0, "c_h": 0.0})
+        err = self._numeric_failure(tmp_path, capsys, {
+            "model": model,
+            "filter": {"mode": "full", "observations": str(obs), "n_particles": 8}},
+            "filter")
+        assert err.startswith("numeric failure: numerical blow-up at step ")
+        assert not (tmp_path / "filter_full.csv").exists()
 
     def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
         path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},
@@ -435,7 +480,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("bad", [{"dt": 0.0}, {"dt": -0.02},
                                      {"bootstrap_samples": -1},
-                                     {"bootstrap_samples": 0}])
+                                     {"bootstrap_samples": 0}, {"dt": 0.03}])
     def test_bad_study_grid_or_bootstrap_is_usage_error(self, tmp_path, capsys, bad):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark"},
@@ -501,19 +546,53 @@ def test_tabulated_model_leaves_scipy_unloaded(tmp_path):
     assert _exits_without_scipy(code, cwd=tmp_path)
 
 
-def test_benchmark_configs_pass_the_key_check(tmp_path):
-    # perfbench writes its configs with its own code; a key the CLI rejects
-    # would fail every benchmark call.  Read-only: the module only writes
-    # into tmp_path.
-    from homfilt import cli
+def _perfbench_workloads():
+    # Read-only: the module's functions write only where they are told to.
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads_keys",
+        "perfbench_workloads",
         pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_configs_pass_the_key_check(tmp_path):
+    # perfbench writes its configs with its own code; a key the CLI rejects
+    # would fail every benchmark call.
+    from homfilt import cli
+    workloads = _perfbench_workloads()
     for write in (workloads._sweep_config, workloads._track_config):
         cfg = cli._load_config(write(str(tmp_path)))
         for name in cfg:
             cli._section(cfg, name)
         if "averager" in cfg:
             cli._section(cfg["averager"], "averager.grid", "grid")
+
+
+def test_benchmark_output_checks_pass(tmp_path):
+    # Each workload's set-up and timed call on its own config with 64
+    # particles, checked by the benchmark's own code: a CLI output change
+    # that the benchmark would count as failed operations fails here first.
+    from homfilt.errors import NonErgodicWarning
+    for name, wl in _perfbench_workloads().WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        config = wl.write_config(str(work))
+        doc = yaml.safe_load(pathlib.Path(config).read_text())
+        for section in ("study", "filter"):
+            if section in doc:
+                doc[section]["n_particles"] = 64
+        pathlib.Path(config).write_text(yaml.safe_dump(doc))
+        out = work / "call0"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for argv in wl.setup_argvs(str(work), config, 0):
+                assert main(argv) == 0
+            out.mkdir()
+            assert main(wl.op_argv(config, "0", str(out))) == 0
+        warned = sum(issubclass(w.category, NonErgodicWarning) for w in caught)
+        check = wl.check_call(str(out), str(work), warned)
+        assert check.failed == 0, (name, check.notes)
+        if name == "track":
+            ok, detail = wl.check_run(str(work), [str(out)])
+            assert ok, detail

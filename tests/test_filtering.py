@@ -194,9 +194,9 @@ class TestRunFullFilter:
         model = catalog.make_model("linear", a=a, q=q, h=h)
         dt, horizon = 0.01, 2.0
         r_truth = np.random.default_rng(10)
-        truth = simulate_multiscale(model, np.array([[0.5]]), np.array([[0.0]]),
-                                    horizon, dt, rng=r_truth)
-        obs = simulate_observations(truth, model, rng=np.random.default_rng(11))
+        xs, zs = simulate_multiscale(model, np.array([[0.5]]), np.array([[0.0]]),
+                                     horizon, dt, rng=r_truth)
+        obs = simulate_observations(xs, zs, model, dt, rng=np.random.default_rng(11))
         prior_mean, prior_var = 0.5, 0.25
 
         def init(rng, shape):
@@ -231,9 +231,9 @@ class TestRunHomogenizedFilter:
         model = catalog.make_model("ou_benchmark", epsilon=eps)
         hm = catalog.make_analytic_homogenized("ou_benchmark")
         dt, horizon = 0.01, 1.0
-        truth = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]),
-                                    horizon, dt, rng=np.random.default_rng(20))
-        obs = simulate_observations(truth, model, rng=np.random.default_rng(21))
+        xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]),
+                                     horizon, dt, rng=np.random.default_rng(20))
+        obs = simulate_observations(xs, zs, model, dt, rng=np.random.default_rng(21))
 
         def init_joint(rng, shape):
             x = 0.2 + 0.3 * rng.standard_normal(shape + (1,))

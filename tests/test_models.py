@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from homfilt import catalog
-from homfilt.errors import BlowUpError, ModelShapeError
-from homfilt.models import (MultiscaleModel, ObservationPath, SignalPath,
+from homfilt.errors import ModelShapeError
+from homfilt.models import (MultiscaleModel, ObservationPath, blow_up_steps,
                             multiscale_step, simulate_frozen_fast,
-                            simulate_multiscale, simulate_observations)
+                            simulate_multiscale, simulate_observations, step_count)
 from homfilt.rng import StreamBatch
 
 from conftest import const_mat
@@ -25,24 +25,25 @@ def make_model(b=None, sigma=0.0, f=None, g=0.0, h=None, epsilon=1.0):
 class TestSimulateMultiscale:
     def test_zero_dynamics_constant_path(self, rng):
         model = make_model()
-        path = simulate_multiscale(model, np.array([1.5]), np.array([-2.0]),
-                                   1.0, 0.1, rng=rng)
-        assert np.all(path.slow_states == 1.5)
-        assert np.all(path.fast_states == -2.0)
+        xs, zs = simulate_multiscale(model, np.array([1.5]), np.array([-2.0]),
+                                     1.0, 0.1, rng=rng)
+        assert xs.shape == zs.shape == (11, 1)
+        assert np.all(xs == 1.5)
+        assert np.all(zs == -2.0)
 
     def test_linear_ode_oracle(self, rng):
         # dX = -X dt with no noise: X(1) = e^{-1}
         model = make_model(b=lambda x, z: -x)
-        path = simulate_multiscale(model, np.array([1.0]), np.array([0.0]),
-                                   1.0, 1e-3, rng=rng)
-        assert abs(path.slow_states[-1, 0] - np.exp(-1.0)) < 2e-3
+        xs, _ = simulate_multiscale(model, np.array([1.0]), np.array([0.0]),
+                                    1.0, 1e-3, rng=rng)
+        assert abs(xs[-1, 0] - np.exp(-1.0)) < 2e-3
 
     def test_fast_ou_stationary_variance(self):
         # Frozen slow state; fast OU with unit stationary variance.
         model = make_model(f=lambda x, z: -(z - x), g=np.sqrt(2.0), epsilon=0.01)
-        path = simulate_multiscale(model, np.array([0.0]), np.array([0.0]),
-                                   1.0, 1e-3, rng=np.random.default_rng(2))
-        late = path.fast_states[path.times >= 0.5, 0]
+        _, zs = simulate_multiscale(model, np.array([0.0]), np.array([0.0]),
+                                    1.0, 1e-3, rng=np.random.default_rng(2))
+        late = zs[np.arange(len(zs)) * 1e-3 >= 0.5, 0]
         assert abs(late.var() - 1.0) < 0.1
 
     def test_determinism(self):
@@ -52,8 +53,8 @@ class TestSimulateMultiscale:
                                  0.01, rng=np.random.default_rng(7))
         p2 = simulate_multiscale(model, np.array([1.0]), np.array([0.0]), 1.0,
                                  0.01, rng=np.random.default_rng(7))
-        assert np.array_equal(p1.slow_states, p2.slow_states)
-        assert np.array_equal(p1.fast_states, p2.fast_states)
+        assert np.array_equal(p1[0], p2[0])
+        assert np.array_equal(p1[1], p2[1])
 
     def test_weak_order_improves_with_dt(self):
         # E[X(1)] = e^{-1} for dX = -X dt + dV; Euler bias shrinks with dt.
@@ -69,19 +70,28 @@ class TestSimulateMultiscale:
             biases.append(abs(x.mean() - np.exp(-1.0)))
         assert biases[1] < biases[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_detected(self):
         model = make_model(b=lambda x, z: x ** 3)
-        args = (model, np.array([10.0]), np.array([0.0]), 5.0, 0.5)
-        with pytest.raises(BlowUpError) as raised:
-            simulate_multiscale(*args, rng=np.random.default_rng(12345))
-        # The study's rule on the unchecked path: state k + 1 comes out of step k.
-        path = simulate_multiscale(*args, rng=np.random.default_rng(12345),
-                                   check_finite=False)
-        blown = ~(np.isfinite(path.slow_states).all(axis=1)
-                  & np.isfinite(path.fast_states).all(axis=1))
-        assert blown.any()
-        assert raised.value.step == int(np.argmax(blown)) - 1
+        x0, z0 = np.array([10.0]), np.array([0.0])
+        xs, zs = simulate_multiscale(model, x0, z0, 5.0, 0.5,
+                                     rng=np.random.default_rng(12345))
+        step = int(blow_up_steps(xs, zs))
+        assert step >= 0
+        # A hand-run loop on the same generator: state k + 1 comes out of step k.
+        rng, x, z = np.random.default_rng(12345), x0, z0
+        for k in range(10):
+            x, z = multiscale_step(model, x, z, 0.5, model.default_substeps(), rng)
+            if not (np.isfinite(x).all() and np.isfinite(z).all()):
+                break
+        assert step == k
+
+    def test_blow_up_steps_of_a_batch(self):
+        xs = np.zeros((5, 3, 1))
+        zs = np.zeros((5, 3, 2))
+        xs[2, 0] = np.inf
+        zs[4, 1, 1] = np.nan
+        assert blow_up_steps(xs, zs).tolist() == [1, 3, -1]
 
     def test_shape_error_at_registration(self):
         with pytest.raises(ModelShapeError):
@@ -132,31 +142,46 @@ class TestSimulateFrozenFast:
         assert abs(means[0] - means[1]) < 0.2
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("span, dt, n", [(1.0, 0.1, 10), (0.3, 0.02, 15),
+                                             (20.0, 1e-3, 20000), (0.5, 0.5, 1)])
+    def test_whole_number_of_steps(self, span, dt, n):
+        assert step_count(span, dt) == n
+
+    @pytest.mark.parametrize("span, dt", [(1.0, 0.3), (0.25, 0.1), (0.001, 0.01),
+                                          (1.0, 0.0), (1.0, -0.1), (np.inf, 0.1),
+                                          (np.nan, 0.1), (1.0, np.nan)])
+    def test_rejects_a_partial_or_empty_grid(self, span, dt):
+        with pytest.raises(ValueError):
+            step_count(span, dt)
+
+    def test_simulators_reject_a_partial_last_step(self, rng):
+        model, start = make_model(), np.zeros(1)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            simulate_multiscale(model, start, start, 1.0, 0.3, rng=rng)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            simulate_frozen_fast(model, start, start, 1.0, 0.3, rng=rng)
+
+
 class TestSimulateObservations:
     def test_pure_noise_variance(self, rng):
         model = make_model()
         dt = 0.01
-        times = np.arange(100001) * dt
-        path = SignalPath(times=times,
-                          slow_states=np.zeros((100001, 1)),
-                          fast_states=np.zeros((100001, 1)))
-        obs = simulate_observations(path, model, rng=rng)
+        states = np.zeros((100001, 1))
+        obs = simulate_observations(states, states, model, dt, rng=rng)
         assert abs(obs.increments.var() - dt) < 0.05 * dt
 
     def test_noise_free_constant_read_out(self):
         model = make_model(h=lambda x, z: np.ones_like(x))
-        times = np.arange(11) * 0.01
-        path = SignalPath(times=times, slow_states=np.zeros((11, 1)),
-                          fast_states=np.zeros((11, 1)))
-        obs = simulate_observations(path, model, rng=_ZeroRng())
+        states = np.zeros((11, 1))
+        obs = simulate_observations(states, states, model, 0.01, rng=_ZeroRng())
+        assert np.array_equal(obs.times, np.arange(11) * 0.01)
         assert np.allclose(obs.increments, 0.01, rtol=0, atol=1e-15)
 
     def test_noise_free_linear_read_out(self):
         model = make_model(h=lambda x, z: x)
-        times = np.arange(11) * 0.01
-        path = SignalPath(times=times, slow_states=np.full((11, 1), 2.0),
-                          fast_states=np.zeros((11, 1)))
-        obs = simulate_observations(path, model, rng=_ZeroRng())
+        obs = simulate_observations(np.full((11, 1), 2.0), np.zeros((11, 1)), model,
+                                    0.01, rng=_ZeroRng())
         assert obs.increments.shape == (10, 1, 1)  # a lone path is one replication
         assert np.allclose(obs.increments, 0.02, rtol=0, atol=1e-15)
 
@@ -164,15 +189,14 @@ class TestSimulateObservations:
     def test_batch_rows_equal_lone_calls(self, family):
         model = catalog.make_model(family, epsilon=0.25)
         start = np.linspace(-0.5, 0.5, 3)[:, None]
-        truth = simulate_multiscale(model, start, start, 0.2, 0.02,
-                                    rng=np.random.default_rng(7))
+        xs, zs = simulate_multiscale(model, start, start, 0.2, 0.02,
+                                     rng=np.random.default_rng(7))
         gens = [np.random.default_rng(100 + r) for r in range(3)]
-        batch = simulate_observations(truth, model, rng=StreamBatch(gens))
+        batch = simulate_observations(xs, zs, model, 0.02, rng=StreamBatch(gens))
         assert batch.increments.shape == (10, 3, 1)
         for r in range(3):
-            path = SignalPath(truth.times, truth.slow_states[:, r],
-                              truth.fast_states[:, r])
-            lone = simulate_observations(path, model, rng=np.random.default_rng(100 + r))
+            lone = simulate_observations(xs[:, r], zs[:, r], model, 0.02,
+                                         rng=np.random.default_rng(100 + r))
             assert batch.increments[:, r].tobytes() == lone.increments.tobytes()
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from homfilt import catalog
-from homfilt.errors import HomfiltError, StudyAbortError
-from homfilt.filtering import FilterConfig, run_full_filter, run_homogenized_filter
+from homfilt import catalog, rng as rngmod
+from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
+from homfilt.filtering import (FilterConfig, gaussian_init_joint, run_full_filter,
+                               run_homogenized_filter)
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
-from homfilt.models import ObservationPath
+from homfilt.models import ObservationPath, blow_up_steps, simulate_multiscale
 from homfilt.study import (StudyConfig, fit_loglog_slope, report_csv,
-                           report_text, run_replication, run_study, summarize)
+                           report_text, run_replication, run_replications,
+                           run_study, summarize)
 
 
 def small_config(**overrides):
@@ -157,6 +159,32 @@ class TestRunReplication:
         basis = default_basis(cfg.basis_count, 1)
         d = run_replication(model, hm, cfg, basis, 0, 0)
         assert d <= 0.05
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_truth_blow_up_fails_every_replication(self):
+        # The truth overflows in every replication; each entry is the truth's
+        # BlowUpError, at the step blow_up_steps finds on the same streams,
+        # whatever the filters ran into.
+        params = {"a": 1.0e200}
+        cfg = small_config(family_params=params)
+        model = catalog.make_model("ou_benchmark", epsilon=0.25, **params)
+        hm = catalog.make_analytic_homogenized("ou_benchmark", **params)
+        reps = range(cfg.replications)
+        results = run_replications(model, hm, cfg, default_basis(cfg.basis_count, 1),
+                                   1, reps)
+
+        def streams(role):
+            return rngmod.StreamBatch([rngmod.stream(cfg.root_seed, 1, rep, role)
+                                       for rep in reps])
+
+        x0, z0 = gaussian_init_joint(cfg.init_mean, cfg.init_std, 1, 1)(
+            streams(rngmod.ROLE_INIT), (len(reps),))
+        xs, zs = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
+                                     rng=streams(rngmod.ROLE_TRUTH))
+        steps = blow_up_steps(xs, zs)
+        assert (steps >= 0).all()
+        assert all(type(r) is BlowUpError for r in results)
+        assert [r.step for r in results] == steps.tolist()
 
     def test_zero_steps_identical_delta_inits(self):
         # Point-mass initial ensembles and no observation steps: both
