@@ -14,7 +14,7 @@ from .averaging import (HomogenizedModel, StationaryAverager, TabulationGrid,
 from .errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
                      NotSymmetricError, StudyAbortError, UsageError,
                      WeightCollapseError)
-from .filtering import (FilterBatch, FilterConfig, ess, kalman_reference,
+from .filtering import (FilterBatch, ess, gaussian_prior, kalman_reference,
                         run_full_filter, run_homogenized_filter,
                         systematic_resample, weight_update)
 from .measures import EmpiricalMeasure, TestFunctionBasis, default_basis, metric_d

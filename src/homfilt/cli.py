@@ -21,8 +21,8 @@ from . import __version__, catalog, rng as rngmod
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
 from .errors import BlowUpError, HomfiltError, ModelShapeError, UsageError
-from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
-                        run_full_filter, run_homogenized_filter)
+from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_full_filter,
+                        run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d
 from .models import (ObservationPath, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
@@ -159,6 +159,8 @@ def cmd_simulate(args):
         step_count(horizon, dt)
         x0 = np.asarray(sec.get("x0", [0.0] * m), dtype=float).reshape(m)
         z0 = np.asarray(sec.get("z0", [0.0] * n), dtype=float).reshape(n)
+        if not (np.isfinite(x0).all() and np.isfinite(z0).all()):
+            raise ValueError("x0 and z0 must be finite")
     xs, zs = simulate_multiscale(model, x0, z0, horizon, dt,
                                  rng=rngmod.stream(args.seed, rngmod.ROLE_SIM_SIGNAL))
     blown = int(blow_up_steps(xs, zs))
@@ -254,24 +256,27 @@ def cmd_filter(args):
                           f"but the {kind} model's read-out has {target.dim_obs}")
     m = next(iter(targets.values())).dim_slow
     with _config_values("filter"):
-        fcfg = FilterConfig(n_particles=int(fsec.get("n_particles", 1000)),
-                            **_given(fsec, (("resample_threshold", float),)))
+        n_particles = int(fsec.get("n_particles", 1000))
+        if n_particles < 1:
+            raise ValueError("n_particles must be positive")
+        threshold = float(fsec.get("resample_threshold", RESAMPLE_THRESHOLD))
         basis = (default_basis(int(fsec.get("basis_count", 16)), m)
                  if mode == "both" else None)
         init_mean = float(fsec.get("init_mean", 0.0))
         init_std = float(fsec.get("init_std", 0.5))
 
-    manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(fcfg.n_particles),
-                                      "dt": repr(float(obs.times[1]))})
+    manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(n_particles),
+                                      "dt": repr(obs.dt)})
     finals = {}
     for kind, target in targets.items():
         if kind == "full":
-            run, role = run_full_filter, rngmod.ROLE_FILTER_FULL
-            init = gaussian_init_joint(init_mean, init_std, m, target.dim_fast)
+            run, role, n = run_full_filter, rngmod.ROLE_FILTER_FULL, target.dim_fast
         else:
-            run, role = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG
-            init = gaussian_init_slow(init_mean, init_std, m)
-        batch = run(target, obs, init, fcfg, [rngmod.stream(args.seed, role)])
+            run, role, n = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG, 0
+        rngs = [rngmod.stream(args.seed, role)]
+        states = gaussian_prior(rngmod.StreamBatch(rngs), (1, n_particles), init_mean,
+                                init_std, m, n)
+        batch = run(target, obs, states, threshold, rngs)
         if batch.errors[0] is not None:
             raise batch.errors[0]
         finals[kind] = EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0])

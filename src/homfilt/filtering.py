@@ -21,34 +21,20 @@ from .models import (MultiscaleModel, ObservationPath, euler_maruyama,
 from .rng import StreamBatch
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    n_particles: int
-    resample_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be positive")
-        if not (0.0 < self.resample_threshold <= 1.0):
-            raise ValueError("resample_threshold must lie in (0, 1]")
+RESAMPLE_THRESHOLD = 0.5  # default: resample once the ESS falls below half of N
 
 
-def gaussian_init_joint(mean: float, std: float, m: int, n: int) -> Callable:
-    """Initial sampler for the full filter: x ~ N(mean, std^2) per coordinate,
-    and z one standard normal away from x's first coordinate, near the frozen
-    stationary law.  ``init(rng, shape)`` returns x of shape ``shape + (m,)``
-    and z of shape ``shape + (n,)``, drawn in that order."""
-    def init(rng, shape):
-        x = mean + std * rng.standard_normal(shape + (m,))
-        return x, x[..., :1] + rng.standard_normal(shape + (n,))
-    return init
-
-
-def gaussian_init_slow(mean: float, std: float, m: int) -> Callable:
-    """Initial sampler for the reduced filter: the x draws of ``gaussian_init_joint``."""
-    def init(rng, shape):
-        return mean + std * rng.standard_normal(shape + (m,))
-    return init
+def gaussian_prior(rng, shape: tuple, mean: float, std: float, m: int,
+                   n: int) -> np.ndarray:
+    """The initial law of the truth and of both filters, as one ``shape +
+    (m + n,)`` array: x ~ N(mean, std^2) per coordinate, then z one standard
+    normal away from x's first coordinate, near the frozen stationary law.
+    x is drawn before z; the reduced filter passes n = 0."""
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise UsageError(f"init_mean and init_std must be finite, got {mean!r} "
+                         f"and {std!r}")
+    x = mean + std * rng.standard_normal(shape + (m,))
+    return np.concatenate([x, x[..., :1] + rng.standard_normal(shape + (n,))], axis=-1)
 
 
 def ess(weights: np.ndarray):
@@ -141,29 +127,32 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
 
 
 def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
-                init_states: np.ndarray, cfg: FilterConfig,
+                states: np.ndarray, resample_threshold: float,
                 rngs: StreamBatch) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    ``obs`` holds R replications on a uniform grid (``ObservationPath``
-    checks it), and each step is ``propagate(states, rngs, dt)`` with that
-    grid's step, ``times[1]``.  Row r draws only from ``rngs[r]``, in the
-    order a lone run of it draws, and every operation acts row by row, so
-    each row equals its own R = 1 run bit for bit.  A row that goes
-    non-finite or whose weights collapse gets its error recorded and runs on
-    as NaN without touching other rows; the loop stops once every row has
-    failed.  Of each step only the (R, dim) means and the (R,) ESS and
-    resample flags are kept, so memory grows with the horizon only as the
-    (T, R, d) observations do, and never with N.
+    The loop starts from a copy of ``states``, so the caller's cloud is never
+    changed, and a zero-step path hands that copy back.  ``obs`` holds R
+    replications on a uniform grid (``ObservationPath`` checks it), and each
+    step is ``propagate(states, rngs, dt)`` with that grid's step.  Row r
+    draws only from ``rngs[r]``, in the order a lone run of it draws, and
+    every operation acts row by row, so each row equals its own R = 1 run bit
+    for bit.  A row that goes non-finite or whose weights collapse gets its
+    error recorded and runs on as NaN without touching other rows; the loop
+    stops once every row has failed.  Of each step only the (R, dim) means
+    and the (R,) ESS and resample flags are kept, so memory grows with the
+    horizon only as the (T, R, d) observations do, and never with N.
     """
-    n = cfg.n_particles
-    n_rows = len(init_states)
+    if not (0.0 < resample_threshold <= 1.0):
+        raise UsageError("resample_threshold must lie in (0, 1]")
+    states = np.array(states, dtype=float)
+    n_rows, n = states.shape[:2]
     increments = np.asarray(obs.increments, dtype=float)
-    if increments.shape[1] != n_rows:
-        raise ValueError(f"observation increments of shape {increments.shape} "
-                         f"do not hold {n_rows} replications")
-    dt = float(obs.times[1]) if len(increments) else None  # a zero-step path needs none
-    states = init_states
+    if increments.shape[1] != n_rows or len(rngs.generators) != n_rows:
+        raise ValueError(f"observation increments of shape {increments.shape} and "
+                         f"{len(rngs.generators)} generators do not hold the cloud's "
+                         f"{n_rows} replications")
+    dt = obs.dt
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows
     means = np.full((len(increments), n_rows, states.shape[-1]), np.nan)
@@ -180,7 +169,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
         if None not in errors:
             break
         ess_steps[i] = ess(w)
-        resampled[i] = ess_steps[i] < cfg.resample_threshold * n
+        resampled[i] = ess_steps[i] < resample_threshold * n
         for r in np.flatnonzero(resampled[i]):
             states[r] = states[r, _systematic_indices(w[r], rngs[r].uniform(), n)]
             w[r] = 1.0 / n
@@ -189,22 +178,18 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
                        ess=ess_steps, resampled=resampled)
 
 
-def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
-                    init_sampler: Callable, cfg: FilterConfig,
+def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.ndarray,
+                    resample_threshold: float,
                     rngs: Sequence[np.random.Generator]) -> FilterBatch:
     """Bootstrap filters over the joint (slow, fast) state, one per replication
     of an observation batch with (T, R, d) increments on a uniform grid, whose
     step the filters take.
 
-    The filters start from ``init_sampler(StreamBatch(rngs), (R, N))``, which
-    must return x (R, N, m) and z (R, N, n_fast); row r draws from ``rngs[r]``
-    only, then and at every later step.
+    The filters start from the cloud ``states (R, N, m + n_fast)``, x first,
+    with equal weights; row r draws from ``rngs[r]`` only.
     """
-    streams = StreamBatch(rngs)
     substeps = model.default_substeps()
     m = model.dim_slow
-    init = np.concatenate(init_sampler(streams, (len(rngs), cfg.n_particles)),
-                          axis=-1, dtype=float)
 
     def propagate(states, streams, dt):
         x, z = multiscale_step(model, states[..., :m], states[..., m:], dt,
@@ -214,25 +199,23 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath,
     def read_out(states):
         return model.obs_fn(states[..., :m], states[..., m:])
 
-    return _run_filter(propagate, read_out, obs, init, cfg, streams)
+    return _run_filter(propagate, read_out, obs, states, resample_threshold,
+                       StreamBatch(rngs))
 
 
 def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
-                           init_sampler: Callable, cfg: FilterConfig,
+                           states: np.ndarray, resample_threshold: float,
                            rngs: Sequence[np.random.Generator]) -> FilterBatch:
     """Bootstrap filters over the slow state only, one per replication of the
-    full model's observation batch, as in ``run_full_filter``.
-
-    ``init_sampler(StreamBatch(rngs), (R, N))`` must return x (R, N, m).
+    full model's observation batch, from the cloud ``states (R, N, m)``, as in
+    ``run_full_filter``.
     """
-    streams = StreamBatch(rngs)
-
     def propagate(x, streams, dt):
         xi = streams.standard_normal(x.shape)
         return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, dt)
 
-    init = np.array(init_sampler(streams, (len(rngs), cfg.n_particles)), dtype=float)
-    return _run_filter(propagate, hmodel.obs_avg, obs, init, cfg, streams)
+    return _run_filter(propagate, hmodel.obs_avg, obs, states, resample_threshold,
+                       StreamBatch(rngs))
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
@@ -241,7 +224,7 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
     over every replication of an observation batch at once.
 
     Model: dX = a_lin X dt + sqrt(q) dV, with each increment of ``obs``,
-    (T, R, 1) on a uniform grid of step ``times[1]``, a reading of
+    (T, R, 1) on a uniform grid of step ``dt``, a reading of
     h_lin * X * dt plus unit-rate noise dB.  Returns the means (T+1, R) and
     the variances (T+1,), which do not depend on the observations; row 0 is
     the prior.
@@ -254,7 +237,7 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
     means = np.empty((len(increments) + 1, increments.shape[1]))
     variances = np.empty(len(increments) + 1)
     means[0], variances[0] = prior_mean, prior_var
-    dt = float(obs.times[1]) if len(increments) else None  # a zero-step path needs none
+    dt = obs.dt
     for i, dy in enumerate(increments[:, :, 0]):
         mean = (1.0 + a_lin * dt) * means[i]
         var = (1.0 + a_lin * dt) ** 2 * variances[i] + q * dt

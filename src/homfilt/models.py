@@ -92,6 +92,11 @@ class ObservationPath:
                              "laid out as (T, R, d) with one row per step, "
                              f"T = {len(steps)}")
 
+    @property
+    def dt(self):
+        """The grid's step, or None for a path with no steps."""
+        return float(self.times[1]) if len(self.times) > 1 else None
+
 
 def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
                    xi: np.ndarray, h: float) -> np.ndarray:

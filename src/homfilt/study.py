@@ -18,8 +18,8 @@ import numpy as np
 from . import catalog, measures, rng as rngmod
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
-from .filtering import (FilterConfig, gaussian_init_joint, gaussian_init_slow,
-                        run_full_filter, run_homogenized_filter)
+from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_full_filter,
+                        run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
@@ -37,7 +37,7 @@ class StudyConfig:
     root_seed: int
     family: str = "ou_benchmark"
     family_params: dict = field(default_factory=dict)
-    resample_threshold: float = 0.5
+    resample_threshold: float = RESAMPLE_THRESHOLD
     basis_count: int = 16
     init_mean: float = 0.0
     init_std: float = 0.5
@@ -56,13 +56,9 @@ class StudyConfig:
         step_count(self.horizon, self.dt)
         if self.bootstrap_samples < 1:
             raise ValueError("bootstrap_samples must be positive")
-        # FilterConfig and default_basis check the filter and basis fields.
-        self.filter_config()
-        default_basis(self.basis_count, 1)
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(n_particles=self.n_particles,
-                            resample_threshold=self.resample_threshold)
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be positive")
+        default_basis(self.basis_count, 1)  # checks basis_count
 
 
 @dataclass(frozen=True)
@@ -105,16 +101,20 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     r_init = streams(rngmod.ROLE_INIT)
 
     m, n = model.dim_slow, model.dim_fast
-    init_joint = gaussian_init_joint(cfg.init_mean, cfg.init_std, m, n)
-    x0, z0 = init_joint(rngmod.StreamBatch(r_init), (len(rep_indices),))
-    xs, zs = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
+
+    def prior(generators, shape, n_fast):
+        return gaussian_prior(rngmod.StreamBatch(generators), shape, cfg.init_mean,
+                              cfg.init_std, m, n_fast)
+
+    s0 = prior(r_init, (len(rep_indices),), n)
+    xs, zs = simulate_multiscale(model, s0[:, :m], s0[:, m:], cfg.horizon, cfg.dt,
                                  rng=rngmod.StreamBatch(r_truth))
     obs = simulate_observations(xs, zs, model, cfg.dt, rng=rngmod.StreamBatch(r_obs))
-
-    fcfg = cfg.filter_config()
-    full = run_full_filter(model, obs, init_joint, fcfg, r_full)
-    homog = run_homogenized_filter(
-        hmodel, obs, gaussian_init_slow(cfg.init_mean, cfg.init_std, m), fcfg, r_homog)
+    cloud = (len(rep_indices), cfg.n_particles)
+    full = run_full_filter(model, obs, prior(r_full, cloud, n), cfg.resample_threshold,
+                           r_full)
+    homog = run_homogenized_filter(hmodel, obs, prior(r_homog, cloud, 0),
+                                   cfg.resample_threshold, r_homog)
     blown = blow_up_steps(xs, zs)
     out = []
     for r in range(len(rep_indices)):

@@ -14,8 +14,8 @@ import yaml
 from homfilt import catalog
 from homfilt.averaging import StationaryAverager, _estimates, _frozen_sums, matrix_sqrt_psd
 from homfilt.cli import main as cli_main
-from homfilt.filtering import (FilterConfig, ParticleEnsemble, kalman_reference,
-                               run_full_filter, systematic_resample)
+from homfilt.filtering import (ParticleEnsemble, kalman_reference, run_full_filter,
+                               systematic_resample)
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import simulate_multiscale, simulate_observations
 from homfilt.rng import StreamBatch, stream
@@ -105,19 +105,17 @@ def test_criterion_4_filter_matches_kalman():
     model = catalog.make_model("linear", a=a, q=q, h=h)
     dt, horizon = 0.01, 2.0
     prior_mean, prior_var = 0.5, 0.25
-    cfg = FilterConfig(n_particles=8192)
     reps = range(50)
     xs, zs = simulate_multiscale(model, np.full((len(reps), 1), prior_mean),
                                  np.zeros((len(reps), 1)), horizon, dt,
                                  rng=StreamBatch([stream(7, rep, 0) for rep in reps]))
     obs = simulate_observations(xs, zs, model, dt,
                                 rng=StreamBatch([stream(7, rep, 1) for rep in reps]))
-
-    def init(rng, shape):
-        x0 = prior_mean + np.sqrt(prior_var) * rng.standard_normal(shape + (1,))
-        return x0, np.zeros(shape + (1,))
-
-    batch = run_full_filter(model, obs, init, cfg, [stream(7, rep, 2) for rep in reps])
+    rngs = [stream(7, rep, 2) for rep in reps]
+    x0 = prior_mean + np.sqrt(prior_var) * StreamBatch(rngs).standard_normal(
+        (len(reps), 8192, 1))
+    batch = run_full_filter(model, obs, np.concatenate([x0, np.zeros_like(x0)], -1),
+                            0.5, rngs)
     kalman_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
     # (steps, replications) -> the time-averaged difference of each replication
     diffs = (batch.means[:, :, 0] - kalman_means[1:]).mean(axis=0)

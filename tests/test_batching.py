@@ -12,10 +12,11 @@ import yaml
 from homfilt import catalog
 from homfilt.cli import main
 from homfilt.errors import BlowUpError
-from homfilt.filtering import (FilterConfig, run_full_filter,
+from homfilt.filtering import (gaussian_prior, run_full_filter,
                                run_homogenized_filter)
 from homfilt.measures import default_basis
 from homfilt.models import ObservationPath, simulate_multiscale, simulate_observations
+from homfilt.rng import StreamBatch
 from homfilt.study import StudyConfig, run_replication, run_study
 
 
@@ -115,30 +116,28 @@ def test_failed_replication_leaves_the_other_untouched(kind):
     xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]), 0.3, 0.02,
                                  rng=np.random.default_rng(1))
     obs = simulate_observations(xs, zs, model, 0.02, rng=np.random.default_rng(2))
-    cfg = FilterConfig(n_particles=128)
-    poisoned = [np.random.default_rng(3)]   # init puts a NaN into this stream's row
-
-    def init(rng, shape):
-        x = 0.5 * rng.standard_normal(shape + (1,))
-        if rng[0] is poisoned[0]:
-            x[0, 5, 0] = np.nan
-        return (x, x + rng.standard_normal(shape + (1,))) if kind == "full" else x
-
-    run, target = {"full": (run_full_filter, model),
-                   "homogenized": (run_homogenized_filter, hm)}[kind]
+    run, target, n = {"full": (run_full_filter, model, 1),
+                      "homogenized": (run_homogenized_filter, hm, 0)}[kind]
+    # Stream 3's row starts with a NaN particle; stream 4's is clean.
+    pair_rngs = [np.random.default_rng(3), np.random.default_rng(4)]
+    states = gaussian_prior(StreamBatch(pair_rngs), (2, 128), 0.0, 0.5, 1, n)
+    states[0, 5] = np.nan
     pair = ObservationPath(obs.times, np.repeat(obs.increments, 2, axis=1))
-    batch = run(target, pair, init, cfg,
-                [poisoned[0], np.random.default_rng(4)])
+    batch = run(target, pair, states, 0.5, pair_rngs)
     assert isinstance(batch.errors[0], BlowUpError)
     assert batch.errors[1] is None
-    lone = run(target, obs, init, cfg, [np.random.default_rng(4)])
+    lone_rngs = [np.random.default_rng(4)]
+    lone = run(target, obs, gaussian_prior(lone_rngs[0], (1, 128), 0.0, 0.5, 1, n), 0.5,
+               lone_rngs)
     assert lone.errors == [None]
     assert np.array_equal(batch.states[1], lone.states[0])
     assert np.array_equal(batch.weights[1], lone.weights[0])
     for record in ("means", "ess", "resampled"):
         assert np.array_equal(getattr(batch, record)[:, 1], getattr(lone, record)[:, 0])
-    poisoned[0] = np.random.default_rng(3)
-    lone_poisoned = run(target, obs, init, cfg, [poisoned[0]])
+    poisoned = [np.random.default_rng(3)]
+    states = gaussian_prior(poisoned[0], (1, 128), 0.0, 0.5, 1, n)
+    states[0, 5] = np.nan
+    lone_poisoned = run(target, obs, states, 0.5, poisoned)
     assert isinstance(lone_poisoned.errors[0], BlowUpError)
 
 

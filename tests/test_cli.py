@@ -282,12 +282,38 @@ class TestErrors:
             "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
                       "horizon": 0.1, "n_particles": 8, "dt": 0.02}}, "study")
 
-    @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"basis_count": 0}])
+    @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"basis_count": 0},
+                                     {"resample_threshold": 0},
+                                     {"resample_threshold": 1.5}])
     def test_bad_study_filter_or_basis_is_usage_error(self, tmp_path, capsys, bad):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark"},
             "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
                       "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}, "study")
+        assert not (tmp_path / "report.txt").exists()
+
+    # A non-finite initial law or state is a usage error, not a numeric
+    # failure of the run it would start.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section, bad, command, output", [
+        ("study", {"init_std": float("nan")}, "study", "report.txt"),
+        ("filter", {"init_mean": float("nan")}, "filter", "filter_full.csv"),
+        ("filter", {"init_std": float("inf"), "mode": "homogenized"}, "filter",
+         "filter_homogenized.csv"),
+        ("model", {"x0": [float("nan")]}, "simulate", "signal.csv"),
+        ("model", {"z0": [float("inf")]}, "simulate", "signal.csv"),
+    ])
+    def test_non_finite_initial_law_is_usage_error(self, tmp_path, capsys, section, bad,
+                                                   command, output):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        cfg = {"model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
+               "filter": {"observations": str(obs), "n_particles": 8},
+               "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                         "horizon": 0.1, "n_particles": 8, "dt": 0.02}}
+        cfg[section].update(bad)
+        self._usage_error(tmp_path, capsys, cfg, command)
+        assert not (tmp_path / output).exists()
 
     @pytest.mark.parametrize("section, bad, command", [
         ("filter", {"init_mean": "abc"}, "filter"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from homfilt import catalog
 from homfilt.errors import UsageError, WeightCollapseError
-from homfilt.filtering import (FilterConfig, ParticleEnsemble, ess,
+from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
                                kalman_reference, run_full_filter,
                                run_homogenized_filter, systematic_resample,
                                weight_update)
@@ -152,17 +152,15 @@ class TestRunFullFilter:
             times=times,
             increments=np.random.default_rng(0).standard_normal(
                 (len(times) - 1, 1, 1)) * np.sqrt(dt))
-
-        def init(rng, shape):
-            return np.full(shape + (1,), 1.0), np.zeros(shape + (1,))
-
-        cfg = FilterConfig(n_particles=4000, resample_threshold=0.5)
-        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(3)])
+        n_particles = 4000
+        start = np.zeros((1, n_particles, 2))
+        start[..., 0] = 1.0
+        batch = run_full_filter(model, obs, start, 0.5, [np.random.default_rng(3)])
         states, w = batch.states[0], batch.weights[0]
         mean = (w @ states)[0]
         # E[X(1)] = e^{-1}; Monte Carlo spread of the ensemble mean.
         sd = np.sqrt(np.cov(states[:, 0], aweights=w))
-        assert abs(mean - np.exp(-1.0)) < 3 * sd / np.sqrt(cfg.n_particles) + 3e-3
+        assert abs(mean - np.exp(-1.0)) < 3 * sd / np.sqrt(n_particles) + 3e-3
 
     def test_single_particle_is_one_trajectory(self):
         model = catalog.make_model("linear", epsilon=1.0)
@@ -170,12 +168,8 @@ class TestRunFullFilter:
         times = np.arange(11) * dt
         obs = ObservationPath(times=times,
                               increments=np.zeros((10, 1, 1)))
-
-        def init(rng, shape):
-            return np.zeros(shape + (1,)), np.zeros(shape + (1,))
-
-        cfg = FilterConfig(n_particles=1, resample_threshold=0.5)
-        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(4)])
+        batch = run_full_filter(model, obs, np.zeros((1, 1, 2)), 0.5,
+                                [np.random.default_rng(4)])
         assert batch.weights[0, 0] == 1.0
         # With N = 1 an ESS of 1 at every step means every weight was 1.
         assert batch.ess.shape == (10, 1)
@@ -198,13 +192,10 @@ class TestRunFullFilter:
                                      horizon, dt, rng=r_truth)
         obs = simulate_observations(xs, zs, model, dt, rng=np.random.default_rng(11))
         prior_mean, prior_var = 0.5, 0.25
-
-        def init(rng, shape):
-            x = prior_mean + np.sqrt(prior_var) * rng.standard_normal(shape + (1,))
-            return x, np.zeros(shape + (1,))
-
-        cfg = FilterConfig(n_particles=4000)
-        batch = run_full_filter(model, obs, init, cfg, [np.random.default_rng(12)])
+        rngs = [np.random.default_rng(12)]
+        x = prior_mean + np.sqrt(prior_var) * rngs[0].standard_normal((1, 4000, 1))
+        batch = run_full_filter(model, obs, np.concatenate([x, np.zeros_like(x)], -1),
+                                0.5, rngs)
         kal_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
         err = np.abs(batch.means[:, 0, 0] - kal_means[1:, 0]).mean()
         assert err < 0.05  # ~3x the particle-noise scale at N=4000
@@ -215,12 +206,8 @@ class TestRunHomogenizedFilter:
         hm = catalog.make_analytic_homogenized("linear", a=0.0, q=1e-30, h=0.0)
         times = np.arange(6) * 0.1
         obs = ObservationPath(times=times, increments=np.zeros((5, 1, 1)))
-
-        def init(rng, shape):
-            return np.full(shape + (1,), 2.5)
-
-        cfg = FilterConfig(n_particles=32)
-        final = run_homogenized_filter(hm, obs, init, cfg, [np.random.default_rng(5)])
+        final = run_homogenized_filter(hm, obs, np.full((1, 32, 1), 2.5), 0.5,
+                                       [np.random.default_rng(5)])
         assert np.allclose(final.states[0], 2.5, atol=1e-12)
         assert np.allclose(final.weights[0], 1.0 / 32)
 
@@ -234,52 +221,102 @@ class TestRunHomogenizedFilter:
         xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]),
                                      horizon, dt, rng=np.random.default_rng(20))
         obs = simulate_observations(xs, zs, model, dt, rng=np.random.default_rng(21))
-
-        def init_joint(rng, shape):
-            x = 0.2 + 0.3 * rng.standard_normal(shape + (1,))
-            return x, x + rng.standard_normal(shape + (1,))
-
-        def init_slow(rng, shape):
-            return 0.2 + 0.3 * rng.standard_normal(shape + (1,))
-
-        cfg = FilterConfig(n_particles=4000)
-        full = run_full_filter(model, obs, init_joint, cfg, [np.random.default_rng(22)])
-        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
-                                       [np.random.default_rng(23)])
+        n_particles = 4000
+        r_full, r_homog = [np.random.default_rng(22)], [np.random.default_rng(23)]
+        full = run_full_filter(
+            model, obs, gaussian_prior(r_full[0], (1, n_particles), 0.2, 0.3, 1, 1),
+            0.5, r_full)
+        homog = run_homogenized_filter(
+            hm, obs, gaussian_prior(r_homog[0], (1, n_particles), 0.2, 0.3, 1, 0),
+            0.5, r_homog)
         mf = (full.weights[0] @ full.states[0])[0]
         mh = (homog.weights[0] @ homog.states[0])[0]
         sf = np.sqrt(np.cov(full.states[0, :, 0], aweights=full.weights[0]))
-        assert abs(mf - mh) < 3 * (sf / np.sqrt(cfg.n_particles)) + 0.05
+        assert abs(mf - mh) < 3 * (sf / np.sqrt(n_particles)) + 0.05
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
 @pytest.mark.parametrize("n_obs, n_rngs", [(1, 2), (2, 1)])
 def test_replication_count_must_match_generators(kind, n_obs, n_rngs):
     obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, n_obs, 1)))
-    run, target = {"full": (run_full_filter, catalog.make_model("linear")),
-                   "homogenized": (run_homogenized_filter,
-                                   catalog.make_analytic_homogenized("linear"))}[kind]
-
-    def init(rng, shape):
-        x = np.zeros(shape + (1,))
-        return (x, x) if kind == "full" else x
-
+    run, target, dim = _filter(kind)
     with pytest.raises(ValueError):
-        run(target, obs, init, FilterConfig(n_particles=4),
+        run(target, obs, np.zeros((n_rngs, 4, dim)), 0.5,
             [np.random.default_rng(r) for r in range(n_rngs)])
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+def test_cloud_rows_must_match_generators(kind):
+    obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, 2, 1)))
+    run, target, dim = _filter(kind)
+    with pytest.raises(ValueError):
+        run(target, obs, np.zeros((2, 4, dim)), 0.5, [np.random.default_rng(0)])
 
 
 def test_initial_draws_are_independent_arrays():
     # m == n, so x and z are drawn with one shape; each draw must be its own.
     model = catalog.make_model("ou_benchmark")
     obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
-
-    def init(rng, shape):
-        return rng.standard_normal(shape + (1,)), rng.standard_normal(shape + (1,))
-
-    final = run_full_filter(model, obs, init, FilterConfig(n_particles=8),
-                            [np.random.default_rng(0)])
+    rng = np.random.default_rng(0)
+    states = np.concatenate([rng.standard_normal((1, 8, 1)),
+                             rng.standard_normal((1, 8, 1))], axis=-1)
+    final = run_full_filter(model, obs, states, 0.5, [np.random.default_rng(0)])
     assert not np.array_equal(final.states[0, :, 0], final.states[0, :, 1])
+
+
+def _filter(kind):
+    """A filter on the ``linear`` family, its model and its state dimension."""
+    return {"full": (run_full_filter, catalog.make_model("linear"), 2),
+            "homogenized": (run_homogenized_filter,
+                            catalog.make_analytic_homogenized("linear"), 1)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_resample_threshold_outside_unit_interval_is_usage_error(kind, threshold):
+    obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, 1, 1)))
+    run, target, dim = _filter(kind)
+    with pytest.raises(UsageError, match="resample_threshold"):
+        run(target, obs, np.zeros((1, 4, dim)), threshold, [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("steps", [0, 5])
+def test_callers_cloud_is_left_unchanged(kind, steps):
+    # A threshold of 1 resamples at every step that has unequal weights.
+    obs = ObservationPath(times=np.arange(steps + 1) * 0.1,
+                          increments=np.full((steps, 1, 1), 0.3))
+    run, target, dim = _filter(kind)
+    states = gaussian_prior(np.random.default_rng(1), (1, 16), 0.0, 1.0, 1, dim - 1)
+    before = states.copy()
+    batch = run(target, obs, states, 1.0, [np.random.default_rng(2)])
+    assert np.array_equal(states, before)
+    assert not np.shares_memory(batch.states, states)
+    if steps == 0:
+        assert np.array_equal(batch.states, states)
+    else:
+        assert batch.resampled[:, 0].any()
+
+
+class TestGaussianPrior:
+    def test_draws_x_then_z_near_x(self):
+        rng, again = np.random.default_rng(7), np.random.default_rng(7)
+        states = gaussian_prior(rng, (3, 5), 1.0, 0.5, 2, 1)
+        assert states.shape == (3, 5, 3)
+        x = 1.0 + 0.5 * again.standard_normal((3, 5, 2))
+        z = x[..., :1] + again.standard_normal((3, 5, 1))
+        assert np.array_equal(states, np.concatenate([x, z], axis=-1))
+
+    def test_reduced_cloud_is_the_x_of_the_full_one(self):
+        full = gaussian_prior(np.random.default_rng(8), (2, 6), 0.3, 0.2, 1, 1)
+        slow = gaussian_prior(np.random.default_rng(8), (2, 6), 0.3, 0.2, 1, 0)
+        assert np.array_equal(slow, full[..., :1])
+
+    @pytest.mark.parametrize("mean, std", [(float("nan"), 0.5), (0.0, float("inf")),
+                                           (float("-inf"), 0.5)])
+    def test_non_finite_law_is_usage_error(self, mean, std):
+        with pytest.raises(UsageError, match="finite"):
+            gaussian_prior(np.random.default_rng(0), (1, 4), mean, std, 1, 1)
 
 
 class TestKalmanReference:

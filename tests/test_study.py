@@ -3,8 +3,7 @@ import pytest
 
 from homfilt import catalog, rng as rngmod
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
-from homfilt.filtering import (FilterConfig, gaussian_init_joint, run_full_filter,
-                               run_homogenized_filter)
+from homfilt.filtering import gaussian_prior, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import ObservationPath, blow_up_steps, simulate_multiscale
 from homfilt.study import (StudyConfig, fit_loglog_slope, report_csv,
@@ -177,9 +176,9 @@ class TestRunReplication:
             return rngmod.StreamBatch([rngmod.stream(cfg.root_seed, 1, rep, role)
                                        for rep in reps])
 
-        x0, z0 = gaussian_init_joint(cfg.init_mean, cfg.init_std, 1, 1)(
-            streams(rngmod.ROLE_INIT), (len(reps),))
-        xs, zs = simulate_multiscale(model, x0, z0, cfg.horizon, cfg.dt,
+        s0 = gaussian_prior(streams(rngmod.ROLE_INIT), (len(reps),), cfg.init_mean,
+                            cfg.init_std, 1, 1)
+        xs, zs = simulate_multiscale(model, s0[:, :1], s0[:, 1:], cfg.horizon, cfg.dt,
                                      rng=streams(rngmod.ROLE_TRUTH))
         steps = blow_up_steps(xs, zs)
         assert (steps >= 0).all()
@@ -192,16 +191,9 @@ class TestRunReplication:
         model = catalog.make_model("ou_benchmark", epsilon=0.5)
         hm = catalog.make_analytic_homogenized("ou_benchmark")
         obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
-        cfg = FilterConfig(n_particles=16)
-
-        def init_joint(rng, shape):
-            return np.full(shape + (1,), 0.3), np.full(shape + (1,), 0.3)
-
-        def init_slow(rng, shape):
-            return np.full(shape + (1,), 0.3)
-
-        full = run_full_filter(model, obs, init_joint, cfg, [np.random.default_rng(0)])
-        homog = run_homogenized_filter(hm, obs, init_slow, cfg,
+        full = run_full_filter(model, obs, np.full((1, 16, 2), 0.3), 0.5,
+                               [np.random.default_rng(0)])
+        homog = run_homogenized_filter(hm, obs, np.full((1, 16, 1), 0.3), 0.5,
                                        [np.random.default_rng(1)])
         basis = default_basis(16, 1)
         assert metric_d(EmpiricalMeasure(full.states[0, :, :1], full.weights[0]),
