@@ -260,6 +260,7 @@ def _config_snapshot(cfg: StudyConfig) -> Dict[str, str]:
         "basis_count": str(cfg.basis_count),
         "init_mean": repr(float(cfg.init_mean)),
         "init_std": repr(float(cfg.init_std)),
+        "bootstrap_samples": str(cfg.bootstrap_samples),
         "root_seed": str(cfg.root_seed),
     }
     for k in sorted(cfg.family_params):

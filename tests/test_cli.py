@@ -183,6 +183,8 @@ class TestStudy:
         assert reports[0] == reports[1]
         text = reports[0][0].decode()
         assert "slope=" in text and "basis_version=gauss-v1" in text
+        # slope_ci depends on the bootstrap size, so the report records it.
+        assert "\nbootstrap_samples=20\n" in text
 
 
 class TestErrors:
