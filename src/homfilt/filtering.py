@@ -148,10 +148,9 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     states = np.array(states, dtype=float)
     n_rows, n = states.shape[:2]
     increments = np.asarray(obs.increments, dtype=float)
-    if increments.shape[1] != n_rows or len(rngs.generators) != n_rows:
-        raise ValueError(f"observation increments of shape {increments.shape} and "
-                         f"{len(rngs.generators)} generators do not hold the cloud's "
-                         f"{n_rows} replications")
+    if increments.shape[1] != n_rows:
+        raise ValueError(f"observation increments of shape {increments.shape} "
+                         f"do not hold {n_rows} replications")
     dt = obs.dt
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows

@@ -110,10 +110,10 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     xs, zs = simulate_multiscale(model, s0[:, :m], s0[:, m:], cfg.horizon, cfg.dt,
                                  rng=rngmod.StreamBatch(r_truth))
     obs = simulate_observations(xs, zs, model, cfg.dt, rng=rngmod.StreamBatch(r_obs))
-    cloud = (len(rep_indices), cfg.n_particles)
-    full = run_full_filter(model, obs, prior(r_full, cloud, n), cfg.resample_threshold,
+    shape = (len(rep_indices), cfg.n_particles)
+    full = run_full_filter(model, obs, prior(r_full, shape, n), cfg.resample_threshold,
                            r_full)
-    homog = run_homogenized_filter(hmodel, obs, prior(r_homog, cloud, 0),
+    homog = run_homogenized_filter(hmodel, obs, prior(r_homog, shape, 0),
                                    cfg.resample_threshold, r_homog)
     blown = blow_up_steps(xs, zs)
     out = []

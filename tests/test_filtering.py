@@ -235,6 +235,13 @@ class TestRunHomogenizedFilter:
         assert abs(mf - mh) < 3 * (sf / np.sqrt(n_particles)) + 0.05
 
 
+def _filter(kind):
+    """A filter on the ``linear`` family, its model and its state dimension."""
+    return {"full": (run_full_filter, catalog.make_model("linear"), 2),
+            "homogenized": (run_homogenized_filter,
+                            catalog.make_analytic_homogenized("linear"), 1)}[kind]
+
+
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
 @pytest.mark.parametrize("n_obs, n_rngs", [(1, 2), (2, 1)])
 def test_replication_count_must_match_generators(kind, n_obs, n_rngs):
@@ -254,7 +261,8 @@ def test_cloud_rows_must_match_generators(kind):
 
 
 def test_initial_draws_are_independent_arrays():
-    # m == n, so x and z are drawn with one shape; each draw must be its own.
+    # m == n, and x and z are separate draws: a zero-step path hands the
+    # cloud back column for column.
     model = catalog.make_model("ou_benchmark")
     obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
     rng = np.random.default_rng(0)
@@ -262,13 +270,6 @@ def test_initial_draws_are_independent_arrays():
                              rng.standard_normal((1, 8, 1))], axis=-1)
     final = run_full_filter(model, obs, states, 0.5, [np.random.default_rng(0)])
     assert not np.array_equal(final.states[0, :, 0], final.states[0, :, 1])
-
-
-def _filter(kind):
-    """A filter on the ``linear`` family, its model and its state dimension."""
-    return {"full": (run_full_filter, catalog.make_model("linear"), 2),
-            "homogenized": (run_homogenized_filter,
-                            catalog.make_analytic_homogenized("linear"), 1)}[kind]
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
