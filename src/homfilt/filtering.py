@@ -127,12 +127,13 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
 
 
 def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
-                states: np.ndarray, resample_threshold: float,
+                states: np.ndarray, dim: int, resample_threshold: float,
                 rngs: StreamBatch) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    The loop starts from a copy of ``states``, so the caller's cloud is never
-    changed, and a zero-step path hands that copy back.  ``obs`` holds R
+    The loop starts from a copy of ``states``, an (R, N, dim) cloud with
+    N >= 1, so the caller's cloud is never changed, and a zero-step path
+    hands that copy back.  ``obs`` holds R
     replications on a uniform grid (``ObservationPath`` checks it), and each
     step is ``propagate(states, rngs, dt)`` with that grid's step.  Row r
     draws only from ``rngs[r]``, in the order a lone run of it draws, and
@@ -146,6 +147,8 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     if not (0.0 < resample_threshold <= 1.0):
         raise UsageError("resample_threshold must lie in (0, 1]")
     states = np.array(states, dtype=float)
+    if states.ndim != 3 or states.shape[1] < 1 or states.shape[2] != dim:
+        raise ValueError(f"a cloud of shape {states.shape} is not (R, N >= 1, {dim})")
     n_rows, n = states.shape[:2]
     increments = np.asarray(obs.increments, dtype=float)
     if increments.shape[1] != n_rows:
@@ -198,8 +201,8 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.nda
     def read_out(states):
         return model.obs_fn(states[..., :m], states[..., m:])
 
-    return _run_filter(propagate, read_out, obs, states, resample_threshold,
-                       StreamBatch(rngs))
+    return _run_filter(propagate, read_out, obs, states, m + model.dim_fast,
+                       resample_threshold, StreamBatch(rngs))
 
 
 def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
@@ -213,8 +216,8 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
         xi = streams.standard_normal(x.shape)
         return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, dt)
 
-    return _run_filter(propagate, hmodel.obs_avg, obs, states, resample_threshold,
-                       StreamBatch(rngs))
+    return _run_filter(propagate, hmodel.obs_avg, obs, states, hmodel.dim_slow,
+                       resample_threshold, StreamBatch(rngs))
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,

@@ -253,6 +253,21 @@ def test_replication_count_must_match_generators(kind, n_obs, n_rngs):
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("shape", ["no particles", "one column short",
+                                   "one column over", "no replication axis"])
+def test_cloud_of_another_shape_is_rejected(kind, steps, shape):
+    obs = ObservationPath(times=np.arange(steps + 1) * 0.1,
+                          increments=np.zeros((steps, 1, 1)))
+    run, target, dim = _filter(kind)
+    states = np.zeros({"no particles": (1, 0, dim), "one column short": (1, 4, dim - 1),
+                       "one column over": (1, 4, dim + 1),
+                       "no replication axis": (4, dim)}[shape])
+    with pytest.raises(ValueError, match="cloud of shape"):
+        run(target, obs, states, 0.5, [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
 def test_cloud_rows_must_match_generators(kind):
     obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, 2, 1)))
     run, target, dim = _filter(kind)
