@@ -16,6 +16,7 @@ import ast
 import pathlib
 import sys
 
+# FilterConfig no longer exists; it stays listed so that older trees count as before.
 CONFIG_CLASSES = ("FilterConfig", "StudyConfig", "StationaryAverager", "TabulationGrid")
 
 
