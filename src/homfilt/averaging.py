@@ -10,7 +10,7 @@ a tabulation grid or supplied analytically for families where they are known.
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
                      NotSymmetricError, UsageError)
 from .models import MultiscaleModel, euler_maruyama, step_count
-from . import rng as rngmod
+from . import rng as rngmod, schema
 
 TOL_PSD = 1e-10
 
@@ -147,9 +147,9 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 class TabulationGrid:
     """Rectangular grid over the slow-state space."""
 
-    lows: tuple
-    highs: tuple
-    counts: tuple
+    lows: tuple[float, ...]
+    highs: tuple[float, ...]
+    counts: tuple[int, ...]
     interpolation: str = "multilinear"  # or "nearest"
 
     def __post_init__(self):
@@ -175,6 +175,10 @@ class TabulationGrid:
         """All node coordinates, shape (prod(counts), ndim), row-major order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+# The grid fields that hold one value per axis: a table file's axis= lines.
+_PER_AXIS = [f for f in fields(TabulationGrid) if schema.item_kind(f.type)]
 
 
 @dataclass(frozen=True)
@@ -294,30 +298,29 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
 # Text serialization of tabulated models (self-describing, reload bit-exact).
 # ---------------------------------------------------------------------------
 
-def _fmt_row(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+def _header_lines(obj) -> list:
+    """``name=value`` for each field of ``obj`` but those of one value per axis."""
+    return [f"{f.name}={schema.fmt(f.type, getattr(obj, f.name))}"
+            for f in fields(obj) if f not in _PER_AXIS]
 
 
 def save_tabulated(hm: HomogenizedModel, path: str):
     if hm.table is None:
         raise ValueError("only tabulated models can be serialized")
     g, t = hm.grid, hm.table
-    cfg = t["averager"]
     lines = ["# homfilt tabulated homogenized model v1",
              f"dim_slow={hm.dim_slow}",
              f"dim_obs={hm.dim_obs}",
-             f"interpolation={g.interpolation}",
+             *_header_lines(g),
              f"root_seed={t['root_seed']}",
-             f"burn_in={cfg.burn_in!r}",
-             f"sample_horizon={cfg.sample_horizon!r}",
-             f"dt={cfg.dt!r}",
-             f"replicates={cfg.replicates}"]
-    for lo, hi, c in zip(g.lows, g.highs, g.counts):
-        lines.append(f"axis={lo!r} {hi!r} {c}")
+             *_header_lines(t["averager"])]
+    for values in zip(*(getattr(g, f.name) for f in _PER_AXIS)):
+        lines.append("axis=" + " ".join(schema.fmt(schema.item_kind(f.type), v)
+                                        for f, v in zip(_PER_AXIS, values)))
     for key in TABLE_KEYS:
         lines.append(f"[{key}]")
         for row in t[key]:
-            lines.append(_fmt_row(row))
+            lines.append(schema.fmt(tuple[float, ...], np.ravel(row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -333,16 +336,18 @@ def load_tabulated(path: str) -> HomogenizedModel:
     while i < len(raw) and not raw[i].startswith("["):
         key, val = raw[i].split("=", 1)
         if key == "axis":
-            lo, hi, c = val.split()
-            axes.append((float(lo), float(hi), int(c)))
+            axes.append(val.split())
+            if len(axes[-1]) != len(_PER_AXIS):
+                raise ValueError(f"axis={val} does not hold {len(_PER_AXIS)} values")
         else:
             header[key] = val
         i += 1
-    grid = TabulationGrid(lows=tuple(a[0] for a in axes),
-                          highs=tuple(a[1] for a in axes),
-                          counts=tuple(a[2] for a in axes),
-                          interpolation=header["interpolation"])
+    grid = schema.build(TabulationGrid, {
+        **{f.name: header[f.name] for f in fields(TabulationGrid) if f not in _PER_AXIS},
+        **{f.name: [axis[j] for axis in axes] for j, f in enumerate(_PER_AXIS)}})
     m, d = int(header["dim_slow"]), int(header["dim_obs"])
+    if grid.ndim != m:
+        raise ValueError(f"dim_slow={m}, but {grid.ndim} axis lines")
     nodes = grid.nodes()
     blocks = {}
     for line in raw[i:]:
@@ -359,10 +364,8 @@ def load_tabulated(path: str) -> HomogenizedModel:
             raise ValueError(f"block [{key}] node {bad[0]} at x={nodes[bad[0]].tolist()}: "
                              "non-finite value")
         blocks[key] = np.array(rows)
-    cfg = StationaryAverager(burn_in=float(header["burn_in"]),
-                             sample_horizon=float(header["sample_horizon"]),
-                             dt=float(header["dt"]),
-                             replicates=int(header["replicates"]))
+    cfg = schema.build(StationaryAverager,
+                       {f.name: header[f.name] for f in fields(StationaryAverager)})
     shapes = {"b": (m,), "a": (m, m), "h": (d,)}  # per node, for a key and its _se
     table = {key: blocks[key].reshape((len(nodes),) + shapes[key[0]])
              for key in TABLE_KEYS}

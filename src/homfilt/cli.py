@@ -11,13 +11,14 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
 import numpy as np
 import yaml
 
-from . import __version__, catalog, rng as rngmod
+from . import __version__, catalog, rng as rngmod, schema
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
 from .errors import BlowUpError, HomfiltError, ModelShapeError, UsageError
@@ -33,16 +34,21 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+
+def _names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 # Every key a config section may hold, over all subcommands: one file drives them all.
+# The section of a config class holds its fields, less those set elsewhere.
 _KEYS = {
     "model": {"family", "epsilon", "params", "horizon", "dt", "x0", "z0"},
-    "averager": {"grid", "burn_in", "sample_horizon", "dt", "replicates"},
-    "averager.grid": {"lows", "highs", "counts", "interpolation"},
+    "averager": _names(StationaryAverager) | {"grid"},
+    "averager.grid": _names(TabulationGrid),
     "filter": {"mode", "observations", "table", "n_particles", "resample_threshold",
                "basis_count", "init_mean", "init_std"},
-    "study": {"epsilons", "replications", "horizon", "n_particles", "dt",
-              "resample_threshold", "basis_count", "init_mean", "init_std",
-              "bootstrap_samples"},
+    # [model]'s family and params, and --seed.
+    "study": _names(StudyConfig) - {"family", "family_params", "root_seed"},
 }
 
 
@@ -90,9 +96,15 @@ def _config_values(section):
         raise UsageError(f"bad [{section}] config: {exc}") from exc
 
 
-def _given(sec, kinds):
-    """The keys of ``kinds`` set in ``sec``; the config class holds each default."""
-    return {key: kind(sec[key]) for key, kind in kinds if key in sec}
+def _build(cls, section, sec, **given):
+    """``cls`` from the keys of config section [section] that are its fields,
+    and the values ``given``, each parsed by its field's annotation."""
+    values = {k: v for k, v in sec.items() if k in _names(cls)} | given
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            _require(values, f.name, section)
+    with _config_values(section):
+        return schema.build(cls, values)
 
 
 def _manifest_lines(args, extra):
@@ -187,16 +199,8 @@ def cmd_homogenize(args):
     model, family, params = _model_from_config(cfg)
     sec = _section(cfg, "averager")
     _require(sec, "grid", "averager")
-    grid_sec = _section(sec, "averager.grid", "grid")
-    with _config_values("averager"):
-        grid = TabulationGrid(
-            lows=tuple(float(v) for v in _require(grid_sec, "lows", "averager.grid")),
-            highs=tuple(float(v) for v in _require(grid_sec, "highs", "averager.grid")),
-            counts=tuple(int(v) for v in _require(grid_sec, "counts", "averager.grid")),
-            interpolation=grid_sec.get("interpolation", "multilinear"))
-        acfg = StationaryAverager(**_given(sec, (
-            ("burn_in", float), ("sample_horizon", float), ("dt", float),
-            ("replicates", int))))
+    grid = _build(TabulationGrid, "averager.grid", _section(sec, "averager.grid", "grid"))
+    acfg = _build(StationaryAverager, "averager", sec)
     hm = build_homogenized(model, grid, acfg, root_seed=args.seed)
     out_path = os.path.join(args.out, "homogenized_table.txt")
     try:
@@ -212,6 +216,9 @@ def _obs_from_file(path):
         manifest, header, rows = read_csv(path)
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError("no rows of time and increments")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite value in data row {bad[0] + 1}")
         return ObservationPath(times=np.concatenate([[0.0], rows[:, 0]]),
                                increments=rows[:, None, 1:])
     except OSError as exc:
@@ -256,11 +263,11 @@ def cmd_filter(args):
                           f"but the {kind} model's read-out has {target.dim_obs}")
     m = next(iter(targets.values())).dim_slow
     with _config_values("filter"):
-        n_particles = int(fsec.get("n_particles", 1000))
+        n_particles = schema.whole(fsec.get("n_particles", 1000))
         if n_particles < 1:
             raise ValueError("n_particles must be positive")
         threshold = float(fsec.get("resample_threshold", RESAMPLE_THRESHOLD))
-        basis = (default_basis(int(fsec.get("basis_count", 16)), m)
+        basis = (default_basis(schema.whole(fsec.get("basis_count", 16)), m)
                  if mode == "both" else None)
         init_mean = float(fsec.get("init_mean", 0.0))
         init_std = float(fsec.get("init_std", 0.5))
@@ -300,19 +307,9 @@ def cmd_study(args):
     cfg = _load_config(args.config)
     sec = _section(cfg, "study")
     msec = _section(cfg, "model")
-    with _config_values("study"):
-        scfg = StudyConfig(
-            epsilons=tuple(float(e) for e in _require(sec, "epsilons", "study")),
-            replications=int(_require(sec, "replications", "study")),
-            horizon=float(_require(sec, "horizon", "study")),
-            n_particles=int(_require(sec, "n_particles", "study")),
-            dt=float(_require(sec, "dt", "study")),
-            root_seed=args.seed,
-            family_params=dict(msec.get("params", {})),
-            **_given(msec, (("family", str),)),
-            **_given(sec, (("resample_threshold", float), ("basis_count", int),
-                           ("init_mean", float), ("init_std", float),
-                           ("bootstrap_samples", int))))
+    family = {"family": msec["family"]} if "family" in msec else {}
+    scfg = _build(StudyConfig, "study", sec, root_seed=args.seed,
+                  family_params=msec.get("params", {}), **family)
     report = run_study(scfg)
     txt_path = os.path.join(args.out, "report.txt")
     csv_path = os.path.join(args.out, "report.csv")
@@ -349,6 +346,8 @@ _COMMANDS = {"simulate": cmd_simulate, "homogenize": cmd_homogenize,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         os.makedirs(args.out, exist_ok=True)
         # Non-finite states are reported as errors; numpy's warnings add nothing.
         with np.errstate(all="ignore"):

@@ -10,12 +10,12 @@ predicts slope 1/2 up to particle noise.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import catalog, measures, rng as rngmod
+from . import catalog, measures, rng as rngmod, schema
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_full_filter,
@@ -27,21 +27,23 @@ from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyConfig:
-    epsilons: tuple                  # strictly decreasing, in (0, 1]
+    """Settings of an epsilon sweep, in the order of report.txt's config block."""
+
+    family: str = "ou_benchmark"
+    epsilons: tuple[float, ...]      # strictly decreasing, in (0, 1]
     replications: int
     horizon: float
     n_particles: int
     dt: float
-    root_seed: int
-    family: str = "ou_benchmark"
-    family_params: dict = field(default_factory=dict)
     resample_threshold: float = RESAMPLE_THRESHOLD
     basis_count: int = 16
     init_mean: float = 0.0
     init_std: float = 0.5
     bootstrap_samples: int = 1000
+    root_seed: int
+    family_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         eps = tuple(self.epsilons)
@@ -249,22 +251,15 @@ def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple
 
 
 def _config_snapshot(cfg: StudyConfig) -> Dict[str, str]:
-    snap = {
-        "family": cfg.family,
-        "epsilons": " ".join(repr(float(e)) for e in cfg.epsilons),
-        "replications": str(cfg.replications),
-        "horizon": repr(float(cfg.horizon)),
-        "n_particles": str(cfg.n_particles),
-        "dt": repr(float(cfg.dt)),
-        "resample_threshold": repr(float(cfg.resample_threshold)),
-        "basis_count": str(cfg.basis_count),
-        "init_mean": repr(float(cfg.init_mean)),
-        "init_std": repr(float(cfg.init_std)),
-        "bootstrap_samples": str(cfg.bootstrap_samples),
-        "root_seed": str(cfg.root_seed),
-    }
-    for k in sorted(cfg.family_params):
-        snap[f"param_{k}"] = repr(float(cfg.family_params[k]))
+    """Each field of ``cfg`` as text, in field order; the family parameters
+    take one ``param_<key>`` entry each, in key order."""
+    snap = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is dict:
+            snap.update((f"param_{k}", repr(float(value[k]))) for k in sorted(value))
+        else:
+            snap[f.name] = schema.fmt(f.type, value)
     return snap
 
 

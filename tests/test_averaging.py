@@ -187,6 +187,7 @@ class TestBuildHomogenized:
         path = str(tmp_path / "table.txt")
         save_tabulated(hm, path)
         hm2 = load_tabulated(path)
+        assert (hm2.grid, hm2.table["averager"]) == (grid, FAST_CFG)
         probes = np.linspace(-1.2, 1.2, 7)[:, None]
         assert np.array_equal(hm.drift_avg(probes), hm2.drift_avg(probes))
         assert np.array_equal(hm.diffsq_avg(probes), hm2.diffsq_avg(probes))

@@ -207,6 +207,20 @@ class TestErrors:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         return err
 
+    @staticmethod
+    def _every_section(tmp_path):
+        """A small config that every subcommand runs, and its observations."""
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        return {"model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
+                "filter": {"observations": str(obs), "n_particles": 8},
+                "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                          "horizon": 0.1, "n_particles": 8, "dt": 0.02,
+                          "bootstrap_samples": 20},
+                "averager": {"replicates": 2, "sample_horizon": 0.2, "burn_in": 0.1,
+                             "dt": 0.1,
+                             "grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]}}}
+
     def test_bad_study_config_is_usage_error(self, tmp_path, capsys):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark"},
@@ -337,6 +351,32 @@ class TestErrors:
         cfg[section].update(bad)
         self._usage_error(tmp_path, capsys, cfg, command)
 
+    # A count that is not a whole number, or is a bool, is refused rather
+    # than cut down to an int.
+    @pytest.mark.parametrize("section, bad, command, output", [
+        ("study", {"replications": 2.9}, "study", "report.txt"),
+        ("study", {"n_particles": 16.7}, "study", "report.txt"),
+        ("averager", {"replicates": 4.5}, "homogenize", "homogenized_table.txt"),
+        ("averager.grid", {"counts": [5.7]}, "homogenize", "homogenized_table.txt"),
+        ("filter", {"n_particles": 16.9}, "filter", "filter_full.csv"),
+        ("filter", {"basis_count": True}, "filter", "filter_full.csv"),
+    ])
+    def test_non_whole_count_is_usage_error(self, tmp_path, capsys, section, bad,
+                                            command, output):
+        cfg = self._every_section(tmp_path)
+        (cfg["averager"]["grid"] if section == "averager.grid" else cfg[section]).update(bad)
+        err = self._usage_error(tmp_path, capsys, cfg, command)
+        assert "expected a whole number" in err
+        assert not (tmp_path / output).exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "homogenize", "filter", "study"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, self._every_section(tmp_path))
+        out = tmp_path / "out"
+        assert run(["--config", path, "--seed", -1, "--out", out, command]) == 2
+        assert capsys.readouterr().err == "usage error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, command", [
         ("model", "epsilom", "simulate"),
         ("averager", "replicate", "homogenize"),
@@ -419,6 +459,14 @@ class TestErrors:
         obs.write_text("time,dy0\n0.01,0.3\n0.02,oops\n")
         self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_observations_is_io_error(self, tmp_path, capsys, value):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"time,dy0\n0.01,0.3\n0.02,{value}\n")
+        err = self._io_error(tmp_path, capsys, {"observations": str(obs)}, obs)
+        assert err.endswith(": non-finite value in data row 2\n")
+        assert not (tmp_path / "filter_full.csv").exists()
+
     @pytest.mark.parametrize("rows", ["0.0,0.3\n0.0,-0.1\n", "-0.01,0.3\n-0.02,-0.1\n",
                                       "0.02,0.3\n0.01,-0.1\n"])
     def test_non_increasing_observation_times_is_io_error(self, tmp_path, capsys, rows):
@@ -433,6 +481,28 @@ class TestErrors:
         self._io_error(tmp_path, capsys, {"observations": str(obs), "n_particles": 8},
                        obs)
 
+    # Per block: the rows of a 2-node table of a 1-D slow state, and one row
+    # of a table of a 2-D slow state.
+    _BLOCKS = {"[b]": ("0.0", "0.0"), "[a]": ("1.0", "1.0"), "[h]": ("0.0", "0.0"),
+               "[b_se]": ("0.0", "0.0"), "[a_se]": ("0.0", "0.0"), "[h_se]": ("0.0", "0.0")}
+    _ROWS_2D = {"[b]": "0.0 0.0", "[a]": "1.0 0.0 0.0 1.0", "[h]": "0.0",
+                "[b_se]": "0.0 0.0", "[a_se]": "0.0 0.0 0.0 0.0", "[h_se]": "0.0"}
+
+    @staticmethod
+    def _table(tmp_path, blocks, dim_slow=1, axes=("-1.0 1.0 2",)):
+        """A table file with the given header and blocks, and observations
+        to filter with it."""
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join([
+            "# homfilt tabulated homogenized model v1", f"dim_slow={dim_slow}",
+            "dim_obs=1", "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
+            "sample_horizon=2.0", "dt=0.01", "replicates=2"]
+            + [f"axis={axis}" for axis in axes]
+            + [line for key, rows in blocks.items() for line in (key,) + rows]))
+        return obs, table
+
     def test_malformed_table_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
@@ -443,15 +513,7 @@ class TestErrors:
                                           "table": str(table)}, table)
 
     def test_not_psd_table_is_io_error(self, tmp_path, capsys):
-        obs = tmp_path / "obs.csv"
-        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
-        table = tmp_path / "table.txt"
-        table.write_text("\n".join([
-            "# homfilt tabulated homogenized model v1", "dim_slow=1", "dim_obs=1",
-            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
-            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2",
-            "[b]", "0.0", "0.0", "[a]", "1.0", "-1.0", "[h]", "0.0", "0.0",
-            "[b_se]", "0.0", "0.0", "[a_se]", "0.0", "0.0", "[h_se]", "0.0", "0.0"]))
+        obs, table = self._table(tmp_path, {**self._BLOCKS, "[a]": ("1.0", "-1.0")})
         err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
                                                 "observations": str(obs),
                                                 "table": str(table)}, table)
@@ -461,22 +523,23 @@ class TestErrors:
                                             ("[b]", ("0.0",))])
     def test_malformed_table_block_is_io_error(self, tmp_path, capsys, block, bad):
         # A non-finite value, or a block that is one row short of the grid.
-        obs = tmp_path / "obs.csv"
-        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
-        blocks = {"[b]": ("0.0", "0.0"), "[a]": ("1.0", "1.0"), "[h]": ("0.0", "0.0"),
-                  "[b_se]": ("0.0", "0.0"), "[a_se]": ("0.0", "0.0"),
-                  "[h_se]": ("0.0", "0.0"), block: bad}
-        table = tmp_path / "table.txt"
-        table.write_text("\n".join([
-            "# homfilt tabulated homogenized model v1", "dim_slow=1", "dim_obs=1",
-            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
-            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2"]
-            + [line for key, rows in blocks.items() for line in (key,) + rows]))
+        obs, table = self._table(tmp_path, {**self._BLOCKS, block: bad})
         err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
                                                 "observations": str(obs),
                                                 "table": str(table)}, table)
         assert {"[a]": "block [a] node 1 at x=[1.0]: non-finite value",
                 "[b]": "block [b] has 1 rows, not one for each node 0..1"}[block] in err
+
+    def test_table_whose_dim_slow_is_not_its_axis_count_is_io_error(self, tmp_path,
+                                                                    capsys):
+        # Rows that fit dim_slow=2, on a grid of one axis.
+        blocks = {key: (row,) * 2 for key, row in self._ROWS_2D.items()}
+        obs, table = self._table(tmp_path, blocks, dim_slow=2)
+        err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                                "observations": str(obs),
+                                                "table": str(table)}, table)
+        assert err.endswith(": dim_slow=2, but 1 axis lines\n")
+        assert not (tmp_path / "filter_homogenized.csv").exists()
 
     def test_observations_of_another_dimension_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -489,17 +552,8 @@ class TestErrors:
 
     def test_table_of_another_dimension_is_io_error(self, tmp_path, capsys):
         # A 2 x 2 grid of a 2-D slow state, read against the 1-D ou_benchmark.
-        obs = tmp_path / "obs.csv"
-        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
-        blocks = {"[b]": "0.0 0.0", "[a]": "1.0 0.0 0.0 1.0", "[h]": "0.0",
-                  "[b_se]": "0.0 0.0", "[a_se]": "0.0 0.0 0.0 0.0", "[h_se]": "0.0"}
-        table = tmp_path / "table.txt"
-        table.write_text("\n".join([
-            "# homfilt tabulated homogenized model v1", "dim_slow=2", "dim_obs=1",
-            "interpolation=multilinear", "root_seed=0", "burn_in=1.0",
-            "sample_horizon=2.0", "dt=0.01", "replicates=2", "axis=-1.0 1.0 2",
-            "axis=-1.0 1.0 2"]
-            + [line for key, row in blocks.items() for line in (key,) + (row,) * 4]))
+        blocks = {key: (row,) * 4 for key, row in self._ROWS_2D.items()}
+        obs, table = self._table(tmp_path, blocks, 2, ("-1.0 1.0 2",) * 2)
         err = self._io_error(tmp_path, capsys, {"mode": "both", "observations": str(obs),
                                                 "n_particles": 8, "table": str(table)},
                              table)
@@ -518,8 +572,8 @@ class TestErrors:
 
 
 def test_readme_key_table_names_the_config_keys():
-    # README's table of config keys, section by section, against the
-    # table the CLI checks configs with.
+    # README's table of config keys, section by section, against the keys
+    # the CLI accepts, most of which it takes from the config classes' fields.
     from homfilt import cli
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     table = readme.read_text().split("| Section | Key | Default | Read by |")[1]

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from homfilt import catalog, rng as rngmod
+from homfilt import catalog, rng as rngmod, schema
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import gaussian_prior, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
@@ -111,6 +113,23 @@ class TestRunStudySynthetic:
         assert report_text(r1) == report_text(r2)
         assert report_csv(r1) == report_csv(r2)
         assert "epsilon,replication,distance" in report_csv(r1)
+
+    def test_report_records_every_setting(self):
+        # One config line per StudyConfig field, in field order, with one
+        # param_<key> line per family parameter in place of family_params;
+        # the lines give back the config.
+        cfg = small_config(family_params={"sigma0": 0.5, "c_b": 0.25})
+        text = report_text(summarize(cfg, sweep(cfg, lambda eps, ei, ri: 0.1 * eps)))
+        block = text.split("\nbasis_version=")[0].splitlines()[1:]
+        values = dict(line.split("=", 1) for line in block)
+        scalars = [f for f in fields(StudyConfig) if f.type is not dict]
+        assert list(values) == [f.name for f in scalars] + ["param_c_b", "param_sigma0"]
+        rebuilt = {f.name: schema.parse(f.type, values[f.name].split()
+                                        if schema.item_kind(f.type) else values[f.name])
+                   for f in scalars}
+        params = {k.removeprefix("param_"): float(v) for k, v in values.items()
+                  if k.startswith("param_")}
+        assert StudyConfig(**rebuilt, family_params=params) == cfg
 
     def test_abort_reads_no_later_epsilon(self):
         # run_study hands summarize a generator that runs each epsilon's
