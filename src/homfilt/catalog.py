@@ -22,6 +22,7 @@ import numbers
 
 import numpy as np
 
+from . import schema
 from .averaging import HomogenizedModel
 from .errors import UsageError
 from .models import MultiscaleModel
@@ -109,7 +110,11 @@ def _build(name: str, epsilon: float, **params):
         raise UsageError(f"unknown model family {name!r}; "
                          f"known: {', '.join(sorted(_FAMILIES))}")
     for key, value in params.items():
-        if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+        try:
+            finite = isinstance(value, numbers.Real) and np.isfinite(schema.real(value))
+        except ValueError:  # a bool
+            finite = False
+        if not finite:
             raise UsageError(f"model family {name!r}: {key} must be a finite "
                              f"number, got {value!r}")
     try:

@@ -155,8 +155,8 @@ def _model_from_config(cfg):
     family = _require(sec, "family", "model")
     with _config_values("model"):
         params = dict(sec.get("params", {}))
-        model = catalog.make_model(family, epsilon=float(sec.get("epsilon", 1.0)),
-                                   **params)
+        epsilon = schema.real(sec.get("epsilon", 1.0))
+        model = catalog.make_model(family, epsilon=epsilon, **params)
     return model, family, params
 
 
@@ -166,8 +166,8 @@ def cmd_simulate(args):
     sec = _section(cfg, "model")
     m, n = model.dim_slow, model.dim_fast
     with _config_values("model"):
-        horizon = float(_require(sec, "horizon", "model"))
-        dt = float(_require(sec, "dt", "model"))
+        horizon = schema.real(_require(sec, "horizon", "model"))
+        dt = schema.real(_require(sec, "dt", "model"))
         step_count(horizon, dt)
         x0 = np.asarray(sec.get("x0", [0.0] * m), dtype=float).reshape(m)
         z0 = np.asarray(sec.get("z0", [0.0] * n), dtype=float).reshape(n)
@@ -266,11 +266,11 @@ def cmd_filter(args):
         n_particles = schema.whole(fsec.get("n_particles", 1000))
         if n_particles < 1:
             raise ValueError("n_particles must be positive")
-        threshold = float(fsec.get("resample_threshold", RESAMPLE_THRESHOLD))
+        threshold = schema.real(fsec.get("resample_threshold", RESAMPLE_THRESHOLD))
         basis = (default_basis(schema.whole(fsec.get("basis_count", 16)), m)
                  if mode == "both" else None)
-        init_mean = float(fsec.get("init_mean", 0.0))
-        init_std = float(fsec.get("init_std", 0.5))
+        init_mean = schema.real(fsec.get("init_mean", 0.0))
+        init_std = schema.real(fsec.get("init_std", 0.5))
 
     manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(n_particles),
                                       "dt": repr(obs.dt)})

@@ -14,6 +14,13 @@ def whole(value) -> int:
     return int(float(value))
 
 
+def real(value) -> float:
+    """``value`` as a float: a bool is refused, not read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def item_kind(kind):
     """The item annotation of ``tuple[item, ...]``, or None."""
     return typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
@@ -24,7 +31,7 @@ def parse(kind, value):
     item = item_kind(kind)
     if item:
         return tuple(parse(item, v) for v in value)
-    return {int: whole, float: float, str: str, dict: dict}[kind](value)
+    return {int: whole, float: real, str: str, dict: dict}[kind](value)
 
 
 def fmt(kind, value) -> str:

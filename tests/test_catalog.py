@@ -19,3 +19,11 @@ def test_both_views_take_the_same_parameters(view, family):
                    {"a": float("inf")}, {"a": "-1.0"}):
         with pytest.raises(UsageError):
             view(family, **params)
+
+
+@pytest.mark.parametrize("family", sorted(catalog._FAMILIES))
+@pytest.mark.parametrize("view", [catalog.make_model, catalog.make_analytic_homogenized])
+def test_bool_parameter_is_refused(view, family):
+    # A bool is a numbers.Real, but True is no value of a drift coefficient.
+    with pytest.raises(UsageError, match="a must be a finite number, got True"):
+        view(family, a=True)

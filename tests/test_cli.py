@@ -369,6 +369,25 @@ class TestErrors:
         assert "expected a whole number" in err
         assert not (tmp_path / output).exists()
 
+    # A bool is refused where a real number belongs rather than read as 1.0.
+    @pytest.mark.parametrize("section, bad, command, output", [
+        ("model", {"horizon": True}, "simulate", "signal.csv"),
+        ("model", {"horizon": 2.0, "dt": True}, "simulate", "signal.csv"),
+        ("model", {"epsilon": True}, "simulate", "signal.csv"),
+        ("model", {"params": {"c_b": True}}, "simulate", "signal.csv"),
+        ("filter", {"resample_threshold": True}, "filter", "filter_full.csv"),
+        ("filter", {"init_mean": True}, "filter", "filter_full.csv"),
+        ("filter", {"init_std": True}, "filter", "filter_full.csv"),
+        ("study", {"resample_threshold": True}, "study", "report.txt"),
+    ])
+    def test_bool_as_real_is_usage_error(self, tmp_path, capsys, section, bad, command,
+                                         output):
+        cfg = self._every_section(tmp_path)
+        cfg[section].update(bad)
+        err = self._usage_error(tmp_path, capsys, cfg, command)
+        assert "got True" in err
+        assert not (tmp_path / output).exists()
+
     @pytest.mark.parametrize("command", ["simulate", "homogenize", "filter", "study"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         path = write_config(tmp_path, self._every_section(tmp_path))
