@@ -22,8 +22,7 @@ from . import __version__, catalog, rng as rngmod, schema
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
 from .errors import BlowUpError, HomfiltError, ModelShapeError, UsageError
-from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_full_filter,
-                        run_homogenized_filter)
+from .filtering import gaussian_prior, run_full_filter, run_homogenized_filter
 from .measures import EmpiricalMeasure, default_basis, metric_d
 from .models import (ObservationPath, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
@@ -39,14 +38,16 @@ def _names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
+# [filter] keys read as the StudyConfig fields of the same name, with their defaults.
+_FILTER_SETTINGS = ("resample_threshold", "basis_count", "init_mean", "init_std")
+
 # Every key a config section may hold, over all subcommands: one file drives them all.
 # The section of a config class holds its fields, less those set elsewhere.
 _KEYS = {
     "model": {"family", "epsilon", "params", "horizon", "dt", "x0", "z0"},
     "averager": _names(StationaryAverager) | {"grid"},
     "averager.grid": _names(TabulationGrid),
-    "filter": {"mode", "observations", "table", "n_particles", "resample_threshold",
-               "basis_count", "init_mean", "init_std"},
+    "filter": {"mode", "observations", "table", "n_particles", *_FILTER_SETTINGS},
     # [model]'s family and params, and --seed.
     "study": _names(StudyConfig) - {"family", "family_params", "root_seed"},
 }
@@ -266,11 +267,10 @@ def cmd_filter(args):
         n_particles = schema.whole(fsec.get("n_particles", 1000))
         if n_particles < 1:
             raise ValueError("n_particles must be positive")
-        threshold = schema.real(fsec.get("resample_threshold", RESAMPLE_THRESHOLD))
-        basis = (default_basis(schema.whole(fsec.get("basis_count", 16)), m)
-                 if mode == "both" else None)
-        init_mean = schema.real(fsec.get("init_mean", 0.0))
-        init_std = schema.real(fsec.get("init_std", 0.5))
+        settings = {f.name: schema.parse(f.type, fsec[f.name]) if f.name in fsec
+                    else f.default for f in dataclasses.fields(StudyConfig)
+                    if f.name in _FILTER_SETTINGS}
+        basis = default_basis(settings["basis_count"], m) if mode == "both" else None
 
     manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(n_particles),
                                       "dt": repr(obs.dt)})
@@ -281,9 +281,9 @@ def cmd_filter(args):
         else:
             run, role, n = run_homogenized_filter, rngmod.ROLE_FILTER_HOMOG, 0
         rngs = [rngmod.stream(args.seed, role)]
-        states = gaussian_prior(rngmod.StreamBatch(rngs), (1, n_particles), init_mean,
-                                init_std, m, n)
-        batch = run(target, obs, states, threshold, rngs)
+        states = gaussian_prior(rngmod.StreamBatch(rngs), (1, n_particles),
+                                settings["init_mean"], settings["init_std"], m, n)
+        batch = run(target, obs, states, settings["resample_threshold"], rngs)
         if batch.errors[0] is not None:
             raise batch.errors[0]
         finals[kind] = EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0])
