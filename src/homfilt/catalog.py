@@ -37,14 +37,17 @@ def _const_mat(value):
     return coeff
 
 
-def _scalar(sigma0, g, drift_slow, drift_fast, obs_fn, drift_avg, obs_avg):
+def _scalar(sigma0, theta, mu, g, drift_slow, obs_fn, drift_avg, obs_avg):
     """Full coefficients and averaged model of a scalar family with constant
-    slow diffusion sigma0 and fast diffusion g; sigma0 is its own average."""
+    slow diffusion sigma0 and the OU fast block dZ = -theta (Z - mu(X))/eps dt
+    + (g/sqrt(eps)) dW; sigma0 is its own average.  The triple (theta, mu, g)
+    gives both the fast coefficients and the model's exact fast step."""
     sigma = _const_mat(sigma0)
     coefficients = dict(
         dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
-        drift_slow=drift_slow, diff_slow=sigma, drift_fast=drift_fast,
-        diff_fast=_const_mat(g), obs_fn=obs_fn)
+        drift_slow=drift_slow, diff_slow=sigma,
+        drift_fast=lambda x, z: -theta * (z - mu(x)),
+        diff_fast=_const_mat(g), obs_fn=obs_fn, fast_ou=(theta, mu, g))
     averaged = HomogenizedModel(
         dim_slow=1, dim_obs=1, drift_avg=drift_avg,
         diffsq_avg=_const_mat(sigma0 ** 2), diff_avg=sigma, obs_avg=obs_avg)
@@ -59,9 +62,8 @@ def _linear(a=-1.0, q=1.0, h=1.0):
     """
     if q <= 0:
         raise UsageError("q must be positive")
-    return _scalar(np.sqrt(q), 1.0,
+    return _scalar(np.sqrt(q), 1.0, np.zeros_like, 1.0,
                    drift_slow=lambda x, z: a * x,
-                   drift_fast=lambda x, z: -z,
                    obs_fn=lambda x, z: h * x,
                    drift_avg=lambda x: a * x,
                    obs_avg=lambda x: h * x)
@@ -77,9 +79,8 @@ def _ou_benchmark(a=-1.0, c_b=0.5, sigma0=0.5, h_x=1.0, c_h=0.5, relax=1.0):
     """
     if relax <= 0:
         raise UsageError("relax must be positive")
-    return _scalar(sigma0, np.sqrt(2.0 * relax),
+    return _scalar(sigma0, relax, lambda x: x, np.sqrt(2.0 * relax),
                    drift_slow=lambda x, z: a * x + c_b * z,
-                   drift_fast=lambda x, z: -relax * (z - x),
                    obs_fn=lambda x, z: h_x * x + c_h * z,
                    drift_avg=lambda x: (a + c_b) * x,
                    obs_avg=lambda x: (h_x + c_h) * x)
@@ -91,9 +92,8 @@ def _sinusoidal(a=-1.0, amp_b=1.0, sigma0=0.5, h_x=1.0, amp_h=1.0, relax=1.0):
     if relax <= 0:
         raise UsageError("relax must be positive")
     damp = np.exp(-0.5)
-    return _scalar(sigma0, np.sqrt(2.0 * relax),
+    return _scalar(sigma0, relax, lambda x: x, np.sqrt(2.0 * relax),
                    drift_slow=lambda x, z: a * x + amp_b * np.sin(z),
-                   drift_fast=lambda x, z: -relax * (z - x),
                    obs_fn=lambda x, z: h_x * x + amp_h * np.sin(z),
                    drift_avg=lambda x: a * x + amp_b * damp * np.sin(x),
                    obs_avg=lambda x: h_x * x + amp_h * damp * np.sin(x))

@@ -11,7 +11,7 @@ This lets particle filters propagate whole ensembles with one call.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +27,12 @@ class MultiscaleModel:
     dX = b(X,Z) dt + sigma(X,Z) dV
     dZ = (1/eps) f(X,Z) dt + (1/sqrt(eps)) g(X,Z) dW
     dY = h(X,Z) dt + dB
+
+    ``fast_ou``, if set, is the triple (theta, mu, g) of an Ornstein-Uhlenbeck
+    fast block f(x, z) = -theta (z - mu(x)), g(x, z) = g I, with scalars theta
+    and g and ``mu`` mapping ``(..., m) -> (..., n)``.  It must agree with
+    ``drift_fast`` and ``diff_fast``; ``multiscale_step`` then draws the fast
+    substeps' end state in one go.
     """
 
     dim_slow: int
@@ -40,6 +46,7 @@ class MultiscaleModel:
     diff_fast: Coeff    # g
     obs_fn: Coeff       # h
     epsilon: float = 1.0
+    fast_ou: Optional[tuple] = None  # (theta, mu, g)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -53,8 +60,9 @@ class MultiscaleModel:
 
     def _check_shapes(self):
         m, n = self.dim_slow, self.dim_fast
+        # Off zero in the batch, where an OU drift shows its theta and mu.
         probes = [(np.zeros(m), np.zeros(n)),
-                  (np.zeros((2, m)), np.zeros((2, n)))]
+                  (np.full((2, m), 0.5), np.full((2, n), -0.5))]
         expected = {
             "drift_slow": (m,), "diff_slow": (m, self.dim_noise_slow),
             "drift_fast": (n,), "diff_fast": (n, self.dim_noise_fast),
@@ -67,6 +75,19 @@ class MultiscaleModel:
                 if out.shape != batch + tail:
                     raise ModelShapeError(
                         f"{name} returned shape {out.shape}, expected {batch + tail}")
+            if self.fast_ou is not None:
+                self._check_fast_ou(x, z)
+
+    def _check_fast_ou(self, x, z):
+        """``fast_ou`` gives ``drift_fast`` and ``diff_fast`` at the probe (x, z)."""
+        theta, mu, g = self.fast_ou
+        eye = np.broadcast_to(np.eye(self.dim_fast), z.shape + (self.dim_fast,))
+        for name, want in (("drift_fast", -theta * (z - mu(x))), ("diff_fast", g * eye)):
+            got = np.asarray(getattr(self, name)(x, z))
+            if got.shape != want.shape or not np.allclose(got, want, rtol=1e-12,
+                                                          atol=1e-12):
+                raise ModelShapeError(f"{name} disagrees with fast_ou = (theta, mu, g) "
+                                      f"at x={x.tolist()}, z={z.tolist()}")
 
     def default_substeps(self) -> int:
         """Fast substep count keeping the 1/eps drift stable: ceil(1/eps)."""
@@ -113,12 +134,31 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
     Lie splitting: z is advanced through ``substeps`` Euler substeps with drift
     scaled by 1/eps and diffusion by 1/sqrt(eps), after which x takes a single
     Euler step using the updated z.  Works on single states or batches.
+
+    With ``model.fast_ou`` = (theta, mu, g) the S = ``substeps`` Euler substeps
+    of size h compose in closed form, and z takes one draw of their end state:
+    with a = 1 - theta h, z_S = a^S z + (1 - a^S) mu(x) + g sqrt(h sum_{j<S}
+    a^{2j}) xi, from one normal xi per state, drawn before the slow normal.
     """
     h_fast = dt / substeps / model.epsilon
     batch = x.shape[:-1]
-    for _ in range(substeps):
-        xi = rng.standard_normal(batch + (model.dim_noise_fast,))
-        z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, h_fast)
+    if model.fast_ou is None:
+        for _ in range(substeps):
+            xi = rng.standard_normal(batch + (model.dim_noise_fast,))
+            z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi,
+                               h_fast)
+    else:
+        theta, mu, g = model.fast_ou
+        decay = (1.0 - theta * h_fast) ** substeps
+        # sum_{j<S} a^{2j} = (1 - a^{2S}) / (1 - a^2), with 1 - a^2 written without
+        # cancellation; it is S when a^2 = 1.
+        shrink = theta * h_fast * (2.0 - theta * h_fast)
+        terms = (1.0 - decay * decay) / shrink if shrink else substeps
+        z_new = rng.standard_normal(batch + (model.dim_noise_fast,))
+        z_new *= g * np.sqrt(h_fast * terms)
+        z_new += decay * z
+        z_new += (1.0 - decay) * mu(x)
+        z = z_new
     xi = rng.standard_normal(batch + (model.dim_noise_slow,))
     x = euler_maruyama(x, model.drift_slow(x, z), model.diff_slow(x, z), xi, dt)
     return x, z

@@ -24,28 +24,26 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of the outputs of the per-replication implementation that the
-# batched path replaced, at the same configs and seeds.  filter_full.csv is
-# that file without its surplus z-mean field, which sat under the "ess"
-# header.  report.txt is that file plus the line "bootstrap_samples=200" in
-# its config block.
+# sha256 of the outputs at these configs and seeds with the exact-draw
+# scheme: every catalog family's OU fast block takes one exact draw of its
+# S Euler substeps per slow step, in the truth and in the full filter.
 STUDY_SHA256 = {
-    "report.txt": "a89d9151c413b695c92f1c9d0124f62fb8926b600b79d79af758f58128dc0cba",
-    "report.csv": "d2007edf0b6a54cff0bb5165281207da358b51277caf50d27f484c66e06d7463",
+    "report.txt": "4b6ec6855bc0c1e76f56cea3cc29e26f21b834b3bd5aa18f2e7815411133dd90",
+    "report.csv": "88c18156140095616b7f2ebaadd647ef56307cae25e0e453b75e26505f35f094",
 }
 FILTER_SHA256 = {
-    "filter_full.csv": "12d3b4c6f509d69aed85d768128fae33faae8deebc423415faed08e29c2c933f",
+    "filter_full.csv": "a1c1021e87818e7048d2331ee3b1983228c7ac821d2cb82ded56f826cc8afa0e",
     "filter_homogenized.csv":
-        "37b5f216a3e759b26e351aac0a62868f849e7b1380e5f94d601fd7920d384d71",
+        "d2d461239303fb4c49f01c981dffb6f33b6756a84382435dfed410cab5139bc6",
     "filter_distance.txt":
-        "4ef0fdabb029b750c45ff90bb80636c0a67f2e02c3bdbfbdaa7b43a943135157",
+        "0bfc9d3f7fe37fc6fd93bcf0a4c474dfac0dc763c0b52203f7f5fb1fbf6cf059",
 }
 # The simulate call that feeds the filter outputs above; pins the unbatched
 # path of simulate_observations.
 SIMULATE_SHA256 = {
-    "signal.csv": "1c9042df654b61f55f6c3e9cef8dffd750de19e640cc8d27399efd60b0aadc38",
+    "signal.csv": "545c11f357b2a14410b5e7b992ac2ac0f2201082643e4afdc64bc449dcbc64a4",
     "observations.csv":
-        "1078e3a5bcd38fcfd39695fc0dab12aef468678aa02fc4f4fb30354f4516a030",
+        "657f85a2ce394e233ec86ff4dd819dc38227bd0979773ee5e77844cfff65638c",
 }
 # A small grid-wide averaging run; pins the per-node streams.
 TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"

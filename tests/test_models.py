@@ -218,3 +218,100 @@ class _ZeroRng:
 
     def standard_normal(self, shape):
         return np.zeros(shape)
+
+
+class _ConstantRng:
+    """Deterministic override: every Gaussian draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.value)
+
+
+def _euler_chain(model, x, dt):
+    """The S-fold Euler recursion of an affine fast block with x frozen, run on
+    the law of z: z_S = coef z_0 + offset + N(0, var), read from the model's
+    own ``drift_fast`` and ``diff_fast``, not from ``fast_ou``."""
+    substeps = model.default_substeps()
+    h = dt / substeps / model.epsilon
+    f0 = model.drift_fast(x, np.zeros(1))[0]
+    slope = model.drift_fast(x, np.ones(1))[0] - f0
+    g = model.diff_fast(x, np.zeros(1))[0, 0]
+    coef, offset, var = 1.0, 0.0, 0.0
+    for _ in range(substeps):
+        a = 1.0 + slope * h
+        coef, offset, var = a * coef, a * offset + f0 * h, a * a * var + g * g * h
+    return coef, offset, var
+
+
+class TestExactFastStep:
+    X = np.array([0.3])
+
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES))
+    @pytest.mark.parametrize("epsilon", [1 / 2, 1 / 16, 1 / 64, 0.05])
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    def test_law_equals_the_euler_chains(self, family, epsilon, dt):
+        model = catalog.make_model(family, epsilon)
+        assert model.fast_ou is not None
+        coef, offset, var = _euler_chain(model, self.X, dt)
+
+        def end_state(z0, xi):
+            _, z = multiscale_step(model, self.X, np.array([z0]), dt,
+                                   model.default_substeps(), _ConstantRng(xi))
+            return z[0]
+
+        np.testing.assert_allclose(end_state(0.0, 0.0), offset, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(end_state(1.0, 0.0) - end_state(0.0, 0.0), coef,
+                                   rtol=1e-12)
+        np.testing.assert_allclose((end_state(0.0, 1.0) - end_state(0.0, 0.0)) ** 2,
+                                   var, rtol=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES))
+    def test_draws_have_the_euler_chains_law(self, family):
+        model = catalog.make_model(family, 1 / 16)
+        n, dt, z0 = 200_000, 0.02, 1.0
+        coef, offset, var = _euler_chain(model, self.X, dt)
+        _, z = multiscale_step(model, np.full((n, 1), self.X), np.full((n, 1), z0), dt,
+                               model.default_substeps(), np.random.default_rng(8))
+        mean = coef * z0 + offset
+        assert abs(z.mean() - mean) < 5 * np.sqrt(var / n)
+        assert abs(z.var(ddof=1) - var) < 5 * var * np.sqrt(2.0 / (n - 1))
+
+    def test_model_without_the_triple_substeps_bit_for_bit(self):
+        def f(x, z):
+            return np.sin(x) - z - 0.3 * z ** 3
+        model = make_model(b=lambda x, z: -x + z, sigma=0.4, f=f, g=0.7, epsilon=0.1)
+        assert model.fast_ou is None
+        dt, substeps = 0.02, 10
+        x0, z0 = np.full((5, 1), 0.2), np.linspace(-1.0, 1.0, 5)[:, None]
+        x, z = multiscale_step(model, x0, z0, dt, substeps, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        h = dt / substeps / model.epsilon
+        hand_z = z0
+        for _ in range(substeps):
+            xi = rng.standard_normal((5, 1))
+            hand_z = hand_z + f(x0, hand_z) * h + (0.7 * xi) * np.sqrt(h)
+        xi = rng.standard_normal((5, 1))
+        hand_x = x0 + (-x0 + hand_z) * dt + (0.4 * xi) * np.sqrt(dt)
+        assert np.array_equal(z, hand_z)
+        assert np.array_equal(x, hand_x)
+
+    @pytest.mark.parametrize("fast_ou, dim_noise_fast", [
+        ((2.0, lambda x: x, 1.0), 1),                    # theta
+        ((1.0, np.zeros_like, 1.0), 1),                  # mu
+        ((1.0, lambda x: x + 0.1, 1.0), 1),              # mu's offset
+        ((1.0, lambda x: x, 1.5), 1),                    # g
+        ((1.0, lambda x: np.concatenate([x, x], -1), 1.0), 1),  # mu's shape
+        ((1.0, lambda x: x, 1.0), 2),                    # g I needs l = n
+    ])
+    def test_triple_that_disagrees_is_refused(self, fast_ou, dim_noise_fast):
+        with pytest.raises(ModelShapeError):
+            MultiscaleModel(
+                dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1,
+                dim_noise_fast=dim_noise_fast,
+                drift_slow=lambda x, z: np.zeros_like(x), diff_slow=const_mat(0.0),
+                drift_fast=lambda x, z: -(z - x),
+                diff_fast=const_mat(1.0, cols=dim_noise_fast),
+                obs_fn=lambda x, z: np.zeros_like(x), fast_ou=fast_ou)
