@@ -57,10 +57,12 @@ def _load_config(path):
     if path is None:
         raise UsageError("--config is required")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot parse config {path}: {' '.join(str(exc).split())}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a mapping of sections")
     for name in cfg:

@@ -196,6 +196,17 @@ class TestErrors:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "simulate"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "homogenize", "filter", "study"])
+    @pytest.mark.parametrize("text", [b"model: [\n", b"model:\n  family: \xff\xfe\n"],
+                             ids=["yaml", "encoding"])
+    def test_unparsable_config_is_usage_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(text)
+        assert run(["--config", path, "--out", tmp_path, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot parse config {path}: ")
+        assert err.count("\n") == 1
+
     def test_missing_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"model": {"family": "linear"}})
         assert run(["--config", cfg, "--out", tmp_path, "simulate"]) == 2
