@@ -56,12 +56,12 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
                  streams: Sequence[np.random.Generator]) -> tuple:
     """Per-replicate time sums of several integrands along frozen-x paths.
 
-    One time loop serves every node: z has shape (nodes, replicates, n), and
-    node i draws from ``streams[i]`` exactly as a lone run of
-    ``simulate_frozen_fast`` would, so each node's sums do not depend on the
-    other nodes.  Memory does not grow with the horizon.  Returns the sums,
-    one array of shape (nodes, replicates) + tail per integrand, the number
-    of sampled states, and per node the first step whose state is not
+    One time loop serves every node: z has shape (nodes, replicates, n).  Node
+    i draws only from ``streams[i]``, first its replicates' initial z and then
+    what ``simulate_frozen_fast`` would draw from that z, so its sums do not
+    depend on the other nodes.  Memory does not grow with the horizon.  Returns
+    the sums, one array of shape (nodes, replicates) + tail per integrand, the
+    number of sampled states, and per node the first step whose state is not
     finite, or -1.  The loop stops early once node 0 has failed.
     """
     k, r, n = len(nodes), cfg.replicates, model.dim_fast

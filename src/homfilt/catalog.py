@@ -40,14 +40,11 @@ def _const_mat(value):
 def _scalar(sigma0, theta, mu, g, drift_slow, obs_fn, drift_avg, obs_avg):
     """Full coefficients and averaged model of a scalar family with constant
     slow diffusion sigma0 and the OU fast block dZ = -theta (Z - mu(X))/eps dt
-    + (g/sqrt(eps)) dW; sigma0 is its own average.  The triple (theta, mu, g)
-    gives both the fast coefficients and the model's exact fast step."""
+    + (g/sqrt(eps)) dW; sigma0 is its own average.  The model reads its fast
+    coefficients and its exact fast step off the one triple (theta, mu, g)."""
     sigma = _const_mat(sigma0)
-    coefficients = dict(
-        dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
-        drift_slow=drift_slow, diff_slow=sigma,
-        drift_fast=lambda x, z: -theta * (z - mu(x)),
-        diff_fast=_const_mat(g), obs_fn=obs_fn, fast_ou=(theta, mu, g))
+    coefficients = dict(dim_slow=1, dim_fast=1, drift_slow=drift_slow, diff_slow=sigma,
+                        obs_fn=obs_fn, fast_ou=(theta, mu, g))
     averaged = HomogenizedModel(
         dim_slow=1, dim_obs=1, drift_avg=drift_avg,
         diffsq_avg=_const_mat(sigma0 ** 2), diff_avg=sigma, obs_avg=obs_avg)

@@ -10,7 +10,7 @@ Coefficient functions must broadcast over a leading batch axis: drifts map
 This lets particle filters propagate whole ensembles with one call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,66 +28,63 @@ class MultiscaleModel:
     dZ = (1/eps) f(X,Z) dt + (1/sqrt(eps)) g(X,Z) dW
     dY = h(X,Z) dt + dB
 
-    ``fast_ou``, if set, is the triple (theta, mu, g) of an Ornstein-Uhlenbeck
-    fast block f(x, z) = -theta (z - mu(x)), g(x, z) = g I, with scalars theta
-    and g and ``mu`` mapping ``(..., m) -> (..., n)``.  It must agree with
-    ``drift_fast`` and ``diff_fast``; ``multiscale_step`` then draws the fast
-    substeps' end state in one go.
+    The fast block is given either as ``drift_fast`` and ``diff_fast`` or as
+    ``fast_ou``, the triple (theta, mu, g) of an Ornstein-Uhlenbeck block
+    f(x, z) = -theta (z - mu(x)), g(x, z) = g I with scalars theta and g and
+    ``mu`` mapping ``(..., m) -> (..., n)``.  The model then sets ``drift_fast``
+    and ``diff_fast`` itself, and ``multiscale_step`` draws the fast substeps'
+    end state in one go.
     """
 
     dim_slow: int
     dim_fast: int
-    dim_obs: int
-    dim_noise_slow: int
-    dim_noise_fast: int
     drift_slow: Coeff   # b
     diff_slow: Coeff    # sigma
-    drift_fast: Coeff   # f
-    diff_fast: Coeff    # g
     obs_fn: Coeff       # h
+    drift_fast: Optional[Coeff] = None   # f
+    diff_fast: Optional[Coeff] = None    # g
     epsilon: float = 1.0
     fast_ou: Optional[tuple] = None  # (theta, mu, g)
+    dim_obs: int = field(init=False)         # d, read off obs_fn
+    dim_noise_slow: int = field(init=False)  # k, read off diff_slow
+    dim_noise_fast: int = field(init=False)  # l, read off diff_fast
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
             raise ModelShapeError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        for name, v in (("dim_slow", self.dim_slow), ("dim_fast", self.dim_fast),
-                        ("dim_obs", self.dim_obs), ("dim_noise_slow", self.dim_noise_slow),
-                        ("dim_noise_fast", self.dim_noise_fast)):
-            if int(v) < 1:
-                raise ModelShapeError(f"{name} must be a positive integer, got {v}")
+        if min(self.dim_slow, self.dim_fast) < 1:
+            raise ModelShapeError(f"dim_slow={self.dim_slow} and "
+                                  f"dim_fast={self.dim_fast} must be positive integers")
+        given = (self.drift_fast is not None, self.diff_fast is not None)
+        if self.fast_ou is not None and not any(given):
+            theta, mu, g = self.fast_ou
+            scale = g * np.eye(self.dim_fast)
+            object.__setattr__(self, "drift_fast", lambda x, z: -theta * (z - mu(x)))
+            object.__setattr__(self, "diff_fast", lambda x, z: np.broadcast_to(
+                scale, z.shape[:-1] + scale.shape))
+        elif self.fast_ou is not None or not all(given):
+            raise ModelShapeError("give either fast_ou or drift_fast and diff_fast")
         self._check_shapes()
 
     def _check_shapes(self):
         m, n = self.dim_slow, self.dim_fast
-        # Off zero in the batch, where an OU drift shows its theta and mu.
-        probes = [(np.zeros(m), np.zeros(n)),
-                  (np.full((2, m), 0.5), np.full((2, n), -0.5))]
-        expected = {
-            "drift_slow": (m,), "diff_slow": (m, self.dim_noise_slow),
-            "drift_fast": (n,), "diff_fast": (n, self.dim_noise_fast),
-            "obs_fn": (self.dim_obs,),
-        }
-        for x, z in probes:
+        x, z = np.zeros(m), np.zeros(n)
+        for name, width in (("obs_fn", "dim_obs"), ("diff_slow", "dim_noise_slow"),
+                            ("diff_fast", "dim_noise_fast")):
+            shape = np.shape(getattr(self, name)(x, z))
+            if not shape or shape[-1] < 1:
+                raise ModelShapeError(f"{name} returned shape {shape}, of no width")
+            object.__setattr__(self, width, shape[-1])
+        expected = {"drift_slow": (m,), "diff_slow": (m, self.dim_noise_slow),
+                    "drift_fast": (n,), "diff_fast": (n, self.dim_noise_fast),
+                    "obs_fn": (self.dim_obs,)}
+        for x, z in ((x, z), (np.full((2, m), 0.5), np.full((2, n), -0.5))):
             batch = x.shape[:-1]
             for name, tail in expected.items():
                 out = np.asarray(getattr(self, name)(x, z))
                 if out.shape != batch + tail:
                     raise ModelShapeError(
                         f"{name} returned shape {out.shape}, expected {batch + tail}")
-            if self.fast_ou is not None:
-                self._check_fast_ou(x, z)
-
-    def _check_fast_ou(self, x, z):
-        """``fast_ou`` gives ``drift_fast`` and ``diff_fast`` at the probe (x, z)."""
-        theta, mu, g = self.fast_ou
-        eye = np.broadcast_to(np.eye(self.dim_fast), z.shape + (self.dim_fast,))
-        for name, want in (("drift_fast", -theta * (z - mu(x))), ("diff_fast", g * eye)):
-            got = np.asarray(getattr(self, name)(x, z))
-            if got.shape != want.shape or not np.allclose(got, want, rtol=1e-12,
-                                                          atol=1e-12):
-                raise ModelShapeError(f"{name} disagrees with fast_ou = (theta, mu, g) "
-                                      f"at x={x.tolist()}, z={z.tolist()}")
 
     def default_substeps(self) -> int:
         """Fast substep count keeping the 1/eps drift stable: ceil(1/eps)."""

@@ -23,7 +23,7 @@ FAST_CFG = StationaryAverager(burn_in=2.0, sample_horizon=32.0, dt=1e-3,
 def ou_model(diff_slow=None, drift_slow=None, obs_fn=None):
     """Fast OU block relaxing to x: frozen stationary law N(x, 1)."""
     return MultiscaleModel(
-        dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
+        dim_slow=1, dim_fast=1,
         drift_slow=drift_slow or (lambda x, z: -x + 0.5 * z),
         diff_slow=diff_slow or const_mat(1.0),
         drift_fast=lambda x, z: -(z - x),
@@ -237,7 +237,7 @@ class TestBuildHomogenized:
         # The fast process explodes for x > 0.2, sooner at larger x; node 3
         # fails after node 4, yet is the one reported, at its own step.
         model = MultiscaleModel(
-            dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
+            dim_slow=1, dim_fast=1,
             drift_slow=lambda x, z: -x, diff_slow=const_mat(1.0),
             drift_fast=lambda x, z: -z + np.maximum(x - 0.2, 0.0) * z ** 3,
             diff_fast=const_mat(1.0), obs_fn=lambda x, z: x)

@@ -13,7 +13,7 @@ from conftest import const_mat
 
 def make_model(b=None, sigma=0.0, f=None, g=0.0, h=None, epsilon=1.0):
     return MultiscaleModel(
-        dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1, dim_noise_fast=1,
+        dim_slow=1, dim_fast=1,
         drift_slow=b or (lambda x, z: np.zeros_like(x)),
         diff_slow=const_mat(sigma),
         drift_fast=f or (lambda x, z: np.zeros_like(z)),
@@ -96,8 +96,7 @@ class TestSimulateMultiscale:
     def test_shape_error_at_registration(self):
         with pytest.raises(ModelShapeError):
             MultiscaleModel(
-                dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1,
-                dim_noise_fast=1,
+                dim_slow=1, dim_fast=1,
                 drift_slow=lambda x, z: np.zeros(x.shape[:-1] + (2,)),  # wrong m
                 diff_slow=const_mat(0.0),
                 drift_fast=lambda x, z: np.zeros_like(z),
@@ -214,9 +213,14 @@ class TestObservationPath:
 
 
 class _ZeroRng:
-    """Deterministic override: all Gaussian draws are zero."""
+    """Deterministic override: all Gaussian draws are zero, and each shape
+    asked for is kept in ``shapes``."""
+
+    def __init__(self):
+        self.shapes = []
 
     def standard_normal(self, shape):
+        self.shapes.append(shape)
         return np.zeros(shape)
 
 
@@ -231,14 +235,15 @@ class _ConstantRng:
 
 
 def _euler_chain(model, x, dt):
-    """The S-fold Euler recursion of an affine fast block with x frozen, run on
-    the law of z: z_S = coef z_0 + offset + N(0, var), read from the model's
-    own ``drift_fast`` and ``diff_fast``, not from ``fast_ou``."""
+    """The S-fold Euler recursion of a diagonal affine fast block with x frozen,
+    run on the law of each coordinate of z: z_S = coef z_0 + offset + N(0, var),
+    read from the model's ``drift_fast`` and ``diff_fast``, not from ``fast_ou``."""
     substeps = model.default_substeps()
     h = dt / substeps / model.epsilon
-    f0 = model.drift_fast(x, np.zeros(1))[0]
-    slope = model.drift_fast(x, np.ones(1))[0] - f0
-    g = model.diff_fast(x, np.zeros(1))[0, 0]
+    zero = np.zeros(model.dim_fast)
+    f0 = model.drift_fast(x, zero)
+    slope = model.drift_fast(x, zero + 1.0) - f0
+    g = np.diagonal(model.diff_fast(x, zero))
     coef, offset, var = 1.0, 0.0, 0.0
     for _ in range(substeps):
         a = 1.0 + slope * h
@@ -246,21 +251,32 @@ def _euler_chain(model, x, dt):
     return coef, offset, var
 
 
+def _law_model(name, epsilon):
+    """A catalog family, or ``ou_2d``: a hand-built n = 2 OU block given as fast_ou."""
+    if name != "ou_2d":
+        return catalog.make_model(name, epsilon)
+    return MultiscaleModel(
+        dim_slow=1, dim_fast=2, drift_slow=lambda x, z: -x + z[..., :1],
+        diff_slow=const_mat(0.5), obs_fn=lambda x, z: z,
+        fast_ou=(1.3, lambda x: np.concatenate([x, 0.5 - 2.0 * x], -1), 0.8),
+        epsilon=epsilon)
+
+
 class TestExactFastStep:
     X = np.array([0.3])
 
-    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES))
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["ou_2d"])
     @pytest.mark.parametrize("epsilon", [1 / 2, 1 / 16, 1 / 64, 0.05])
     @pytest.mark.parametrize("dt", [0.01, 0.02])
     def test_law_equals_the_euler_chains(self, family, epsilon, dt):
-        model = catalog.make_model(family, epsilon)
+        model = _law_model(family, epsilon)
         assert model.fast_ou is not None
         coef, offset, var = _euler_chain(model, self.X, dt)
 
         def end_state(z0, xi):
-            _, z = multiscale_step(model, self.X, np.array([z0]), dt,
+            _, z = multiscale_step(model, self.X, np.full(model.dim_fast, z0), dt,
                                    model.default_substeps(), _ConstantRng(xi))
-            return z[0]
+            return z
 
         np.testing.assert_allclose(end_state(0.0, 0.0), offset, rtol=1e-12, atol=0)
         np.testing.assert_allclose(end_state(1.0, 0.0) - end_state(0.0, 0.0), coef,
@@ -298,20 +314,44 @@ class TestExactFastStep:
         assert np.array_equal(z, hand_z)
         assert np.array_equal(x, hand_x)
 
-    @pytest.mark.parametrize("fast_ou, dim_noise_fast", [
-        ((2.0, lambda x: x, 1.0), 1),                    # theta
-        ((1.0, np.zeros_like, 1.0), 1),                  # mu
-        ((1.0, lambda x: x + 0.1, 1.0), 1),              # mu's offset
-        ((1.0, lambda x: x, 1.5), 1),                    # g
-        ((1.0, lambda x: np.concatenate([x, x], -1), 1.0), 1),  # mu's shape
-        ((1.0, lambda x: x, 1.0), 2),                    # g I needs l = n
-    ])
-    def test_triple_that_disagrees_is_refused(self, fast_ou, dim_noise_fast):
+def _ou(**fields):
+    """A scalar model with the OU fast block (1, x, 1), as changed by ``fields``."""
+    return MultiscaleModel(**{
+        "dim_slow": 1, "dim_fast": 1, "drift_slow": lambda x, z: np.zeros_like(x),
+        "diff_slow": const_mat(0.0), "obs_fn": lambda x, z: np.zeros_like(x),
+        "fast_ou": (1.0, lambda x: x, 1.0), **fields})
+
+
+class TestModelForm:
+    def test_widths_are_read_off_the_coefficients(self):
+        model = MultiscaleModel(
+            dim_slow=2, dim_fast=2, drift_slow=lambda x, z: -x + z,
+            diff_slow=const_mat(0.3, rows=2, cols=3),
+            obs_fn=lambda x, z: np.concatenate([x, z], -1),
+            fast_ou=(1.0, lambda x: x, 0.5), epsilon=0.25)
+        assert (model.dim_obs, model.dim_noise_slow, model.dim_noise_fast) == (4, 3, 2)
+        assert model.diff_fast(np.zeros(2), np.zeros(2)).tolist() == [[0.5, 0.0],
+                                                                      [0.0, 0.5]]
+        start = np.full((5, 2), 0.1)
+        rng = _ZeroRng()
+        x, z = multiscale_step(model, start, start, 0.02, 4, rng)
+        assert x.shape == z.shape == (5, 2)
+        assert rng.shapes == [(5, 2), (5, 3)]
+        rng = _ZeroRng()
+        obs = simulate_observations(np.stack([start, x]), np.stack([start, z]), model,
+                                    0.02, rng)
+        assert obs.increments.shape == (1, 5, 4)
+        assert rng.shapes == [(5, 1, 4)]
+
+    @pytest.mark.parametrize("fields", [
+        {"drift_fast": lambda x, z: -(z - x), "diff_fast": const_mat(1.0)},
+        {"fast_ou": None},
+        {"fast_ou": None, "drift_fast": lambda x, z: -(z - x)},
+        {"diff_slow": const_mat(0.0, cols=0)},
+        {"obs_fn": lambda x, z: x[..., :0]},
+        {"fast_ou": (1.0, lambda x: np.concatenate([x, x], -1), 1.0)},
+    ], ids=["both_forms", "neither_form", "drift_fast_alone", "zero_width_diff_slow",
+            "zero_width_obs_fn", "mu_width"])
+    def test_ill_formed_model_is_refused(self, fields):
         with pytest.raises(ModelShapeError):
-            MultiscaleModel(
-                dim_slow=1, dim_fast=1, dim_obs=1, dim_noise_slow=1,
-                dim_noise_fast=dim_noise_fast,
-                drift_slow=lambda x, z: np.zeros_like(x), diff_slow=const_mat(0.0),
-                drift_fast=lambda x, z: -(z - x),
-                diff_fast=const_mat(1.0, cols=dim_noise_fast),
-                obs_fn=lambda x, z: np.zeros_like(x), fast_ou=fast_ou)
+            _ou(**fields)

@@ -1,4 +1,4 @@
-"""tools/size.py, the one counter of package lines and settable options."""
+"""tools/size.py, the one counter of package lines, settable options and model fields."""
 
 import pathlib
 import subprocess
@@ -19,6 +19,7 @@ def test_counts_the_package():
     assert int(size["lines"]) == sum(p.read_text().count("\n") for p in src.glob("*.py"))
     kinds = ("public defaults", "family parameters", "config fields")
     assert int(size["settable_options"]) == sum(int(size[k]) for k in kinds)
+    assert int(size["model_fields"]) == 17
 
 
 def test_counts_each_kind_of_option(tmp_path):
@@ -31,4 +32,14 @@ def test_counts_each_kind_of_option(tmp_path):
         "class Other:\n    z: int = 1\n")
     size = _size(str(tmp_path))
     assert size == {"lines": "22", "settable_options": "6", "public defaults": "2",
-                    "family parameters": "2", "config fields": "2"}
+                    "family parameters": "2", "config fields": "2", "model_fields": "0"}
+
+
+def test_counts_model_fields_that_init_takes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class MultiscaleModel:\n    a: int\n    b: int = 1\n"
+        "    c: int = field(init=False)\n    d: int = field(default=2, init=True)\n\n\n"
+        "class HomogenizedModel:\n    e: int\n\n\n"
+        "class StudyConfig:\n    f: int\n    g: int = field(init=False)\n")
+    size = _size(str(tmp_path))
+    assert (size["model_fields"], size["config fields"]) == ("4", "1")
