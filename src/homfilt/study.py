@@ -143,16 +143,16 @@ def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
 
 def _fit_slope(log_eps: np.ndarray, log_mean: np.ndarray,
                weights: Optional[np.ndarray]) -> tuple:
-    """Weighted least-squares line through (log eps, log mean distance)."""
+    """Weighted least-squares line through (log eps, log mean distance), per row."""
     if weights is None:
         weights = np.ones_like(log_eps)
     w = weights / weights.sum()
     xb = w @ log_eps
-    yb = w @ log_mean
-    cov = w @ ((log_eps - xb) * (log_mean - yb))
+    yb = log_mean @ w
+    cov = ((log_eps - xb) * (log_mean - np.expand_dims(yb, -1))) @ w
     var = w @ (log_eps - xb) ** 2
     slope = cov / var
-    return float(slope), float(yb - slope * xb)
+    return slope, yb - slope * xb
 
 
 def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
@@ -170,7 +170,7 @@ def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
         mean = np.asarray(mean_distances, dtype=float)
         if np.all(se > 0):
             weights = (mean / se) ** 2
-    return _fit_slope(le, lm, weights)
+    return tuple(map(float, _fit_slope(le, lm, weights)))
 
 
 def run_study(cfg: StudyConfig) -> ConvergenceReport:
@@ -230,24 +230,15 @@ def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceRepor
 
 
 def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple:
-    """Percentile interval for the slope, resampling replications per epsilon."""
+    """Percentile interval for the slope, resampling replications per epsilon with
+    one index matrix each; a sample with a mean distance <= 0 is dropped."""
     rng = rngmod.stream(cfg.root_seed, rngmod.ROLE_BOOTSTRAP)
-    slopes = np.empty(cfg.bootstrap_samples)
-    arrs = [np.asarray(d) for d in distances]
-    log_eps = np.log(np.asarray(cfg.epsilons))
-    for b in range(cfg.bootstrap_samples):
-        means = np.empty(len(arrs))
-        for i, d in enumerate(arrs):
-            idx = rng.integers(0, len(d), size=len(d))
-            means[i] = d[idx].mean()
-        if np.any(means <= 0):
-            slopes[b] = np.nan
-            continue
-        slopes[b], _ = _fit_slope(log_eps, np.log(means), None)
-    slopes = slopes[np.isfinite(slopes)]
-    if len(slopes) == 0:
-        return (float("nan"), float("nan"))
-    return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
+    means = np.stack([d[rng.integers(0, len(d), (cfg.bootstrap_samples, len(d)))]
+                      .mean(axis=1) for d in map(np.asarray, distances)], axis=1)
+    slopes, _ = _fit_slope(np.log(np.asarray(cfg.epsilons)),
+                           np.log(means[(means > 0).all(axis=1)]), None)
+    lo, hi = np.percentile(slopes, [2.5, 97.5]) if len(slopes) else (np.nan, np.nan)
+    return (float(lo), float(hi))
 
 
 def _config_snapshot(cfg: StudyConfig) -> Dict[str, str]:

@@ -8,9 +8,9 @@ from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import gaussian_prior, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import ObservationPath, blow_up_steps, simulate_multiscale
-from homfilt.study import (StudyConfig, fit_loglog_slope, report_csv,
-                           report_text, run_replication, run_replications,
-                           run_study, summarize)
+from homfilt.study import (StudyConfig, _bootstrap_slope_ci, fit_loglog_slope,
+                           report_csv, report_text, run_replication,
+                           run_replications, run_study, summarize)
 
 
 def small_config(**overrides):
@@ -218,6 +218,25 @@ class TestRunReplication:
         assert metric_d(EmpiricalMeasure(full.states[0, :, :1], full.weights[0]),
                         EmpiricalMeasure(homog.states[0], homog.weights[0]),
                         basis) == 0.0
+
+
+class TestBootstrapSlopeCI:
+    def test_interval_holds_the_true_slope(self):
+        cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625), replications=40,
+                           bootstrap_samples=1000)
+        # xi is centred per epsilon, so the mean distances lie on 0.3 sqrt(eps).
+        xi = np.random.default_rng(5).standard_normal((len(cfg.epsilons), 40))
+        xi -= xi.mean(axis=1, keepdims=True)
+        distances = [list(0.3 * np.sqrt(eps) * (1 + 0.2 * row))
+                     for eps, row in zip(cfg.epsilons, xi)]
+        lo, hi = _bootstrap_slope_ci(cfg, distances)
+        assert lo < 0.5 < hi < lo + 0.2
+
+    def test_epsilon_of_zero_distances_gives_no_interval(self):
+        cfg = small_config()
+        distances = [[0.3, 0.2, 0.25, 0.3], [0.0] * 4, [0.1, 0.15, 0.1, 0.12]]
+        lo, hi = _bootstrap_slope_ci(cfg, distances)
+        assert np.isnan(lo) and np.isnan(hi)
 
 
 class TestRunStudyEndToEnd:
