@@ -46,6 +46,15 @@ SIMULATE_SHA256 = {
     "observations.csv":
         "657f85a2ce394e233ec86ff4dd819dc38227bd0979773ee5e77844cfff65638c",
 }
+# Simulate, homogenize on a five-node grid and filter with that table, at a
+# threshold that resamples mid-path; pins the tabulated reduced filter.
+TABULATED_FILTER_SHA256 = {
+    "filter_full.csv": "b3512a1fdd7b5ac5af1bca80b9138e5c2d0c598477b0714291b56329b5ee66b2",
+    "filter_homogenized.csv":
+        "b58d453239a61a65fa83a734c2460a2a17bbe56236468a6419c3f963f6695f63",
+    "filter_distance.txt":
+        "7ff099ec0770c4009aa2eacb61e3a947fe20790168f1bf2bce8dc96f31fdfab0",
+}
 # A small grid-wide averaging run; pins the per-node streams.
 TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"
 
@@ -81,6 +90,29 @@ class TestPinnedOutputs:
                      "filter"]) == 0
         got = {f: sha256(tmp_path / "filt" / f) for f in FILTER_SHA256}
         assert got == FILTER_SHA256
+
+    def test_tabulated_filter_outputs(self, tmp_path, monkeypatch):
+        # The reduced filter on a table: simulate, homogenize, then filter.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "filter.yaml").write_text(yaml.safe_dump({
+            "model": {"family": "sinusoidal", "epsilon": 0.1, "horizon": 0.5,
+                      "dt": 0.01},
+            "averager": {"burn_in": 0.5, "sample_horizon": 2.0, "dt": 0.01,
+                         "replicates": 4,
+                         "grid": {"lows": [-2.0], "highs": [2.0], "counts": [5]}},
+            "filter": {"mode": "both", "n_particles": 256, "resample_threshold": 0.95,
+                       "observations": "./sim/observations.csv",
+                       "table": "./sim/homogenized_table.txt"}}))
+        for command in ("simulate", "homogenize", "filter"):
+            out = "./filt" if command == "filter" else "./sim"
+            assert main(["--config", "./filter.yaml", "--seed", "5", "--out", out,
+                         command]) == 0
+        got = {f: sha256(tmp_path / "filt" / f) for f in TABULATED_FILTER_SHA256}
+        assert got == TABULATED_FILTER_SHA256
+        # Some step resamples, so the particles' carried values are gathered.
+        lines = (tmp_path / "filt" / "filter_homogenized.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert "1" in [row[rows[0].index("resampled")] for row in rows[1:]]
 
     def test_homogenized_table(self, tmp_path):
         cfg = tmp_path / "homogenize.yaml"
