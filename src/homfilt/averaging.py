@@ -11,6 +11,7 @@ a tabulation grid or supplied analytically for families where they are known.
 import itertools
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -199,41 +200,62 @@ class HomogenizedModel:
     grid: Optional[TabulationGrid] = None
     table: Optional[dict] = None  # node arrays, present when tabulated
 
+    @cached_property
+    def _stacked(self):
+        """One interpolator over the table's node rows [b | sigma | h]."""
+        t = self.table
+        return _interpolator(self.grid, np.concatenate(
+            [t["b"], t["sigma"].reshape(len(t["b"]), -1), t["h"]], axis=1))
+
+    def coefficients(self, x) -> tuple:
+        """(drift_avg(x), diff_avg(x), obs_avg(x)); a table answers all three
+        with one interpolator query."""
+        if self.table is None:
+            return self.drift_avg(x), self.diff_avg(x), self.obs_avg(x)
+        m = self.dim_slow
+        values = self._stacked(x)
+        return (values[..., :m],
+                values[..., m:m + m * m].reshape(values.shape[:-1] + (m, m)),
+                values[..., m + m * m:])
+
 
 def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
     """Interpolate node values over the grid, extrapolating from the edge cells.
 
     Multilinear interpolation sums the corners of each point's cell; nearest
-    takes the closer node along each axis.  The arithmetic is that of scipy's
+    takes the closer node along each axis.  The cell is found once per axis,
+    and each corner is one row gather from the (nodes, values per node) array.
+    The arithmetic is that of scipy's
     ``RegularGridInterpolator(bounds_error=False, fill_value=None)``, so the
     results equal scipy's bit for bit.  A NaN coordinate gives NaN.
     """
     axes = grid.axes()
     widths = [np.diff(axis) for axis in axes]
+    strides = np.cumprod((1,) + tuple(grid.counts[:0:-1]))[::-1].tolist()  # row-major
     tail = node_values.shape[1:]
-    values = node_values.reshape(tuple(grid.counts) + tail)
-    per_point = (slice(None),) + (None,) * len(tail)
+    values = node_values.reshape(len(node_values), -1)
 
     def query(x):
         x = np.asarray(x, dtype=float)
         batch = x.shape[:-1]
         pts = x.reshape(-1, grid.ndim)
-        cells, fracs = [], []
-        for axis, width, p in zip(axes, widths, pts.T):
+        cell, fracs = 0, []
+        for axis, width, stride, p in zip(axes, widths, strides, pts.T):
             i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
-            cells.append(i)
+            cell = cell + i * stride
             fracs.append((p - axis[i]) / width[i])
         if grid.interpolation == "nearest":
-            out = values[tuple(np.where(y <= 0.5, i, i + 1)
-                               for i, y in zip(cells, fracs))]
+            out = values.take(cell + sum(np.where(y <= 0.5, 0, stride)
+                                         for y, stride in zip(fracs, strides)), axis=0)
         else:
+            sides = [(1 - y, y) for y in fracs]
             out = 0.0
             for corner in itertools.product((0, 1), repeat=grid.ndim):
                 weight = 1.0
-                for c, y in zip(corner, fracs):
-                    weight = weight * (y if c else 1 - y)
-                idx = tuple(i + c for i, c in zip(cells, corner))
-                out = out + values[idx] * weight[per_point]
+                for c, side in zip(corner, sides):
+                    weight = weight * side[c]
+                offset = sum(c * stride for c, stride in zip(corner, strides))
+                out = out + values.take(cell + offset, axis=0) * weight[:, None]
         nan = np.isnan(pts).any(axis=-1)
         if nan.any():
             out[nan] = np.nan

@@ -53,7 +53,7 @@ def _reweight(weights: np.ndarray, obs_values: np.ndarray, obs_increments: np.nd
     largest log-weight is not finite has collapsed, and its weights are NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = (np.log(weights) + (obs_values @ obs_increments[:, :, None])[..., 0]
+        logw = (np.log(weights) + np.einsum("rnd,rd->rn", obs_values, obs_increments)
                 - 0.5 * np.einsum("...d,...d->...", obs_values, obs_values) * dt)
         mx = logw.max(axis=1)
         w = np.exp(logw - mx[:, None])
@@ -135,7 +135,11 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     N >= 1, so the caller's cloud is never changed, and a zero-step path
     hands that copy back.  ``obs`` holds R
     replications on a uniform grid (``ObservationPath`` checks it), and each
-    step is ``propagate(states, rngs, dt)`` with that grid's step.  Row r
+    step is ``propagate(states, carried, rngs, dt)`` with that grid's step,
+    then ``read_out(states)``, which gives the (R, N, d) read-out and the
+    tuple of (R, N, ...) arrays carried beside the states into the next
+    step; the first step gets an empty tuple.  Resampling gathers the
+    states and every carried array with the same indices.  Row r
     draws only from ``rngs[r]``, in the order a lone run of it draws, and
     every operation acts row by row, so each row equals its own R = 1 run bit
     for bit.  A row that goes non-finite or whose weights collapse gets its
@@ -160,20 +164,25 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     means = np.full((len(increments), n_rows, states.shape[-1]), np.nan)
     ess_steps = np.full((len(increments), n_rows), np.nan)
     resampled = np.zeros((len(increments), n_rows), dtype=bool)
+    carried = ()
     for i in range(len(increments)):
-        states = propagate(states, rngs, dt)
+        states = propagate(states, carried, rngs, dt)
         _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
               lambda r: BlowUpError(i))
         if None not in errors:
             break
-        w, mx = _reweight(w, read_out(states), increments[i], dt)
+        obs_values, carried = read_out(states)
+        w, mx = _reweight(w, obs_values, increments[i], dt)
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
         if None not in errors:
             break
         ess_steps[i] = ess(w)
         resampled[i] = ess_steps[i] < resample_threshold * n
         for r in np.flatnonzero(resampled[i]):
-            states[r] = states[r, _systematic_indices(w[r], rngs[r].uniform(), n)]
+            idx = _systematic_indices(w[r], rngs[r].uniform(), n)
+            # Every gather is read before any is written, in case two arrays share memory.
+            for cloud, picked in [(a, a[r, idx]) for a in (states, *carried)]:
+                cloud[r] = picked
             w[r] = 1.0 / n
         means[i] = (w[:, None, :] @ states)[:, 0]
     return FilterBatch(states=states, weights=w, errors=errors, means=means,
@@ -193,13 +202,13 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.nda
     substeps = model.default_substeps()
     m = model.dim_slow
 
-    def propagate(states, streams, dt):
+    def propagate(states, carried, streams, dt):
         x, z = multiscale_step(model, states[..., :m], states[..., m:], dt,
                                substeps, streams)
         return np.concatenate([x, z], axis=-1)
 
     def read_out(states):
-        return model.obs_fn(states[..., :m], states[..., m:])
+        return model.obs_fn(states[..., :m], states[..., m:]), ()
 
     return _run_filter(propagate, read_out, obs, states, m + model.dim_fast,
                        resample_threshold, StreamBatch(rngs))
@@ -211,12 +220,21 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
     """Bootstrap filters over the slow state only, one per replication of the
     full model's observation batch, from the cloud ``states (R, N, m)``, as in
     ``run_full_filter``.
-    """
-    def propagate(x, streams, dt):
-        xi = streams.standard_normal(x.shape)
-        return euler_maruyama(x, hmodel.drift_avg(x), hmodel.diff_avg(x), xi, dt)
 
-    return _run_filter(propagate, hmodel.obs_avg, obs, states, hmodel.dim_slow,
+    Each particle carries its averaged drift and diffusion: one
+    ``hmodel.coefficients`` call per step gives the read-out that weights the
+    moved cloud and the coefficients of its next move.
+    """
+    def propagate(x, carried, streams, dt):
+        b, sigma = carried or hmodel.coefficients(x)[:2]
+        xi = streams.standard_normal(x.shape)
+        return euler_maruyama(x, b, sigma, xi, dt)
+
+    def read_out(x):
+        b, sigma, h = hmodel.coefficients(x)
+        return h, (b, sigma)
+
+    return _run_filter(propagate, read_out, obs, states, hmodel.dim_slow,
                        resample_threshold, StreamBatch(rngs))
 
 

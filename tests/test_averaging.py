@@ -8,7 +8,8 @@ import pytest
 from homfilt import rng as rngmod
 from homfilt.averaging import (HomogenizedModel, StationaryAverager,
                                TabulationGrid, _estimates, _frozen_sums,
-                               _interpolator, build_homogenized, load_tabulated,
+                               _interpolator, _tabulated_model, build_homogenized,
+                               load_tabulated,
                                matrix_sqrt_psd, save_tabulated)
 from homfilt.errors import BlowUpError, NonErgodicWarning, NotPSDError, NotSymmetricError
 from homfilt.models import MultiscaleModel
@@ -286,3 +287,34 @@ def test_interpolator_matches_scipy_bit_for_bit(ndim, tail, method):
     assert got.shape == (len(pts), 1) + tail
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[3]).all()
+
+
+@pytest.mark.parametrize("method", ["multilinear", "nearest"])
+def test_coefficients_equal_the_three_field_queries(method):
+    # m = 2 slow coordinates and d = 3 read-outs on a 3 x 4 grid.
+    rng = np.random.default_rng(0)
+    grid = TabulationGrid((-1.0, 0.0), (1.0, 2.0), (3, 4), method)
+    roots = rng.standard_normal((12, 2, 2))
+    hm = _tabulated_model(grid, {"b": rng.standard_normal((12, 2)),
+                                 "a": roots @ np.swapaxes(roots, 1, 2),
+                                 "h": rng.standard_normal((12, 3))})
+    x = rng.uniform(-2.0, 3.0, (5, 7, 2))
+    x[1, 2, 0] = np.nan
+    b, sigma, h = hm.coefficients(x)
+    assert (b.shape, sigma.shape, h.shape) == ((5, 7, 2), (5, 7, 2, 2), (5, 7, 3))
+    for got, field in zip((b, sigma, h), (hm.drift_avg, hm.diff_avg, hm.obs_avg)):
+        assert got.tobytes() == np.ascontiguousarray(field(x)).tobytes()
+    assert np.isnan(h[1, 2]).all()
+
+
+def test_closed_form_coefficients_are_the_fields():
+    def const(value):
+        return lambda x: np.full(x.shape[:-1] + (1, 1), value)
+
+    hm = HomogenizedModel(dim_slow=1, dim_obs=1, drift_avg=lambda x: -x,
+                          diffsq_avg=const(0.25), diff_avg=const(0.5),
+                          obs_avg=lambda x: 2.0 * x)
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3, 1)
+    b, sigma, h = hm.coefficients(x)
+    assert np.array_equal(b, -x) and np.array_equal(h, 2.0 * x)
+    assert np.array_equal(sigma, np.full((2, 3, 1, 1), 0.5))

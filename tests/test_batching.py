@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from homfilt import catalog
+from homfilt.averaging import StationaryAverager, TabulationGrid, build_homogenized
 from homfilt.cli import main
 from homfilt.errors import BlowUpError
 from homfilt.filtering import (gaussian_prior, run_full_filter,
@@ -141,26 +142,33 @@ def test_study_distances_equal_lone_replications():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("kind", ["full", "homogenized", "tabulated"])
 def test_failed_replication_leaves_the_other_untouched(kind):
     model = catalog.make_model("ou_benchmark", epsilon=0.25)
     hm = catalog.make_analytic_homogenized("ou_benchmark")
+    if kind == "tabulated":
+        # The NaN particle's carried coefficients are NaN too.
+        hm = build_homogenized(model, TabulationGrid((-2.0,), (2.0,), (9,)),
+                               StationaryAverager(0.5, 2.0, 0.01, 4), root_seed=0)
     xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]), 0.3, 0.02,
                                  rng=np.random.default_rng(1))
     obs = simulate_observations(xs, zs, model, 0.02, rng=np.random.default_rng(2))
-    run, target, n = {"full": (run_full_filter, model, 1),
-                      "homogenized": (run_homogenized_filter, hm, 0)}[kind]
-    # Stream 3's row starts with a NaN particle; stream 4's is clean.
+    run, target, n = ((run_full_filter, model, 1) if kind == "full"
+                      else (run_homogenized_filter, hm, 0))
+    # Stream 3's row starts with a NaN particle; stream 4's is clean and,
+    # at this threshold, resamples.
+    threshold = 0.95
     pair_rngs = [np.random.default_rng(3), np.random.default_rng(4)]
     states = gaussian_prior(StreamBatch(pair_rngs), (2, 128), 0.0, 0.5, 1, n)
     states[0, 5] = np.nan
     pair = ObservationPath(obs.times, np.repeat(obs.increments, 2, axis=1))
-    batch = run(target, pair, states, 0.5, pair_rngs)
+    batch = run(target, pair, states, threshold, pair_rngs)
     assert isinstance(batch.errors[0], BlowUpError)
     assert batch.errors[1] is None
+    assert batch.resampled[:, 1].any()
     lone_rngs = [np.random.default_rng(4)]
-    lone = run(target, obs, gaussian_prior(lone_rngs[0], (1, 128), 0.0, 0.5, 1, n), 0.5,
-               lone_rngs)
+    lone = run(target, obs, gaussian_prior(lone_rngs[0], (1, 128), 0.0, 0.5, 1, n),
+               threshold, lone_rngs)
     assert lone.errors == [None]
     assert np.array_equal(batch.states[1], lone.states[0])
     assert np.array_equal(batch.weights[1], lone.weights[0])
@@ -169,7 +177,7 @@ def test_failed_replication_leaves_the_other_untouched(kind):
     poisoned = [np.random.default_rng(3)]
     states = gaussian_prior(poisoned[0], (1, 128), 0.0, 0.5, 1, n)
     states[0, 5] = np.nan
-    lone_poisoned = run(target, obs, states, 0.5, poisoned)
+    lone_poisoned = run(target, obs, states, threshold, poisoned)
     assert isinstance(lone_poisoned.errors[0], BlowUpError)
 
 

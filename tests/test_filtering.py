@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homfilt import catalog
+from homfilt.averaging import HomogenizedModel, TabulationGrid, _tabulated_model
 from homfilt.errors import UsageError, WeightCollapseError
 from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
                                kalman_reference, run_full_filter,
@@ -233,6 +236,39 @@ class TestRunHomogenizedFilter:
         mh = (homog.weights[0] @ homog.states[0])[0]
         sf = np.sqrt(np.cov(full.states[0, :, 0], aweights=full.weights[0]))
         assert abs(mf - mh) < 3 * (sf / np.sqrt(n_particles)) + 0.05
+
+    def test_reads_a_table_once_per_step(self, monkeypatch):
+        # On a table the filter equals a run that queries the three fields at
+        # every step, bit for bit, though it reads the table only through
+        # coefficients: once for the initial cloud, then once per step.
+        grid = TabulationGrid((-3.0,), (3.0,), (7,))
+        nodes = grid.nodes()
+        hm = _tabulated_model(grid, {"b": -nodes + 0.3 * np.sin(3 * nodes),
+                                     "a": 0.25 + 0.1 * nodes[:, :, None] ** 2,
+                                     "h": nodes + np.cos(nodes)})
+        fields = HomogenizedModel(1, 1, hm.drift_avg, hm.diffsq_avg, hm.diff_avg,
+                                  hm.obs_avg)
+
+        def refuse(x):
+            raise AssertionError("a field query on the table")
+
+        tabulated = dataclasses.replace(hm, drift_avg=refuse, diffsq_avg=refuse,
+                                        diff_avg=refuse, obs_avg=refuse)
+        shapes = []
+        coefficients = HomogenizedModel.coefficients
+        monkeypatch.setattr(HomogenizedModel, "coefficients",
+                            lambda self, x: shapes.append(x.shape) or coefficients(self, x))
+        obs = ObservationPath(times=np.arange(9) * 0.1,
+                              increments=np.random.default_rng(0).normal(0, 0.3, (8, 2, 1)))
+        states = gaussian_prior(np.random.default_rng(1), (2, 32), 0.0, 1.0, 1, 0)
+        got = run_homogenized_filter(tabulated, obs, states, 0.9,
+                                     [np.random.default_rng(r) for r in (2, 3)])
+        assert shapes == [(2, 32, 1)] * 9
+        want = run_homogenized_filter(fields, obs, states, 0.9,
+                                      [np.random.default_rng(r) for r in (2, 3)])
+        assert got.resampled.any()
+        for record in ("states", "weights", "means", "ess", "resampled"):
+            assert np.array_equal(getattr(got, record), getattr(want, record))
 
 
 def _filter(kind):

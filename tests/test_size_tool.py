@@ -1,6 +1,7 @@
 """tools/size.py, the one counter of package lines, settable options and model fields."""
 
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -43,3 +44,13 @@ def test_counts_model_fields_that_init_takes(tmp_path):
         "class StudyConfig:\n    f: int\n    g: int = field(init=False)\n")
     size = _size(str(tmp_path))
     assert (size["model_fields"], size["config fields"]) == ("4", "1")
+
+
+def test_ends_quietly_when_the_reader_closes_the_pipe():
+    # Unbuffered, so the first line arrives before the rest are written.
+    proc = subprocess.Popen([sys.executable, "-u", str(ROOT / "tools" / "size.py")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("lines=")
+    proc.stdout.close()
+    assert proc.stderr.read() == ""
+    assert proc.wait(timeout=60) in (0, -signal.SIGPIPE)

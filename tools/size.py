@@ -18,6 +18,7 @@ classes, a field declared ``field(init=False)`` is not a parameter.
 
 import ast
 import pathlib
+import signal
 import sys
 
 # FilterConfig no longer exists; it stays listed so that older trees count as before.
@@ -95,4 +96,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed pipe ends it quietly, as in `| head`
     sys.exit(main(sys.argv))
