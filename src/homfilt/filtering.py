@@ -139,7 +139,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     then ``read_out(states)``, which gives the (R, N, d) read-out and the
     tuple of (R, N, ...) arrays carried beside the states into the next
     step; the first step gets an empty tuple.  Resampling gathers the
-    states and every carried array with the same indices.  Row r
+    states and copies of the carried arrays with the same indices.  Row r
     draws only from ``rngs[r]``, in the order a lone run of it draws, and
     every operation acts row by row, so each row equals its own R = 1 run bit
     for bit.  A row that goes non-finite or whose weights collapse gets its
@@ -178,11 +178,15 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
             break
         ess_steps[i] = ess(w)
         resampled[i] = ess_steps[i] < resample_threshold * n
-        for r in np.flatnonzero(resampled[i]):
+        rows = np.flatnonzero(resampled[i])
+        if rows.size:
+            # A closed-form coefficient may return its argument or a read-only
+            # broadcast, so the gathers write into copies of the carried arrays.
+            carried = tuple(np.array(a) for a in carried)
+        for r in rows:
             idx = _systematic_indices(w[r], rngs[r].uniform(), n)
-            # Every gather is read before any is written, in case two arrays share memory.
-            for cloud, picked in [(a, a[r, idx]) for a in (states, *carried)]:
-                cloud[r] = picked
+            for a in (states, *carried):
+                a[r] = a[r, idx]
             w[r] = 1.0 / n
         means[i] = (w[:, None, :] @ states)[:, 0]
     return FilterBatch(states=states, weights=w, errors=errors, means=means,

@@ -270,6 +270,24 @@ class TestRunHomogenizedFilter:
         for record in ("states", "weights", "means", "ess", "resampled"):
             assert np.array_equal(getattr(got, record), getattr(want, record))
 
+    def test_carries_coefficients_that_alias_or_broadcast(self):
+        # A closed-form coefficient may return its argument or a read-only
+        # broadcast; resampling the carried values must not write through them.
+        def model(drift, diff):
+            return HomogenizedModel(1, 1, drift, None, diff, lambda x: 2.0 * x)
+
+        aliased = model(lambda x: x,
+                        lambda x: np.broadcast_to(0.5, x.shape[:-1] + (1, 1)))
+        fresh = model(lambda x: x.copy(), lambda x: np.full(x.shape[:-1] + (1, 1), 0.5))
+        obs = ObservationPath(times=np.arange(6) * 0.1,
+                              increments=np.full((5, 1, 1), 0.3))
+        states = gaussian_prior(np.random.default_rng(1), (1, 16), 0.0, 1.0, 1, 0)
+        got, want = (run_homogenized_filter(hm, obs, states, 1.0,
+                                            [np.random.default_rng(2)])
+                     for hm in (aliased, fresh))
+        assert got.resampled.all()
+        assert np.array_equal(got.states, want.states)
+
 
 def _filter(kind):
     """A filter on the ``linear`` family, its model and its state dimension."""
