@@ -119,6 +119,13 @@ class FilterBatch:
     resampled: np.ndarray  # (T, R), bool
 
 
+def _gather(arrays: tuple, r: int, idx: np.ndarray):
+    """Replace row r of each (R, N, ...) array by its particles ``idx``; a
+    function, so that no loop variable holds an array into the next move."""
+    for a in arrays:
+        a[r] = a[r, idx]
+
+
 def _fail(errors: list, rows: np.ndarray, make: Callable):
     """Record ``make(r)`` as the error of each listed row that has none yet."""
     for r in np.flatnonzero(rows):
@@ -173,6 +180,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
             break
         obs_values, carried = read_out(states)
         w, mx = _reweight(w, obs_values, increments[i], dt)
+        del obs_values  # not held through the next move, which sets the peak memory
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
         if None not in errors:
             break
@@ -184,9 +192,7 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
             # broadcast, so the gathers write into copies of the carried arrays.
             carried = tuple(np.array(a) for a in carried)
         for r in rows:
-            idx = _systematic_indices(w[r], rngs[r].uniform(), n)
-            for a in (states, *carried):
-                a[r] = a[r, idx]
+            _gather((states, *carried), r, _systematic_indices(w[r], rngs[r].uniform(), n))
             w[r] = 1.0 / n
         means[i] = (w[:, None, :] @ states)[:, 0]
     return FilterBatch(states=states, weights=w, errors=errors, means=means,
