@@ -238,9 +238,9 @@ class TestRunHomogenizedFilter:
         assert abs(mf - mh) < 3 * (sf / np.sqrt(n_particles)) + 0.05
 
     def test_reads_a_table_once_per_step(self, monkeypatch):
-        # On a table the filter equals a run that queries the three fields at
-        # every step, bit for bit, though it reads the table only through
-        # coefficients: once for the initial cloud, then once per step.
+        # On a table the filter reads the model only through coefficients,
+        # once for the initial cloud and then once per step, and equals bit
+        # for bit the filter on a model whose coefficients are its field queries.
         grid = TabulationGrid((-3.0,), (3.0,), (7,))
         nodes = grid.nodes()
         hm = _tabulated_model(grid, {"b": -nodes + 0.3 * np.sin(3 * nodes),
