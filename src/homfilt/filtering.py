@@ -133,23 +133,21 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
             errors[r] = make(r)
 
 
-def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
-                states: np.ndarray, dim: int, resample_threshold: float,
-                rngs: StreamBatch) -> FilterBatch:
+def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: int,
+                resample_threshold: float, rngs: StreamBatch) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
     The loop starts from a copy of ``states``, an (R, N, dim) cloud with
     N >= 1, so the caller's cloud is never changed, and a zero-step path
-    hands that copy back.  ``obs`` holds R
-    replications on a uniform grid (``ObservationPath`` checks it), and each
-    step is ``propagate(states, carried, rngs, dt)`` with that grid's step,
-    then ``read_out(states)``, which gives the (R, N, d) read-out and the
-    tuple of (R, N, ...) arrays carried beside the states into the next
-    step; the first step gets an empty tuple.  Resampling gathers the
-    states and copies of the carried arrays with the same indices.  Row r
-    draws only from ``rngs[r]``, in the order a lone run of it draws, and
-    every operation acts row by row, so each row equals its own R = 1 run bit
-    for bit.  A row that goes non-finite or whose weights collapse gets its
+    hands that copy back.  ``obs`` holds R replications on a uniform grid
+    (``ObservationPath`` checks it), and each step is ``step(states, carried,
+    rngs, dt)`` with that grid's step, which returns the moved states, their
+    (R, N, d) read-out and the tuple of (R, N, ...) arrays carried beside the
+    states into the next step; the first step gets an empty tuple.
+    Resampling gathers the states and copies of the carried arrays with the
+    same indices.  Row r draws only from ``rngs[r]``, in the order a lone run
+    of it draws, and every operation acts row by row, so each row equals its
+    own R = 1 run bit for bit.  A row that goes non-finite or whose weights collapse gets its
     error recorded and runs on as NaN without touching other rows; the loop
     stops once every row has failed.  Of each step only the (R, dim) means
     and the (R,) ESS and resample flags are kept, so memory grows with the
@@ -173,12 +171,11 @@ def _run_filter(propagate: Callable, read_out: Callable, obs: ObservationPath,
     resampled = np.zeros((len(increments), n_rows), dtype=bool)
     carried = ()
     for i in range(len(increments)):
-        states = propagate(states, carried, rngs, dt)
+        states, obs_values, carried = step(states, carried, rngs, dt)
         _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
               lambda r: BlowUpError(i))
         if None not in errors:
             break
-        obs_values, carried = read_out(states)
         w, mx = _reweight(w, obs_values, increments[i], dt)
         del obs_values  # not held through the next move, which sets the peak memory
         _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
@@ -212,16 +209,13 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.nda
     substeps = model.default_substeps()
     m = model.dim_slow
 
-    def propagate(states, carried, streams, dt):
-        x, z = multiscale_step(model, states[..., :m], states[..., m:], dt,
-                               substeps, streams)
-        return np.concatenate([x, z], axis=-1)
+    def step(states, carried, streams, dt):
+        states = np.concatenate(multiscale_step(model, states[..., :m], states[..., m:],
+                                                dt, substeps, streams), axis=-1)
+        return states, model.obs_fn(states[..., :m], states[..., m:]), ()
 
-    def read_out(states):
-        return model.obs_fn(states[..., :m], states[..., m:]), ()
-
-    return _run_filter(propagate, read_out, obs, states, m + model.dim_fast,
-                       resample_threshold, StreamBatch(rngs))
+    return _run_filter(step, obs, states, m + model.dim_fast, resample_threshold,
+                       StreamBatch(rngs))
 
 
 def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
@@ -235,17 +229,14 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
     ``hmodel.coefficients`` call per step gives the read-out that weights the
     moved cloud and the coefficients of its next move.
     """
-    def propagate(x, carried, streams, dt):
+    def step(x, carried, streams, dt):
         b, sigma = carried or hmodel.coefficients(x)[:2]
-        xi = streams.standard_normal(x.shape)
-        return euler_maruyama(x, b, sigma, xi, dt)
-
-    def read_out(x):
+        x = euler_maruyama(x, b, sigma, streams.standard_normal(x.shape), dt)
         b, sigma, h = hmodel.coefficients(x)
-        return h, (b, sigma)
+        return x, h, (b, sigma)
 
-    return _run_filter(propagate, read_out, obs, states, hmodel.dim_slow,
-                       resample_threshold, StreamBatch(rngs))
+    return _run_filter(step, obs, states, hmodel.dim_slow, resample_threshold,
+                       StreamBatch(rngs))
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,

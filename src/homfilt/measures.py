@@ -27,20 +27,23 @@ ENUMERATION_VERSION = "gauss-v1"
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Finite weighted atom measure on R^m."""
+    """Finite weighted atom measures on R^m, one per leading index: a single
+    measure has atoms (N, m), a batch of R has atoms (R, N, m)."""
 
-    atoms: np.ndarray    # (N, m)
-    weights: np.ndarray  # (N,), nonnegative, summing to 1
+    atoms: np.ndarray    # (..., N, m)
+    weights: np.ndarray  # (..., N), nonnegative, each row summing to 1
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.weights):
-            raise ValueError("atoms and weights must have equal length")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if np.shape(self.atoms)[:-1] != np.shape(self.weights):
+            raise ValueError(f"atoms {np.shape(self.atoms)} and weights "
+                             f"{np.shape(self.weights)} must have equal leading shapes")
+        # A NaN row passes: it marks a failed filter, whose error is reported instead.
+        if np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("weights must sum to 1 within 1e-12")
 
     @property
     def dim(self) -> int:
-        return np.asarray(self.atoms).shape[1]
+        return np.shape(self.atoms)[-1]
 
 
 def _lattice_centers(dim: int, count: int) -> List[Tuple[int, ...]]:
@@ -97,19 +100,25 @@ def default_basis(count: int, dim: int) -> TestFunctionBasis:
     return TestFunctionBasis(dim=dim, centers=centers[ci], widths=widths[qi])
 
 
-def metric_d(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-             basis: TestFunctionBasis) -> float:
+def _integral(measure: EmpiricalMeasure, values: np.ndarray):
+    """Each row's sum of weights times ``values (..., N)``, as one batched product."""
+    return (measure.weights[..., None, :] @ values[..., :, None])[..., 0, 0]
+
+
+def metric_d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, basis: TestFunctionBasis):
     """Truncated weighted series sum_i |mu(phi_i) - nu(phi_i)| / 2^i.
 
     Symmetric, satisfies the triangle inequality, takes values in [0, 1);
     truncation at K functions undershoots the full series by at most 2^-K.
+    Batches of measures give one distance per leading index, each equal bit
+    for bit to its own pair's; a single pair gives a float.
     """
     if mu.dim != nu.dim or mu.dim != basis.dim:
         raise ValueError(f"dimension mismatch: mu {mu.dim}, nu {nu.dim}, "
                          f"basis {basis.dim}")
     total = 0.0
     for i in range(basis.count):
-        mu_i = float(mu.weights @ basis.evaluate(i, mu.atoms))
-        nu_i = float(nu.weights @ basis.evaluate(i, nu.atoms))
+        mu_i = _integral(mu, basis.evaluate(i, mu.atoms))
+        nu_i = _integral(nu, basis.evaluate(i, nu.atoms))
         total += abs(mu_i - nu_i) / 2.0 ** (i + 1)
-    return total
+    return total if np.ndim(total) else float(total)

@@ -117,16 +117,12 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
                            r_full)
     homog = run_homogenized_filter(hmodel, obs, prior(r_homog, shape, 0),
                                    cfg.resample_threshold, r_homog)
-    blown = blow_up_steps(xs, zs)
-    out = []
-    for r in range(len(rep_indices)):
-        error = full.errors[r] or homog.errors[r]
-        if blown[r] >= 0:
-            error = BlowUpError(int(blown[r]))
-        out.append(error or metric_d(
-            EmpiricalMeasure(full.states[r, :, :m], full.weights[r]),
-            EmpiricalMeasure(homog.states[r, :, :m], homog.weights[r]), basis))
-    return out
+    # A failed row's distance may be NaN; its error stands in for it.
+    distances = metric_d(EmpiricalMeasure(full.states[..., :m], full.weights),
+                         EmpiricalMeasure(homog.states, homog.weights), basis)
+    return [BlowUpError(int(b)) if b >= 0 else e_full or e_homog or float(dist)
+            for b, e_full, e_homog, dist in zip(blow_up_steps(xs, zs), full.errors,
+                                                homog.errors, distances)]
 
 
 def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
