@@ -188,23 +188,27 @@ class HomogenizedModel:
 
     All functions broadcast over a leading batch axis like MultiscaleModel
     coefficients: drift_avg (..., m) -> (..., m), diffsq_avg -> (..., m, m),
-    diff_avg -> (..., m, m), obs_avg -> (..., d).
+    diff_avg -> (..., m, m), obs_avg -> (..., d).  A tabulated model holds
+    its grid, node arrays and provenance in ``table``.
     """
 
     dim_slow: int
-    dim_obs: int
     drift_avg: Callable    # averaged b
     diffsq_avg: Callable   # averaged sigma sigma^T
     diff_avg: Callable     # PSD square root of diffsq_avg
     obs_avg: Callable      # averaged h
-    grid: Optional[TabulationGrid] = None
-    table: Optional[dict] = None  # node arrays, present when tabulated
+    table: Optional[dict] = None  # grid and node arrays, present when tabulated
+
+    @cached_property
+    def dim_obs(self) -> int:
+        """d, read off obs_avg at the zero slow state."""
+        return np.shape(self.obs_avg(np.zeros(self.dim_slow)))[-1]
 
     @cached_property
     def _stacked(self):
         """One interpolator over the table's node rows [b | sigma | h]."""
         t = self.table
-        return _interpolator(self.grid, np.concatenate(
+        return _interpolator(t["grid"], np.concatenate(
             [t["b"], t["sigma"].reshape(len(t["b"]), -1), t["h"]], axis=1))
 
     def coefficients(self, x) -> tuple:
@@ -264,9 +268,10 @@ def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
     return query
 
 
-def _tabulated_model(grid: TabulationGrid, table: dict) -> HomogenizedModel:
-    """Wrap a table of node arrays as a model, adding the PSD root ``sigma``
-    of each node's ``a``; a failure names its node."""
+def _tabulated_model(table: dict) -> HomogenizedModel:
+    """Wrap a table of node arrays on ``table["grid"]`` as a model, adding the
+    PSD root ``sigma`` of each node's ``a``; a failure names its node."""
+    grid = table["grid"]
     sigma = np.empty_like(table["a"])
     for i, (x, a) in enumerate(zip(grid.nodes(), table["a"])):
         try:
@@ -275,12 +280,9 @@ def _tabulated_model(grid: TabulationGrid, table: dict) -> HomogenizedModel:
             raise type(exc)(f"node {i} at x={x.tolist()}: {exc}") from exc
     table = {**table, "sigma": sigma}
     return HomogenizedModel(
-        dim_slow=table["b"].shape[1], dim_obs=table["h"].shape[1],
-        drift_avg=_interpolator(grid, table["b"]),
-        diffsq_avg=_interpolator(grid, table["a"]),
-        diff_avg=_interpolator(grid, sigma),
-        obs_avg=_interpolator(grid, table["h"]),
-        grid=grid, table=table)
+        dim_slow=table["b"].shape[1], drift_avg=_interpolator(grid, table["b"]),
+        diffsq_avg=_interpolator(grid, table["a"]), diff_avg=_interpolator(grid, sigma),
+        obs_avg=_interpolator(grid, table["h"]), table=table)
 
 
 def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
@@ -312,8 +314,8 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
     (b, b_se), (a, a_se), (h, h_se) = _estimates(sums, count, cfg, nodes)
     table = {"b": b, "a": 0.5 * (a + np.swapaxes(a, -1, -2)), "h": h,
              "b_se": b_se, "a_se": a_se, "h_se": h_se,
-             "root_seed": root_seed, "averager": cfg}
-    return _tabulated_model(grid, table)
+             "grid": grid, "root_seed": root_seed, "averager": cfg}
+    return _tabulated_model(table)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,7 @@ def _header_lines(obj) -> list:
 def save_tabulated(hm: HomogenizedModel, path: str):
     if hm.table is None:
         raise ValueError("only tabulated models can be serialized")
-    g, t = hm.grid, hm.table
+    t, g = hm.table, hm.table["grid"]
     lines = ["# homfilt tabulated homogenized model v1",
              f"dim_slow={hm.dim_slow}",
              f"dim_obs={hm.dim_obs}",
@@ -391,5 +393,5 @@ def load_tabulated(path: str) -> HomogenizedModel:
     shapes = {"b": (m,), "a": (m, m), "h": (d,)}  # per node, for a key and its _se
     table = {key: blocks[key].reshape((len(nodes),) + shapes[key[0]])
              for key in TABLE_KEYS}
-    table.update(root_seed=int(header["root_seed"]), averager=cfg)
-    return _tabulated_model(grid, table)
+    table.update(grid=grid, root_seed=int(header["root_seed"]), averager=cfg)
+    return _tabulated_model(table)

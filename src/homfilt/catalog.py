@@ -45,9 +45,9 @@ def _scalar(sigma0, theta, mu, g, drift_slow, obs_fn, drift_avg, obs_avg):
     sigma = _const_mat(sigma0)
     coefficients = dict(dim_slow=1, dim_fast=1, drift_slow=drift_slow, diff_slow=sigma,
                         obs_fn=obs_fn, fast_ou=(theta, mu, g))
-    averaged = HomogenizedModel(
-        dim_slow=1, dim_obs=1, drift_avg=drift_avg,
-        diffsq_avg=_const_mat(sigma0 ** 2), diff_avg=sigma, obs_avg=obs_avg)
+    averaged = HomogenizedModel(dim_slow=1, drift_avg=drift_avg,
+                                diffsq_avg=_const_mat(sigma0 ** 2), diff_avg=sigma,
+                                obs_avg=obs_avg)
     return coefficients, averaged
 
 

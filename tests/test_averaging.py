@@ -139,7 +139,7 @@ class TestBuildHomogenized:
         model = ou_model(diff_slow=const_mat(1.0))
         grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(3,))
         hm = build_homogenized(model, grid, FAST_CFG, root_seed=5)
-        for node in hm.grid.nodes():
+        for node in hm.table["grid"].nodes():
             assert np.allclose(hm.diffsq_avg(node), [[1.0]], atol=1e-12)
             assert np.allclose(hm.diff_avg(node), [[1.0]], atol=1e-12)
 
@@ -188,7 +188,7 @@ class TestBuildHomogenized:
         path = str(tmp_path / "table.txt")
         save_tabulated(hm, path)
         hm2 = load_tabulated(path)
-        assert (hm2.grid, hm2.table["averager"]) == (grid, FAST_CFG)
+        assert (hm2.table["grid"], hm2.table["averager"]) == (grid, FAST_CFG)
         probes = np.linspace(-1.2, 1.2, 7)[:, None]
         assert np.array_equal(hm.drift_avg(probes), hm2.drift_avg(probes))
         assert np.array_equal(hm.diffsq_avg(probes), hm2.diffsq_avg(probes))
@@ -295,9 +295,9 @@ def test_coefficients_equal_the_three_field_queries(method):
     rng = np.random.default_rng(0)
     grid = TabulationGrid((-1.0, 0.0), (1.0, 2.0), (3, 4), method)
     roots = rng.standard_normal((12, 2, 2))
-    hm = _tabulated_model(grid, {"b": rng.standard_normal((12, 2)),
-                                 "a": roots @ np.swapaxes(roots, 1, 2),
-                                 "h": rng.standard_normal((12, 3))})
+    hm = _tabulated_model({"grid": grid, "b": rng.standard_normal((12, 2)),
+                           "a": roots @ np.swapaxes(roots, 1, 2),
+                           "h": rng.standard_normal((12, 3))})
     x = rng.uniform(-2.0, 3.0, (5, 7, 2))
     x[1, 2, 0] = np.nan
     b, sigma, h = hm.coefficients(x)
@@ -311,7 +311,7 @@ def test_closed_form_coefficients_are_the_fields():
     def const(value):
         return lambda x: np.full(x.shape[:-1] + (1, 1), value)
 
-    hm = HomogenizedModel(dim_slow=1, dim_obs=1, drift_avg=lambda x: -x,
+    hm = HomogenizedModel(dim_slow=1, drift_avg=lambda x: -x,
                           diffsq_avg=const(0.25), diff_avg=const(0.5),
                           obs_avg=lambda x: 2.0 * x)
     x = np.linspace(-1.0, 1.0, 6).reshape(2, 3, 1)

@@ -243,10 +243,10 @@ class TestRunHomogenizedFilter:
         # for bit the filter on a model whose coefficients are its field queries.
         grid = TabulationGrid((-3.0,), (3.0,), (7,))
         nodes = grid.nodes()
-        hm = _tabulated_model(grid, {"b": -nodes + 0.3 * np.sin(3 * nodes),
-                                     "a": 0.25 + 0.1 * nodes[:, :, None] ** 2,
-                                     "h": nodes + np.cos(nodes)})
-        fields = HomogenizedModel(1, 1, hm.drift_avg, hm.diffsq_avg, hm.diff_avg,
+        hm = _tabulated_model({"grid": grid, "b": -nodes + 0.3 * np.sin(3 * nodes),
+                               "a": 0.25 + 0.1 * nodes[:, :, None] ** 2,
+                               "h": nodes + np.cos(nodes)})
+        fields = HomogenizedModel(1, hm.drift_avg, hm.diffsq_avg, hm.diff_avg,
                                   hm.obs_avg)
 
         def refuse(x):
@@ -274,7 +274,7 @@ class TestRunHomogenizedFilter:
         # A closed-form coefficient may return its argument or a read-only
         # broadcast; resampling the carried values must not write through them.
         def model(drift, diff):
-            return HomogenizedModel(1, 1, drift, None, diff, lambda x: 2.0 * x)
+            return HomogenizedModel(1, drift, None, diff, lambda x: 2.0 * x)
 
         aliased = model(lambda x: x,
                         lambda x: np.broadcast_to(0.5, x.shape[:-1] + (1, 1)))

@@ -20,7 +20,7 @@ def test_counts_the_package():
     assert int(size["lines"]) == sum(p.read_text().count("\n") for p in src.glob("*.py"))
     kinds = ("public defaults", "family parameters", "config fields")
     assert int(size["settable_options"]) == sum(int(size[k]) for k in kinds)
-    assert int(size["model_fields"]) == 17
+    assert int(size["model_fields"]) == 15
 
 
 def test_counts_each_kind_of_option(tmp_path):
