@@ -100,7 +100,7 @@ _FAMILIES = {"linear": _linear, "ou_benchmark": _ou_benchmark,
              "sinusoidal": _sinusoidal}
 
 
-def _build(name: str, epsilon: float, **params):
+def make_views(name: str, epsilon: float, **params) -> tuple:
     """The family's full model at ``epsilon`` and its closed-form averaged
     model; building both checks the parameters once for either view."""
     if name not in _FAMILIES:
@@ -123,12 +123,12 @@ def _build(name: str, epsilon: float, **params):
 
 def make_model(name: str, epsilon: float = 1.0, **params) -> MultiscaleModel:
     """Instantiate a catalog family by name."""
-    return _build(name, epsilon, **params)[0]
+    return make_views(name, epsilon, **params)[0]
 
 
 def make_analytic_homogenized(name: str, **params) -> HomogenizedModel:
     """Closed-form averaged model for a catalog family (epsilon-independent)."""
-    return _build(name, 1.0, **params)[1]
+    return make_views(name, 1.0, **params)[1]
 
 
 def make_ou_benchmark(epsilon: float = 1.0, **params) -> MultiscaleModel:

@@ -154,18 +154,20 @@ def read_csv(path):
 
 
 def _model_from_config(cfg):
+    """[model]'s full model, its family's closed-form averaged model and the
+    family name."""
     sec = _section(cfg, "model")
     family = _require(sec, "family", "model")
     with _config_values("model"):
         params = dict(sec.get("params", {}))
         epsilon = schema.real(sec.get("epsilon", 1.0))
-        model = catalog.make_model(family, epsilon=epsilon, **params)
-    return model, family, params
+        model, averaged = catalog.make_views(family, epsilon, **params)
+    return model, averaged, family
 
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    model, family, params = _model_from_config(cfg)
+    model, _, family = _model_from_config(cfg)
     sec = _section(cfg, "model")
     m, n = model.dim_slow, model.dim_fast
     with _config_values("model"):
@@ -199,7 +201,7 @@ def cmd_simulate(args):
 
 def cmd_homogenize(args):
     cfg = _load_config(args.config)
-    model, family, params = _model_from_config(cfg)
+    model = _model_from_config(cfg)[0]
     sec = _section(cfg, "averager")
     _require(sec, "grid", "averager")
     grid = _build(TabulationGrid, "averager.grid", _section(sec, "averager.grid", "grid"))
@@ -245,20 +247,17 @@ def cmd_filter(args):
         raise UsageError(f"filter mode must be full|homogenized|both, got {mode!r}")
     obs_path = _require(fsec, "observations", "filter")
     obs = _obs_from_file(obs_path)
+    table_path = fsec.get("table") if mode != "full" else None
     targets = {}
-    if mode != "homogenized":
-        targets["full"] = _model_from_config(cfg)[0]
-    if mode != "full":
-        table_path = fsec.get("table")
-        if table_path:
-            hm = _table_from_file(table_path)
-            if "full" in targets and hm.dim_slow != targets["full"].dim_slow:
-                raise IOError(f"{table_path}: the table's slow state has dimension "
-                              f"{hm.dim_slow}, the model's {targets['full'].dim_slow}")
-        else:
-            _, family, params = _model_from_config(cfg)
-            hm = catalog.make_analytic_homogenized(family, **params)
-        targets["homogenized"] = hm
+    if mode != "homogenized" or not table_path:  # a table needs no [model]
+        targets["full"], targets["homogenized"], _ = _model_from_config(cfg)
+    if table_path:
+        hm = targets["homogenized"] = _table_from_file(table_path)
+        if "full" in targets and hm.dim_slow != targets["full"].dim_slow:
+            raise IOError(f"{table_path}: the table's slow state has dimension "
+                          f"{hm.dim_slow}, the model's {targets['full'].dim_slow}")
+    if mode != "both":
+        targets = {mode: targets[mode]}
     d = obs.increments.shape[2]
     for kind, target in targets.items():
         if d != target.dim_obs:

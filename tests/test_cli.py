@@ -165,6 +165,26 @@ class TestFilter:
         _, _, rows = read_csv(str(out / "filter_homogenized.csv"))
         assert np.all(rows[:, 2] == 1.0)  # ESS stays 1 for one particle
 
+    def test_builds_the_family_once(self, tmp_path, monkeypatch):
+        # Mode both without a table: one build gives both filters their model.
+        from homfilt import catalog
+        cfg, out = self.make_inputs(tmp_path)
+        family = catalog._FAMILIES["ou_benchmark"]
+        calls = []
+        monkeypatch.setitem(catalog._FAMILIES, "ou_benchmark",
+                            lambda **params: calls.append(params) or family(**params))
+        assert run(["--config", cfg, "--seed", 8, "--out", out, "filter"]) == 0
+        assert len(calls) == 1
+
+    def test_table_needs_no_model_section(self, tmp_path):
+        obs, table = TestErrors._table(tmp_path, TestErrors._BLOCKS)
+        cfg = write_config(tmp_path, {"filter": {
+            "mode": "homogenized", "n_particles": 8, "observations": str(obs),
+            "table": str(table)}})
+        assert run(["--config", cfg, "--out", tmp_path, "filter"]) == 0
+        _, _, rows = read_csv(str(tmp_path / "filter_homogenized.csv"))
+        assert rows.shape == (2, 4)
+
 
 class TestStudy:
     def test_small_study_and_determinism(self, tmp_path):
