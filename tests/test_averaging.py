@@ -318,3 +318,16 @@ def test_closed_form_coefficients_are_the_fields():
     b, sigma, h = hm.coefficients(x)
     assert np.array_equal(b, -x) and np.array_equal(h, 2.0 * x)
     assert np.array_equal(sigma, np.full((2, 3, 1, 1), 0.5))
+
+
+def test_reads_the_read_out_width_off_obs_avg():
+    from homfilt import catalog
+    grid = TabulationGrid((-1.0, 0.0), (1.0, 2.0), (3, 4))
+    rng = np.random.default_rng(0)
+    tabulated = _tabulated_model({"grid": grid, "b": rng.standard_normal((12, 2)),
+                                  "a": np.broadcast_to(np.eye(2), (12, 2, 2)),
+                                  "h": rng.standard_normal((12, 3))})
+    by_hand = HomogenizedModel(dim_slow=2, drift_avg=lambda x: -x, diffsq_avg=None,
+                               diff_avg=None, obs_avg=lambda x: x[..., :1] * np.ones(3))
+    assert catalog.make_analytic_homogenized("sinusoidal").dim_obs == 1
+    assert (tabulated.dim_obs, by_hand.dim_obs) == (3, 3)

@@ -36,3 +36,34 @@ def test_every_micro_case_runs_under_the_tracer():
     traced = {span.name for span in tracer.spans}
     assert traced
     assert traced <= {name for name, *_ in layer_trace.TARGETS}
+
+
+def test_traced_table_answers_every_query(tmp_path):
+    # `--trace 1` on track loads its table through _with_traced_queries, which
+    # swaps the model's query fields for traced wrappers; the traced model must
+    # answer as the plain one does and save the same bytes.
+    import numpy as np
+    from homfilt import catalog
+    from homfilt.averaging import (StationaryAverager, TabulationGrid, build_homogenized,
+                                   load_tabulated, save_tabulated)
+
+    layer_trace = _load("layer_trace")
+    path = str(tmp_path / "table.txt")
+    save_tabulated(build_homogenized(
+        catalog.make_model("sinusoidal", epsilon=0.05),
+        TabulationGrid(lows=(-2.0,), highs=(2.0,), counts=(5,)),
+        StationaryAverager(burn_in=0.01, sample_horizon=0.02, dt=0.01, replicates=2),
+        root_seed=0), path)
+    tracer = layer_trace.Tracer()
+    traced = layer_trace._with_traced_queries(tracer, load_tabulated)(path)
+    plain = load_tabulated(path)
+    x = np.linspace(-2.5, 2.5, 7)[:, None]
+    for name in layer_trace.QUERY_FIELDS:
+        assert np.array_equal(getattr(traced, name)(x), getattr(plain, name)(x))
+    for got, want in zip(traced.coefficients(x), plain.coefficients(x), strict=True):
+        assert np.array_equal(got, want)
+    assert traced.dim_obs == plain.dim_obs == 1
+    save_tabulated(traced, str(tmp_path / "resaved.txt"))
+    assert (tmp_path / "resaved.txt").read_bytes() == (tmp_path / "table.txt").read_bytes()
+    assert len(tracer.spans) >= len(layer_trace.QUERY_FIELDS)
+    assert {span.name for span in tracer.spans} == {"averaging.interp_query"}

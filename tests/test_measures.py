@@ -120,3 +120,48 @@ class TestMetricD:
             assert cur >= prev - 1e-15
             assert cur - prev <= 2.0 ** (-(k - 1)) if k > 1 else True
             prev = cur
+
+
+def batch(rng, shape, dim):
+    """Measures of ``shape + (N,)`` weights on ``dim``-dimensional atoms."""
+    w = rng.uniform(0.05, 1.0, shape)
+    return EmpiricalMeasure(atoms=rng.standard_normal(shape + (dim,)),
+                            weights=w / w.sum(axis=-1, keepdims=True))
+
+
+class TestBatches:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_equals_each_row_bit_for_bit(self, rng, dim):
+        basis = default_basis(16, dim)
+        mu, nu = batch(rng, (5, 64), dim), batch(rng, (5, 64), dim)
+        got = metric_d(mu, nu, basis)
+        rows = [metric_d(measure(mu.atoms[r], mu.weights[r]),
+                         measure(nu.atoms[r], nu.weights[r]), basis) for r in range(5)]
+        assert got.shape == (5,)
+        assert got.tobytes() == np.array(rows).tobytes()
+
+    def test_a_nan_row_leaves_the_others_alone(self, rng):
+        basis = default_basis(16, 1)
+        mu, nu = batch(rng, (4, 32), 1), batch(rng, (4, 32), 1)
+        want = metric_d(mu, nu, basis)
+        atoms, weights = mu.atoms.copy(), mu.weights.copy()
+        atoms[2, 5], weights[2] = np.nan, np.nan
+        got = metric_d(EmpiricalMeasure(atoms, weights), nu, basis)
+        assert np.isnan(got[2])
+        assert np.delete(got, 2).tobytes() == np.delete(want, 2).tobytes()
+
+    def test_a_single_pair_gives_a_float(self, rng):
+        dist = metric_d(batch(rng, (16,), 1), batch(rng, (16,), 1), default_basis(8, 1))
+        assert type(dist) is float and float(repr(dist)) == dist
+
+    def test_refuses_leading_shapes_that_differ(self):
+        with pytest.raises(ValueError, match="leading shapes"):
+            EmpiricalMeasure(np.zeros((2, 3, 1)), np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="leading shapes"):
+            EmpiricalMeasure(np.zeros((3, 1)), np.full(2, 0.5))
+
+    def test_refuses_a_row_that_does_not_sum_to_one(self):
+        weights = np.full((3, 4), 0.25)
+        weights[1, 0] = 0.5
+        with pytest.raises(ValueError, match="sum to 1"):
+            EmpiricalMeasure(np.zeros((3, 4, 1)), weights)
