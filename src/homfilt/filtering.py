@@ -147,11 +147,12 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
     Resampling gathers the states and copies of the carried arrays with the
     same indices.  Row r draws only from ``rngs[r]``, in the order a lone run
     of it draws, and every operation acts row by row, so each row equals its
-    own R = 1 run bit for bit.  A row that goes non-finite or whose weights collapse gets its
-    error recorded and runs on as NaN without touching other rows; the loop
-    stops once every row has failed.  Of each step only the (R, dim) means
-    and the (R,) ESS and resample flags are kept, so memory grows with the
-    horizon only as the (T, R, d) observations do, and never with N.
+    own R = 1 run bit for bit.  A row that goes non-finite or whose weights
+    collapse gets its error recorded and runs on as NaN without touching
+    other rows; the loop stops once every row has failed.  Of each step only
+    the (R, dim) means and the (R,) ESS and resample flags are kept, so
+    memory grows with the horizon only as the (T, R, d) observations do, and
+    never with N.
     """
     if not (0.0 < resample_threshold <= 1.0):
         raise UsageError("resample_threshold must lie in (0, 1]")
