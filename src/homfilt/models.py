@@ -241,9 +241,7 @@ def simulate_observations(xs: np.ndarray, zs: np.ndarray, model: MultiscaleModel
     """
     if len(xs) < 2:
         raise ValueError("signal path must contain at least one step")
-    times = np.arange(len(xs)) * dt
-    dts = np.diff(times)[:, None, None]
-    h = model.obs_fn(xs[:-1], zs[:-1])
-    h = h.reshape(len(dts), -1, model.dim_obs)
-    xi = np.moveaxis(rng.standard_normal((h.shape[1], len(dts), model.dim_obs)), 1, 0)
-    return ObservationPath(times=times, increments=h * dts + xi * np.sqrt(dts))
+    h = model.obs_fn(xs[:-1], zs[:-1]).reshape(len(xs) - 1, -1, model.dim_obs)
+    xi = np.moveaxis(rng.standard_normal((h.shape[1], len(h), model.dim_obs)), 1, 0)
+    return ObservationPath(times=np.arange(len(xs)) * dt,
+                           increments=h * dt + xi * np.sqrt(dt))

@@ -27,34 +27,35 @@ def sha256(path):
 
 # sha256 of the outputs at these configs and seeds with the exact-draw
 # scheme: every catalog family's OU fast block takes one exact draw of its
-# S Euler substeps per slow step, in the truth and in the full filter, and
-# report.txt's slope interval resamples with one index matrix per epsilon.
+# S Euler substeps per slow step, in the truth and in the full filter,
+# report.txt's slope interval resamples with one index matrix per epsilon, and
+# each observation increment scales by the grid step dt that the filters use.
 STUDY_SHA256 = {
-    "report.txt": "091eed19d97fb3f17c6c1540fb0120733d7244508587de26ec579a01bd53c01e",
-    "report.csv": "88c18156140095616b7f2ebaadd647ef56307cae25e0e453b75e26505f35f094",
+    "report.txt": "3b3bbe138defbea3e1466cf9b442be2396df7dd329ac22f258b9fc00f98a2d87",
+    "report.csv": "789029102687f65e5c3844b0fb7dcb4b4acfdc6f24990fb69c3ce73ec443f6ca",
 }
 FILTER_SHA256 = {
-    "filter_full.csv": "a1c1021e87818e7048d2331ee3b1983228c7ac821d2cb82ded56f826cc8afa0e",
+    "filter_full.csv": "e67fe4bc5aa3d0cb099fec2d9d23ccabd450783ed66762a1cfb55bf185b28d6d",
     "filter_homogenized.csv":
-        "d2d461239303fb4c49f01c981dffb6f33b6756a84382435dfed410cab5139bc6",
+        "d467b21b437c37c9722dd2738bba1d7ccb8692918e36372e0c8cb094bbca9202",
     "filter_distance.txt":
-        "0bfc9d3f7fe37fc6fd93bcf0a4c474dfac0dc763c0b52203f7f5fb1fbf6cf059",
+        "bb237c8e0c4226ab76297041c2a9cd4a10ef851c56a2afdbacc42d3406835cc6",
 }
 # The simulate call that feeds the filter outputs above; pins the unbatched
 # path of simulate_observations.
 SIMULATE_SHA256 = {
     "signal.csv": "545c11f357b2a14410b5e7b992ac2ac0f2201082643e4afdc64bc449dcbc64a4",
     "observations.csv":
-        "657f85a2ce394e233ec86ff4dd819dc38227bd0979773ee5e77844cfff65638c",
+        "1589c2e2f6f9241a8de8ca43fb1141714b59c6ed21e03fbeadf099c9b5146b1a",
 }
 # Simulate, homogenize on a five-node grid and filter with that table, at a
 # threshold that resamples mid-path; pins the tabulated reduced filter.
 TABULATED_FILTER_SHA256 = {
-    "filter_full.csv": "b3512a1fdd7b5ac5af1bca80b9138e5c2d0c598477b0714291b56329b5ee66b2",
+    "filter_full.csv": "695bd7e81cf14f6c12ca13903841e321ceeb0774835b9d4215c1234c145b1dd6",
     "filter_homogenized.csv":
-        "b58d453239a61a65fa83a734c2460a2a17bbe56236468a6419c3f963f6695f63",
+        "a364edc5cb9e283d281528f223a886c83421dee102d55b623903fcf071025424",
     "filter_distance.txt":
-        "7ff099ec0770c4009aa2eacb61e3a947fe20790168f1bf2bce8dc96f31fdfab0",
+        "d722dc6cbd92dcaab3834699fd9fb617d83a12aa09354d4138b7fd23d772a5dc",
 }
 # A small grid-wide averaging run; pins the per-node streams.
 TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"
