@@ -30,9 +30,9 @@ def gaussian_prior(rng, shape: tuple, mean: float, std: float, m: int,
     (m + n,)`` array: x ~ N(mean, std^2) per coordinate, then z one standard
     normal away from x's first coordinate, near the frozen stationary law.
     x is drawn before z; the reduced filter passes n = 0."""
-    if not (np.isfinite(mean) and np.isfinite(std)):
-        raise UsageError(f"init_mean and init_std must be finite, got {mean!r} "
-                         f"and {std!r}")
+    if not (np.isfinite(mean) and np.isfinite(std) and std >= 0):
+        raise UsageError(f"init_mean must be finite and init_std finite and >= 0, "
+                         f"got {mean!r} and {std!r}")
     x = mean + std * rng.standard_normal(shape + (m,))
     return np.concatenate([x, x[..., :1] + rng.standard_normal(shape + (n,))], axis=-1)
 

@@ -11,7 +11,7 @@ predicts slope 1/2 up to particle noise.
 
 import io
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -137,36 +137,26 @@ def run_replication(model: MultiscaleModel, hmodel: HomogenizedModel,
     return result
 
 
-def _fit_slope(log_eps: np.ndarray, log_mean: np.ndarray,
-               weights: Optional[np.ndarray]) -> tuple:
-    """Weighted least-squares line through (log eps, log mean distance), per row."""
-    if weights is None:
-        weights = np.ones_like(log_eps)
-    w = weights / weights.sum()
-    xb = w @ log_eps
-    yb = log_mean @ w
-    cov = ((log_eps - xb) * (log_mean - np.expand_dims(yb, -1))) @ w
-    var = w @ (log_eps - xb) ** 2
-    slope = cov / var
-    return slope, yb - slope * xb
-
-
 def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
-    """Slope and intercept of log(mean distance) vs log(epsilon).
+    """Slope and intercept of log(mean distance) vs log(epsilon), per row of
+    per-epsilon means and standard errors (one row, or a stack of rows).
 
-    Weights are inverse variances of the log means, (se/mean)^-2; if any
-    standard error is zero (e.g. exact synthetic distances) the fit falls back
-    to ordinary least squares.
+    A row is weighted by the inverse variances of its log means, (mean/se)^2,
+    or fitted by ordinary least squares if it has a zero standard error (e.g.
+    exact synthetic distances) or none are given.  One row gives floats.
     """
     le = np.log(np.asarray(epsilons, dtype=float))
-    lm = np.log(np.asarray(mean_distances, dtype=float))
-    weights = None
-    if standard_errors is not None:
-        se = np.asarray(standard_errors, dtype=float)
-        mean = np.asarray(mean_distances, dtype=float)
-        if np.all(se > 0):
-            weights = (mean / se) ** 2
-    return tuple(map(float, _fit_slope(le, lm, weights)))
+    mean = np.asarray(mean_distances, dtype=float)
+    se = np.asarray(0 * mean if standard_errors is None else standard_errors, dtype=float)
+    weighted = (se > 0).all(axis=-1, keepdims=True)
+    w = np.where(weighted, mean / np.where(weighted, se, 1.0), 1.0) ** 2
+    w = w / w.sum(axis=-1, keepdims=True)
+    lm = np.log(mean)
+    xb = (w * le).sum(axis=-1, keepdims=True)
+    yb = (w * lm).sum(axis=-1, keepdims=True)
+    slope = (w * (le - xb) * (lm - yb)).sum(axis=-1) / (w * (le - xb) ** 2).sum(axis=-1)
+    intercept = yb[..., 0] - slope * xb[..., 0]
+    return (float(slope), float(intercept)) if slope.ndim == 0 else (slope, intercept)
 
 
 def run_study(cfg: StudyConfig) -> ConvergenceReport:
@@ -208,9 +198,7 @@ def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceRepor
         replications.append(kept)
         failures.append(n_failed)
 
-    means = np.array([np.mean(d) for d in distances])
-    ses = np.array([np.std(d, ddof=1) / np.sqrt(len(d)) if len(d) > 1 else 0.0
-                    for d in distances])
+    means, ses = np.array([_mean_and_se(np.asarray(d)) for d in distances]).T
     slope, intercept = fit_loglog_slope(cfg.epsilons, means, ses)
     slope_ci = _bootstrap_slope_ci(cfg, distances)
     return ConvergenceReport(
@@ -225,14 +213,23 @@ def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceRepor
         replications=tuple(tuple(reps) for reps in replications))
 
 
+def _mean_and_se(d: np.ndarray) -> tuple:
+    """Mean and standard error (ddof 1, or 0 for one value) over the last axis."""
+    n = d.shape[-1]
+    se = d.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(d.shape[:-1])
+    return d.mean(axis=-1), se
+
+
 def _bootstrap_slope_ci(cfg: StudyConfig, distances: List[List[float]]) -> tuple:
-    """Percentile interval for the slope, resampling replications per epsilon with
-    one index matrix each; a sample with a mean distance <= 0 is dropped."""
+    """Percentile interval for ``fit_loglog_slope``'s slope over resamples of
+    each epsilon's replications, one index matrix per epsilon, each refitted
+    from its means and standard errors; a sample with a mean <= 0 is dropped."""
     rng = rngmod.stream(cfg.root_seed, rngmod.ROLE_BOOTSTRAP)
-    means = np.stack([d[rng.integers(0, len(d), (cfg.bootstrap_samples, len(d)))]
-                      .mean(axis=1) for d in map(np.asarray, distances)], axis=1)
-    slopes, _ = _fit_slope(np.log(np.asarray(cfg.epsilons)),
-                           np.log(means[(means > 0).all(axis=1)]), None)
+    draws = (d[rng.integers(0, len(d), (cfg.bootstrap_samples, len(d)))]
+             for d in map(np.asarray, distances))
+    means, ses = np.stack([_mean_and_se(s) for s in draws], axis=-1)
+    kept = (means > 0).all(axis=1)
+    slopes, _ = fit_loglog_slope(cfg.epsilons, means[kept], ses[kept])
     lo, hi = np.percentile(slopes, [2.5, 97.5]) if len(slopes) else (np.nan, np.nan)
     return (float(lo), float(hi))
 

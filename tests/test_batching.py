@@ -28,10 +28,11 @@ def sha256(path):
 # sha256 of the outputs at these configs and seeds with the exact-draw
 # scheme: every catalog family's OU fast block takes one exact draw of its
 # S Euler substeps per slow step, in the truth and in the full filter,
-# report.txt's slope interval resamples with one index matrix per epsilon, and
-# each observation increment scales by the grid step dt that the filters use.
+# report.txt's slope interval resamples with one index matrix per epsilon and
+# refits each sample with the report's weighted slope fit, and each
+# observation increment scales by the grid step dt that the filters use.
 STUDY_SHA256 = {
-    "report.txt": "3b3bbe138defbea3e1466cf9b442be2396df7dd329ac22f258b9fc00f98a2d87",
+    "report.txt": "c062003e393a28cee59eba043d7d9c385c4966362bee5b58ad5e0ba9c481cb2c",
     "report.csv": "789029102687f65e5c3844b0fb7dcb4b4acfdc6f24990fb69c3ce73ec443f6ca",
 }
 FILTER_SHA256 = {

@@ -156,7 +156,8 @@ class TestFilter:
     def test_single_particle_echoes_trajectory(self, tmp_path):
         cfg_path, out = self.make_inputs(tmp_path)
         import yaml as _y
-        cfg = _y.safe_load(open(cfg_path))
+        with open(cfg_path) as f:
+            cfg = _y.safe_load(f)
         cfg["filter"]["n_particles"] = 1
         cfg["filter"]["mode"] = "homogenized"
         cfg["filter"]["init_std"] = 0.0
@@ -339,8 +340,8 @@ class TestErrors:
                       "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}, "study")
         assert not (tmp_path / "report.txt").exists()
 
-    # A non-finite initial law or state is a usage error, not a numeric
-    # failure of the run it would start.
+    # A non-finite initial law or state, or a negative initial std, is a usage
+    # error, not a numeric failure of the run it would start.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("section, bad, command, output", [
         ("study", {"init_std": float("nan")}, "study", "report.txt"),
@@ -349,6 +350,8 @@ class TestErrors:
          "filter_homogenized.csv"),
         ("model", {"x0": [float("nan")]}, "simulate", "signal.csv"),
         ("model", {"z0": [float("inf")]}, "simulate", "signal.csv"),
+        ("study", {"init_std": -0.5}, "study", "report.txt"),
+        ("filter", {"init_std": -0.5}, "filter", "filter_full.csv"),
     ])
     def test_non_finite_initial_law_is_usage_error(self, tmp_path, capsys, section, bad,
                                                    command, output):

@@ -52,5 +52,6 @@ def test_ends_quietly_when_the_reader_closes_the_pipe():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert proc.stdout.readline().startswith("lines=")
     proc.stdout.close()
-    assert proc.stderr.read() == ""
+    with proc.stderr:
+        assert proc.stderr.read() == ""
     assert proc.wait(timeout=60) in (0, -signal.SIGPIPE)

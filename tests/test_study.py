@@ -47,6 +47,18 @@ class TestSlopeFit:
         slope, _ = fit_loglog_slope(eps, means, ses)
         assert abs(slope - 0.5) < 1e-3
 
+    def test_stack_of_rows_gives_each_rows_own_fit(self):
+        eps = (0.5, 0.25, 0.125, 0.0625)
+        rng = np.random.default_rng(3)
+        means = rng.uniform(0.1, 1.0, (50, 4))
+        ses = rng.uniform(0.01, 0.1, (50, 4))
+        ses[::7, 2] = 0.0  # these rows fall back to ordinary least squares
+        slopes, intercepts = fit_loglog_slope(eps, means, ses)
+        rows = [fit_loglog_slope(eps, m, s) for m, s in zip(means, ses)]
+        assert all(type(v) is float for row in rows for v in row)
+        assert np.array([r[0] for r in rows]).tobytes() == slopes.tobytes()
+        assert np.array([r[1] for r in rows]).tobytes() == intercepts.tobytes()
+
 
 def sweep(cfg, distance):
     """Per epsilon of ``cfg``, ``distance(eps, ei, ri)`` for each replication;
@@ -231,6 +243,24 @@ class TestBootstrapSlopeCI:
                      for eps, row in zip(cfg.epsilons, xi)]
         lo, hi = _bootstrap_slope_ci(cfg, distances)
         assert lo < 0.5 < hi < lo + 0.2
+
+    def test_interval_is_that_of_the_weighted_fit(self):
+        # Three tight levels on 0.3 sqrt(eps) and a smallest epsilon 3x high
+        # with a wide log-spread: the weighted slope stays near 1/2, and so
+        # must its interval, far from the unweighted slope near 0.
+        cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625), replications=40,
+                           bootstrap_samples=1000)
+        xi = np.random.default_rng(5).standard_normal((len(cfg.epsilons), 40))
+        xi -= xi.mean(axis=1, keepdims=True)
+        distances = [list(0.3 * np.sqrt(eps) * (1 + 0.01 * row))
+                     for eps, row in zip(cfg.epsilons[:3], xi[:3])]
+        spread = np.exp(0.9 * xi[3])
+        distances.append(list(0.9 * np.sqrt(cfg.epsilons[3]) * spread / spread.mean()))
+        means = [np.mean(d) for d in distances]
+        ses = [np.std(d, ddof=1) / np.sqrt(len(d)) for d in distances]
+        slope, _ = fit_loglog_slope(cfg.epsilons, means, ses)
+        lo, hi = _bootstrap_slope_ci(cfg, distances)
+        assert lo < slope < hi < lo + 0.1
 
     def test_epsilon_of_zero_distances_gives_no_interval(self):
         cfg = small_config()
