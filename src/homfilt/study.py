@@ -9,7 +9,9 @@ epsilon mean distances are then fitted with a log-log line; the theory
 predicts slope 1/2 up to particle noise.
 """
 
+import contextvars
 import io
+import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Sequence
 
@@ -25,6 +27,7 @@ from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
+CHUNK_PARTICLES = 65536  # particles per run_replications call, unless one row has more
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -162,15 +165,34 @@ def fit_loglog_slope(epsilons, mean_distances, standard_errors=None) -> tuple:
 def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Run the full epsilon sweep and fit the convergence rate.
 
-    The reduced filter runs on the family's analytic homogenized model.  No
-    epsilon runs after one whose failures abort the study.
+    The reduced filter runs on the family's analytic homogenized model.  Each
+    epsilon's replications run in row chunks of at most ``CHUNK_PARTICLES``
+    particles, at least one per usable CPU while replications last, on a
+    pool with one thread per CPU.  Every row draws only from its own
+    streams, so the report does not depend on the chunking.  No epsilon runs
+    after one whose failures abort the study.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
     basis = default_basis(cfg.basis_count, hmodel.dim_slow)
-    return summarize(cfg, (
-        run_replications(catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params),
-                         hmodel, cfg, basis, ei, range(cfg.replications))
-        for ei, eps in enumerate(cfg.epsilons)))
+    cpus = len(os.sched_getaffinity(0))
+    reps = cfg.replications
+    rows_per_chunk = max(1, CHUNK_PARTICLES // cfg.n_particles)
+    n_chunks = min(reps, max(cpus, -(-reps // rows_per_chunk)))
+    chunks = [range(reps * i // n_chunks, reps * (i + 1) // n_chunks)
+              for i in range(n_chunks)]
+
+    with ThreadPoolExecutor(cpus) as pool:
+        def level(ei, eps):
+            model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
+            # Each task runs in a copy of this thread's context, which holds
+            # numpy's errstate.
+            tasks = [pool.submit(contextvars.copy_context().run, run_replications,
+                                 model, hmodel, cfg, basis, ei, rows) for rows in chunks]
+            return [entry for task in tasks for entry in task.result()]
+
+        return summarize(cfg, (level(ei, eps) for ei, eps in enumerate(cfg.epsilons)))
 
 
 def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceReport:

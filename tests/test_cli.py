@@ -665,6 +665,13 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _exits_without_scipy("import sys, homfilt.cli")
 
 
+def test_cli_import_leaves_thread_pool_unloaded():
+    # Only run_study needs the pool; filter, simulate and homogenize should
+    # not pay for importing it.
+    assert _exit_code("import sys, homfilt.cli\n"
+                      "sys.exit('concurrent.futures' in sys.modules)") == 0
+
+
 def test_tabulated_model_leaves_scipy_unloaded(tmp_path):
     write_config(tmp_path, {
         "model": {"family": "sinusoidal", "epsilon": 0.1, "horizon": 0.2,

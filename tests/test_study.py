@@ -1,9 +1,10 @@
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from homfilt import catalog, rng as rngmod, schema
+from homfilt import catalog, rng as rngmod, schema, study
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import gaussian_prior, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
@@ -277,6 +278,52 @@ class TestRunStudyEndToEnd:
         assert all(d > 0 for d in report.mean_distances)
         assert np.isfinite(report.slope)
         assert report.slope_ci[0] <= report.slope_ci[1]
+
+    @pytest.mark.parametrize("cpus, chunk_particles, sizes", [
+        (1, study.CHUNK_PARTICLES, [5]),
+        (3, study.CHUNK_PARTICLES, [1, 2, 2]),
+        (1, 64, [1, 2, 2]),      # two rows of 32 particles per chunk
+        (8, study.CHUNK_PARTICLES, [1] * 5),
+    ])
+    def test_report_does_not_depend_on_chunking(self, monkeypatch, cpus,
+                                                chunk_particles, sizes):
+        cfg = small_config(replications=5, n_particles=32)
+        default = run_study(cfg)
+        chunks = []
+
+        def recorded(model, hmodel, cfg, basis, eps_index, rep_indices):
+            chunks.append((eps_index, list(rep_indices)))
+            return run_replications(model, hmodel, cfg, basis, eps_index, rep_indices)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
+        monkeypatch.setattr(study, "run_replications", recorded)
+        assert run_study(cfg) == default
+        for ei in range(len(cfg.epsilons)):
+            rows = sorted(reps for e, reps in chunks if e == ei)
+            assert [len(r) for r in rows] == sizes
+            assert sum(rows, []) == list(range(cfg.replications))
+
+    def test_abort_starts_no_later_epsilon(self, monkeypatch):
+        cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625))
+        started = []
+
+        def fake(model, hmodel, cfg, basis, eps_index, rep_indices):
+            started.append(eps_index)
+            return [HomfiltError("forced failure") if eps_index == 1 else 0.1
+                    for _ in rep_indices]
+
+        monkeypatch.setattr(study, "run_replications", fake)
+        with pytest.raises(StudyAbortError, match="epsilon=0.25"):
+            run_study(cfg)
+        assert set(started) == {0, 1}
+
+    @pytest.mark.filterwarnings("error")
+    def test_workers_keep_the_callers_errstate(self):
+        # numpy's errstate is a context variable, which pool threads do not
+        # inherit; every replication overflows, so the study aborts quietly.
+        with np.errstate(all="ignore"), pytest.raises(StudyAbortError):
+            run_study(small_config(family_params={"a": 1.0e200}))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
