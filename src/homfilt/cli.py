@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 
@@ -22,7 +23,8 @@ from . import __version__, catalog, rng as rngmod, schema
 from .averaging import (StationaryAverager, TabulationGrid, build_homogenized,
                         load_tabulated, save_tabulated)
 from .errors import BlowUpError, HomfiltError, ModelShapeError, UsageError
-from .filtering import gaussian_prior, run_full_filter, run_homogenized_filter
+from .filtering import (gaussian_prior, run_forked, run_full_filter,
+                        run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d
 from .models import (ObservationPath, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
@@ -275,7 +277,7 @@ def cmd_filter(args):
 
     manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(n_particles),
                                       "dt": repr(obs.dt)})
-    finals = {}
+    tasks = []
     for kind, target in targets.items():
         if kind == "full":
             run, role, n = run_full_filter, rngmod.ROLE_FILTER_FULL, target.dim_fast
@@ -284,7 +286,11 @@ def cmd_filter(args):
         rngs = [rngmod.stream(args.seed, role)]
         states = gaussian_prior(rngmod.StreamBatch(rngs), (1, n_particles),
                                 settings["init_mean"], settings["init_std"], m, n)
-        batch = run(target, obs, states, settings["resample_threshold"], rngs)
+        tasks.append(functools.partial(run, target, obs, states,
+                                       settings["resample_threshold"], rngs))
+    # The filters run side by side; their outputs and errors follow in order.
+    finals = {}
+    for kind, batch in zip(targets, run_forked(tasks)):
         if batch.errors[0] is not None:
             raise batch.errors[0]
         finals[kind] = EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0])

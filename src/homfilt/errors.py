@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class HomfiltError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error pickles as its message arguments and attributes, so a subclass
+    whose ``__init__`` takes other arguments comes back unchanged from a
+    forked worker.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ModelShapeError(HomfiltError):

@@ -5,9 +5,12 @@ and are reweighted by the one-step discrete Girsanov factor
 exp(h * dY - 0.5 |h|^2 dt), with systematic resampling when the effective
 sample size drops below a threshold fraction.  The reduced filter runs on the
 slow coordinates only but consumes the same observation increments as the full
-filter -- that pairing is the whole point of the construction.
+filter -- that pairing is the whole point of the construction.  Independent
+filter runs go side by side in forked processes through ``run_forked``.
 """
 
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -268,3 +271,74 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
         means[i + 1] = mean + gain * (dy - hh * mean)
         variances[i + 1] = (1.0 - gain * hh) * var
     return means, variances
+
+
+def run_forked(tasks: Sequence[Callable]) -> list:
+    """``[task() for task in tasks]``, with the tasks split into contiguous
+    groups, one per usable CPU while tasks last.
+
+    The calling process runs the first group.  Each other group runs in a
+    child made by ``os.fork``, which inherits the caller's state, numpy's
+    errstate included, and pickles its results, or the exception that
+    stopped it, into a pipe before it ends with ``os._exit``.  The caller
+    reads every pipe to its end before it reaps the child, so a result
+    larger than the pipe's buffer cannot block, and it reaps every child
+    also when its own group raises.  The first exception in task order is
+    raised in the caller, with its type and attributes; a child that ends
+    without a result, such as one killed by a signal, raises
+    ChildProcessError.
+    """
+    n_groups = max(1, min(len(os.sched_getaffinity(0)), len(tasks)))
+    groups = [tasks[len(tasks) * i // n_groups:len(tasks) * (i + 1) // n_groups]
+              for i in range(n_groups)]
+    children = []
+    try:
+        for group in groups[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(group, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [task() for task in groups[0]]
+    finally:
+        ends = [_reap(pid, read_fd) for pid, read_fd in children]
+    for pid, code, data in ends:
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"worker process {pid} {how}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.extend(value)
+    return results
+
+
+def _run_child(group: Sequence[Callable], write_fd: int):
+    """Run a forked child's tasks, send (ok, results or exception) through
+    ``write_fd`` and end the process, without returning to the caller."""
+    code = 1
+    try:
+        try:
+            payload = True, [task() for task in group]
+        except BaseException as exc:  # handed to the parent, which raises it
+            payload = False, exc
+        try:
+            data = pickle.dumps(payload)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, ChildProcessError(
+                f"worker process {os.getpid()}: cannot send its outcome: {exc!r}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int) -> tuple:
+    """A child's pid, exit code (minus the signal that killed it) and the
+    bytes it sent, read to the end before the child is waited for."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    return pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data

@@ -9,10 +9,10 @@ epsilon mean distances are then fitted with a log-log line; the theory
 predicts slope 1/2 up to particle noise.
 """
 
-import contextvars
 import io
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ import numpy as np
 from . import catalog, measures, rng as rngmod, schema
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
-from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_full_filter,
-                        run_homogenized_filter)
+from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_forked,
+                        run_full_filter, run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
@@ -167,13 +167,12 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
 
     The reduced filter runs on the family's analytic homogenized model.  Each
     epsilon's replications run in row chunks of at most ``CHUNK_PARTICLES``
-    particles, at least one per usable CPU while replications last, on a
-    pool with one thread per CPU.  Every row draws only from its own
-    streams, so the report does not depend on the chunking.  No epsilon runs
-    after one whose failures abort the study.
+    particles, at least one per usable CPU while replications last, through
+    ``run_forked``: one process per CPU, the caller and forked children.
+    Every row draws only from its own streams, so the report does not depend
+    on the chunking.  No epsilon runs after one whose failures abort the
+    study.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
     basis = default_basis(cfg.basis_count, hmodel.dim_slow)
     cpus = len(os.sched_getaffinity(0))
@@ -183,16 +182,13 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     chunks = [range(reps * i // n_chunks, reps * (i + 1) // n_chunks)
               for i in range(n_chunks)]
 
-    with ThreadPoolExecutor(cpus) as pool:
-        def level(ei, eps):
-            model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
-            # Each task runs in a copy of this thread's context, which holds
-            # numpy's errstate.
-            tasks = [pool.submit(contextvars.copy_context().run, run_replications,
-                                 model, hmodel, cfg, basis, ei, rows) for rows in chunks]
-            return [entry for task in tasks for entry in task.result()]
+    def level(ei, eps):
+        model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
+        tasks = [partial(run_replications, model, hmodel, cfg, basis, eps_index=ei,
+                         rep_indices=rows) for rows in chunks]
+        return [entry for result in run_forked(tasks) for entry in result]
 
-        return summarize(cfg, (level(ei, eps) for ei, eps in enumerate(cfg.epsilons)))
+    return summarize(cfg, (level(ei, eps) for ei, eps in enumerate(cfg.epsilons)))
 
 
 def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceReport:

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,11 @@ def write_config(tmp_path, cfg, name="config.yaml"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 SIM_CFG = {
@@ -176,6 +182,19 @@ class TestFilter:
                             lambda **params: calls.append(params) or family(**params))
         assert run(["--config", cfg, "--seed", 8, "--out", out, "filter"]) == 0
         assert len(calls) == 1
+
+    def test_same_bytes_with_one_and_two_cpus(self, tmp_path, monkeypatch):
+        # With two CPUs the reduced filter runs in a forked worker.
+        cfg, _ = self.make_inputs(tmp_path)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            assert run(["--config", cfg, "--seed", 8, "--out", out, "filter"]) == 0
+            assert_no_child_left()
+            outputs.append({name: (out / name).read_bytes() for name in (
+                "filter_full.csv", "filter_homogenized.csv", "filter_distance.txt")})
+        assert outputs[0] == outputs[1]
 
     def test_table_needs_no_model_section(self, tmp_path):
         obs, table = TestErrors._table(tmp_path, TestErrors._BLOCKS)
@@ -484,6 +503,7 @@ class TestErrors:
             "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
                       "horizon": 0.1, "n_particles": 8, "dt": 0.02}}, "study")
         assert not (tmp_path / "report.txt").exists()
+        assert_no_child_left()
 
     @pytest.mark.filterwarnings("error")
     def test_filter_blow_up_is_numeric_failure(self, tmp_path, capsys):
@@ -498,6 +518,44 @@ class TestErrors:
             "filter")
         assert err.startswith("numeric failure: numerical blow-up at step ")
         assert not (tmp_path / "filter_full.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_forked_filter_blow_up_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # The table's drift grows like 1e300 x, so the reduced filter, which
+        # runs in the forked worker, overflows at its second step while the
+        # full filter runs on.  Its CSV is written first, as when the two
+        # filters ran one after the other.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        obs, table = self._table(tmp_path, dict(self._BLOCKS, **{"[b]": ("-1e300", "1e300")}))
+        err = self._numeric_failure(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "filter": {"mode": "both", "observations": str(obs), "table": str(table),
+                       "n_particles": 8}}, "filter")
+        assert err == "numeric failure: numerical blow-up at step 1\n"
+        assert (tmp_path / "filter_full.csv").exists()
+        assert not (tmp_path / "filter_homogenized.csv").exists()
+        assert_no_child_left()
+
+    def test_killed_worker_is_io_error(self, tmp_path, capsys, monkeypatch):
+        from homfilt import cli
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:  # never kill the test process itself
+                raise AssertionError("the reduced filter ran in the calling process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "run_homogenized_filter", die)
+        obs, table = self._table(tmp_path, self._BLOCKS)
+        path = write_config(tmp_path, {
+            "model": {"family": "ou_benchmark"},
+            "filter": {"mode": "both", "observations": str(obs), "table": str(table),
+                       "n_particles": 8}})
+        assert run(["--config", path, "--out", tmp_path, "filter"]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"io error: worker process \d+ was killed by signal 9\n", err)
+        assert_no_child_left()
 
     def _io_error(self, tmp_path, capsys, filter_sec, bad_path):
         path = write_config(tmp_path, {"model": {"family": "ou_benchmark"},
@@ -666,10 +724,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # Only run_study needs the pool; filter, simulate and homogenize should
-    # not pay for importing it.
+    # Workers are forked by hand, so no subcommand pays for importing a pool
+    # package at start-up.
     assert _exit_code("import sys, homfilt.cli\n"
-                      "sys.exit('concurrent.futures' in sys.modules)") == 0
+                      "sys.exit(any(name in sys.modules for name in "
+                      "('concurrent.futures', 'multiprocessing')))") == 0
 
 
 def test_tabulated_model_leaves_scipy_unloaded(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from homfilt import catalog
 from homfilt.averaging import HomogenizedModel, TabulationGrid, _tabulated_model
-from homfilt.errors import UsageError, WeightCollapseError
+from homfilt.errors import BlowUpError, UsageError, WeightCollapseError
 from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
-                               kalman_reference, run_full_filter,
+                               kalman_reference, run_forked, run_full_filter,
                                run_homogenized_filter, systematic_resample,
                                weight_update)
 from homfilt.models import (ObservationPath, simulate_multiscale,
@@ -436,3 +438,90 @@ class TestKalmanReference:
                                     0.5, 0.25)
             assert np.array_equal(means[:, r], lone[0][:, 0])
             assert np.array_equal(variances, lone[1])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunForked:
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        use(2)
+        yield use
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count, groups", [(1, [5]), (2, [2, 3]), (3, [1, 2, 2]),
+                                               (8, [1] * 5)])
+    def test_results_in_task_order_one_process_per_cpu(self, cpus, count, groups):
+        cpus(count)
+        out = run_forked([lambda i=i: (i, os.getpid()) for i in range(5)])
+        assert [i for i, _ in out] == list(range(5))
+        pids = [pid for _, pid in out]
+        assert pids[0] == os.getpid() and os.getpid() not in pids[groups[0]:]
+        assert [pids.count(pid) for pid in dict.fromkeys(pids)] == groups
+
+    def test_no_tasks(self):
+        assert run_forked([]) == []
+
+    def test_result_larger_than_a_pipe_buffer(self):
+        big = np.arange(1 << 16, dtype=float)  # 512 KiB
+        first, second = run_forked([lambda: big, lambda: big + 1])
+        assert np.array_equal(first, big) and np.array_equal(second, big + 1)
+
+    def test_child_keeps_the_callers_errstate(self):
+        with np.errstate(over="raise"):
+            tasks = [lambda: np.geterr()["over"]] * 2
+            assert run_forked(tasks) == ["raise", "raise"]
+
+    def test_childs_homfilt_error_is_raised_with_its_attributes(self):
+        def blow_up():
+            raise BlowUpError(7, "node 2 at x=[0.5]: numerical blow-up")
+
+        with pytest.raises(BlowUpError) as info:
+            run_forked([lambda: 1, blow_up])
+        assert info.value.step == 7
+        assert str(info.value) == "node 2 at x=[0.5]: numerical blow-up"
+
+    def test_childs_other_exception_is_raised(self):
+        with pytest.raises(KeyError, match="missing"):
+            run_forked([lambda: 1, lambda: {}["missing"]])
+
+    def test_first_exception_in_task_order_wins(self):
+        def fail(exc):
+            raise exc
+
+        with pytest.raises(UsageError, match="first"):
+            run_forked([lambda: fail(UsageError("first")), lambda: fail(KeyError("second"))])
+
+    def test_child_killed_by_a_signal_is_an_error(self):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() == parent:  # never kill the test process itself
+                raise AssertionError("the task ran in the calling process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChildProcessError, match=f"killed by signal {signal.SIGKILL:d}"):
+            run_forked([lambda: 1, die])
+
+    def test_children_are_reaped_when_the_callers_task_raises(self, tmp_path):
+        done = tmp_path / "done"
+
+        def finish():
+            done.write_text("yes")
+            return 2
+
+        def fail():
+            raise UsageError("caller failed")
+
+        with pytest.raises(UsageError, match="caller failed"):
+            run_forked([fail, finish])
+        assert done.read_text() == "yes"
+
+    def test_unpicklable_result_is_an_error(self):
+        with pytest.raises(ChildProcessError, match="cannot send its outcome"):
+            run_forked([lambda: 1, lambda: (lambda: None)])

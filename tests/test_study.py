@@ -6,7 +6,8 @@ import pytest
 
 from homfilt import catalog, rng as rngmod, schema, study
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
-from homfilt.filtering import gaussian_prior, run_full_filter, run_homogenized_filter
+from homfilt.filtering import (gaussian_prior, run_forked, run_full_filter,
+                               run_homogenized_filter)
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import ObservationPath, blow_up_steps, simulate_multiscale
 from homfilt.study import (StudyConfig, _bootstrap_slope_ci, fit_loglog_slope,
@@ -291,13 +292,16 @@ class TestRunStudyEndToEnd:
         default = run_study(cfg)
         chunks = []
 
-        def recorded(model, hmodel, cfg, basis, eps_index, rep_indices):
-            chunks.append((eps_index, list(rep_indices)))
-            return run_replications(model, hmodel, cfg, basis, eps_index, rep_indices)
+        # Recorded where run_study hands its chunks over: a forked worker's
+        # appends would never reach this process.
+        def recorded(tasks):
+            chunks.extend((task.keywords["eps_index"], list(task.keywords["rep_indices"]))
+                          for task in tasks)
+            return run_forked(tasks)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
-        monkeypatch.setattr(study, "run_replications", recorded)
+        monkeypatch.setattr(study, "run_forked", recorded)
         assert run_study(cfg) == default
         for ei in range(len(cfg.epsilons)):
             rows = sorted(reps for e, reps in chunks if e == ei)
@@ -309,19 +313,25 @@ class TestRunStudyEndToEnd:
         started = []
 
         def fake(model, hmodel, cfg, basis, eps_index, rep_indices):
-            started.append(eps_index)
             return [HomfiltError("forced failure") if eps_index == 1 else 0.1
                     for _ in rep_indices]
 
+        def recorded(tasks):
+            started.extend(task.keywords["eps_index"] for task in tasks)
+            return run_forked(tasks)
+
         monkeypatch.setattr(study, "run_replications", fake)
+        monkeypatch.setattr(study, "run_forked", recorded)
         with pytest.raises(StudyAbortError, match="epsilon=0.25"):
             run_study(cfg)
         assert set(started) == {0, 1}
 
     @pytest.mark.filterwarnings("error")
-    def test_workers_keep_the_callers_errstate(self):
-        # numpy's errstate is a context variable, which pool threads do not
-        # inherit; every replication overflows, so the study aborts quietly.
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # A forked worker inherits the caller's numpy errstate, and under
+        # "error" a numpy warning in it would come back as the exception;
+        # every replication overflows, so the study aborts quietly.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with np.errstate(all="ignore"), pytest.raises(StudyAbortError):
             run_study(small_config(family_params={"a": 1.0e200}))
 
