@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+from homfilt import errors
 from homfilt.errors import (BlowUpError, HomfiltError, ModelShapeError, NotPSDError,
                             NotSymmetricError, StudyAbortError, UsageError,
                             WeightCollapseError)
@@ -29,10 +30,5 @@ def test_error_survives_pickling(error, attributes):
 def test_every_error_class_is_covered():
     covered = {BlowUpError, HomfiltError, ModelShapeError, NotPSDError, NotSymmetricError,
                StudyAbortError, UsageError, WeightCollapseError}
-    classes, todo = {HomfiltError}, [HomfiltError]
-    while todo:
-        for sub in todo.pop().__subclasses__():
-            if sub.__module__ == "homfilt.errors":
-                classes.add(sub)
-                todo.append(sub)
-    assert classes == covered
+    assert covered == {cls for cls in vars(errors).values()
+                       if isinstance(cls, type) and issubclass(cls, HomfiltError)}
