@@ -11,7 +11,7 @@ a tabulation grid or supplied analytically for families where they are known.
 import itertools
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -227,43 +227,46 @@ def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
     """Interpolate node values over the grid, extrapolating from the edge cells.
 
     Multilinear interpolation sums the corners of each point's cell; nearest
-    takes the closer node along each axis.  The cell is found once per axis,
-    and each corner is one row gather from the (nodes, values per node) array.
-    The arithmetic is that of scipy's
-    ``RegularGridInterpolator(bounds_error=False, fill_value=None)``, so the
-    results equal scipy's bit for bit.  A NaN coordinate gives NaN.
+    takes the closer node along each axis.  The node values are held as one
+    contiguous (values per node, nodes) array.  A point's cell along an axis
+    is the number of interior nodes at or below it, from one search, and
+    each corner is one gather along the node axis.  The arithmetic is that
+    of scipy's ``RegularGridInterpolator(bounds_error=False,
+    fill_value=None)``, so the results equal scipy's bit for bit.  A NaN
+    coordinate gives NaN.
     """
     axes = grid.axes()
+    interiors = [axis[1:-1] for axis in axes]
     widths = [np.diff(axis) for axis in axes]
     strides = np.cumprod((1,) + tuple(grid.counts[:0:-1]))[::-1].tolist()  # row-major
     tail = node_values.shape[1:]
-    values = node_values.reshape(len(node_values), -1)
+    values = np.ascontiguousarray(node_values.reshape(len(node_values), -1).T)
 
     def query(x):
         x = np.asarray(x, dtype=float)
         batch = x.shape[:-1]
         pts = x.reshape(-1, grid.ndim)
-        cell, fracs = 0, []
-        for axis, width, stride, p in zip(axes, widths, strides, pts.T):
-            i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
-            cell = cell + i * stride
+        cell, fracs = None, []
+        for axis, interior, width, count, p in zip(axes, interiors, widths, grid.counts,
+                                                   pts.T):
+            i = np.searchsorted(interior, p, side="right")  # in [0, count - 2]
+            cell = i if cell is None else cell * count + i  # row-major
             fracs.append((p - axis[i]) / width[i])
         if grid.interpolation == "nearest":
             out = values.take(cell + sum(np.where(y <= 0.5, 0, stride)
-                                         for y, stride in zip(fracs, strides)), axis=0)
+                                         for y, stride in zip(fracs, strides)), axis=1)
         else:
             sides = [(1 - y, y) for y in fracs]
-            out = 0.0
+            out = np.zeros((len(values), len(pts)))  # the sum starts from 0.0
             for corner in itertools.product((0, 1), repeat=grid.ndim):
-                weight = 1.0
-                for c, side in zip(corner, sides):
-                    weight = weight * side[c]
                 offset = sum(c * stride for c, stride in zip(corner, strides))
-                out = out + values.take(cell + offset, axis=0) * weight[:, None]
+                term = values.take(cell + offset, axis=1)
+                term *= reduce(np.multiply, [side[c] for c, side in zip(corner, sides)])
+                out += term
         nan = np.isnan(pts).any(axis=-1)
         if nan.any():
-            out[nan] = np.nan
-        return out.reshape(batch + tail)
+            out[:, nan] = np.nan
+        return out.T.reshape(batch + tail)
 
     return query
 

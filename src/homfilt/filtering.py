@@ -56,10 +56,15 @@ def _reweight(weights: np.ndarray, obs_values: np.ndarray, obs_increments: np.nd
     largest log-weight is not finite has collapsed, and its weights are NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = (np.log(weights) + np.einsum("rnd,rd->rn", obs_values, obs_increments)
-                - 0.5 * np.einsum("...d,...d->...", obs_values, obs_values) * dt)
+        logw = np.log(weights)
+        logw += np.einsum("rnd,rd->rn", obs_values, obs_increments)
+        square = np.einsum("...d,...d->...", obs_values, obs_values)
+        square *= 0.5
+        square *= dt
+        logw -= square
         mx = logw.max(axis=1)
-        w = np.exp(logw - mx[:, None])
+        logw -= mx[:, None]
+        w = np.exp(logw, out=logw)
         w /= w.sum(axis=1, keepdims=True)
     return w, mx
 
@@ -176,15 +181,17 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
     carried = ()
     for i in range(len(increments)):
         states, obs_values, carried = step(states, carried, rngs, dt)
-        _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
-              lambda r: BlowUpError(i))
-        if None not in errors:
-            break
+        if not np.isfinite(states).all():
+            _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
+                  lambda r: BlowUpError(i))
+            if None not in errors:
+                break
         w, mx = _reweight(w, obs_values, increments[i], dt)
         del obs_values  # not held through the next move, which sets the peak memory
-        _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
-        if None not in errors:
-            break
+        if not np.isfinite(mx).all():
+            _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
+            if None not in errors:
+                break
         ess_steps[i] = ess(w)
         resampled[i] = ess_steps[i] < resample_threshold * n
         rows = np.flatnonzero(resampled[i])
@@ -283,10 +290,11 @@ def run_forked(tasks: Sequence[Callable]) -> list:
     stopped it, into a pipe before it ends with ``os._exit``.  The caller
     reads every pipe to its end before it reaps the child, so a result
     larger than the pipe's buffer cannot block, and it reaps every child
-    also when its own group raises.  The first exception in task order is
-    raised in the caller, with its type and attributes; a child that ends
-    without a result, such as one killed by a signal, raises
-    ChildProcessError.
+    also when its own group raises.  A fork that fails closes its pipe and
+    raises once the children already made are reaped.  The first exception
+    in task order is raised in the caller, with its type and attributes; a
+    child that ends without a result, such as one killed by a signal,
+    raises ChildProcessError.
     """
     n_groups = max(1, min(len(os.sched_getaffinity(0)), len(tasks)))
     groups = [tasks[len(tasks) * i // n_groups:len(tasks) * (i + 1) // n_groups]
@@ -295,7 +303,12 @@ def run_forked(tasks: Sequence[Callable]) -> list:
     try:
         for group in groups[1:]:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:  # e.g. at a process limit
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _run_child(group, write_fd)

@@ -118,9 +118,15 @@ class ObservationPath:
 
 def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
                    xi: np.ndarray, h: float) -> np.ndarray:
-    """One Euler-Maruyama step of size ``h``, with ``diff`` of shape
-    ``(..., dim, k)`` acting on standard normals ``xi`` of shape ``(..., k)``."""
-    return y + drift * h + np.einsum("...ik,...k->...i", diff, xi) * np.sqrt(h)
+    """One Euler-Maruyama step of size ``h``, with ``drift`` of the shape of
+    ``y`` and ``diff`` of shape ``(..., dim, k)`` acting on standard normals
+    ``xi`` of shape ``(..., k)``; the step is a new array."""
+    out = drift * h
+    np.add(y, out, out=out)
+    noise = np.einsum("...ik,...k->...i", diff, xi)
+    noise *= np.sqrt(h)
+    out += noise
+    return out
 
 
 def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,

@@ -63,6 +63,12 @@ class StudyConfig:
             raise ValueError("bootstrap_samples must be positive")
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
+        if not 0.0 < self.resample_threshold <= 1.0:
+            raise ValueError("resample_threshold must lie in (0, 1]")
+        if not (np.isfinite(self.init_mean) and np.isfinite(self.init_std)
+                and self.init_std >= 0):
+            raise ValueError(f"init_mean must be finite and init_std finite and >= 0, "
+                             f"got {self.init_mean!r} and {self.init_std!r}")
         default_basis(self.basis_count, 1)  # checks basis_count
 
 

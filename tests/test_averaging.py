@@ -289,6 +289,62 @@ def test_interpolator_matches_scipy_bit_for_bit(ndim, tail, method):
     assert np.isnan(got[3]).all()
 
 
+def _reference_point(axes, rows, method, point):
+    """One point's interpolated node values, in plain Python floats.
+
+    The cell is found by scanning each axis, and a multilinear value sums
+    the corners' weighted rows from 0.0, in itertools.product order."""
+    if any(p != p for p in point):
+        return [float("nan")] * len(rows[0])
+    cells, fracs = [], []
+    for axis, p in zip(axes, point):
+        i = 0
+        while i < len(axis) - 2 and axis[i + 1] <= p:
+            i += 1
+        cells.append(i)
+        fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
+
+    def row(index):  # the row of a node, numbered in row-major order
+        k = 0
+        for axis, j in zip(axes, index):
+            k = k * len(axis) + j
+        return rows[k]
+
+    if method == "nearest":
+        return row([i + (y > 0.5) for i, y in zip(cells, fracs)])
+    out = [0.0] * len(rows[0])
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = 1.0
+        for c, y in zip(corner, fracs):
+            weight *= y if c else 1 - y
+        out = [o + v * weight for o, v in zip(out, row([i + c for i, c in zip(cells, corner)]))]
+    return out
+
+
+@pytest.mark.parametrize("ndim,tail,method", INTERP_CASES)
+def test_interpolator_matches_a_plain_python_reference(ndim, tail, method):
+    # The grid, values and points of the scipy comparison, which needs scipy.
+    rng = np.random.default_rng(ndim)
+    counts = tuple(int(c) for c in rng.integers(2, 6, ndim))
+    lows = rng.uniform(-3.0, 0.0, ndim)
+    highs = lows + rng.uniform(0.5, 4.0, ndim)
+    grid = TabulationGrid(tuple(lows), tuple(highs), counts, method)
+    values = rng.standard_normal((int(np.prod(counts)),) + tail)
+    values.flat[0] = -0.0
+    pts = np.concatenate([rng.uniform(lows - 1.0, highs + 1.0, (300, ndim)),
+                          grid.nodes(), [lows], [highs], np.full((1, ndim), -0.0)])
+    pts[3, 0] = np.nan
+    pts[7] = np.nan
+    axes = [axis.tolist() for axis in grid.axes()]
+    # All -0.0: a multilinear sum from 0.0 gives +0.0, a nearest node -0.0.
+    for node_values in (values, np.full_like(values, -0.0)):
+        got = _interpolator(grid, node_values)(pts[:, None, :])
+        rows = node_values.reshape(len(node_values), -1).tolist()
+        want = np.array([_reference_point(axes, rows, method, p) for p in pts.tolist()])
+        assert got.shape == (len(pts), 1) + tail
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
 @pytest.mark.parametrize("method", ["multilinear", "nearest"])
 def test_coefficients_equal_the_three_field_queries(method):
     # m = 2 slow coordinates and d = 3 read-outs on a 3 x 4 grid.

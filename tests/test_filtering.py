@@ -13,7 +13,7 @@ from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
                                kalman_reference, run_forked, run_full_filter,
                                run_homogenized_filter, systematic_resample,
                                weight_update)
-from homfilt.models import (ObservationPath, simulate_multiscale,
+from homfilt.models import (MultiscaleModel, ObservationPath, simulate_multiscale,
                             simulate_observations)
 
 
@@ -370,6 +370,67 @@ def test_callers_cloud_is_left_unchanged(kind, steps):
         assert batch.resampled[:, 0].any()
 
 
+def _ramp(kind, read_outs):
+    """A filter whose particles move by exactly dt per step, at unit drift and
+    with no noise, until they stand above 0.25, where their drift is
+    infinite; each read-out call is appended to ``read_outs``."""
+    def drift(x, *_):
+        return np.where(x > 0.25, np.inf, 1.0)
+
+    def still(x, *_):
+        return np.zeros(x.shape[:-1] + (1, 1))
+
+    def read_out(x, *_):
+        read_outs.append(x.shape)
+        return 0.5 * x
+
+    if kind == "full":
+        return run_full_filter, MultiscaleModel(
+            dim_slow=1, dim_fast=1, drift_slow=drift, diff_slow=still, obs_fn=read_out,
+            fast_ou=(1.0, lambda x: x, 1.0)), 2
+    return run_homogenized_filter, HomogenizedModel(1, drift, None, still, read_out), 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+def test_rows_that_fail_mid_run(kind):
+    read_outs = []
+    run, target, dim = _ramp(kind, read_outs)
+    steps, n = 8, 16
+    # Row 0 stands above 0.25 from step 3 on, so that step's move blows up;
+    # rows 1 and 2 stay near -10, and row 1's weights collapse in step 5.
+    cloud = np.empty((3, n, dim))
+    cloud[0] = np.linspace(0.0, 0.01, n)[:, None]
+    cloud[1:] = np.linspace(-10.5, -9.5, n)[:, None]
+    increments = np.random.default_rng(0).normal(0.0, 0.3, (steps, 3, 1))
+    increments[5, 1] = np.nan
+    times = np.arange(steps + 1) * 0.1
+
+    def rows(r):
+        obs = ObservationPath(times, increments[:, r])
+        return run(target, obs, cloud[r], 0.9, [np.random.default_rng(i) for i in r])
+
+    batch = rows([0, 1, 2])
+    assert isinstance(batch.errors[0], BlowUpError) and batch.errors[0].step == 3
+    assert isinstance(batch.errors[1], WeightCollapseError)
+    assert batch.errors[2] is None
+    assert batch.resampled[:, 2].any()
+    lone = rows([2])
+    assert np.array_equal(batch.states[2], lone.states[0])
+    assert np.array_equal(batch.weights[2], lone.weights[0])
+    for record in ("means", "ess", "resampled"):
+        assert np.array_equal(getattr(batch, record)[:, 2], getattr(lone, record)[:, 0])
+    # Without the healthy row, the loop stops in step 5, once both rows failed.
+    read_outs.clear()
+    pair = rows([0, 1])
+    assert [type(e) for e in pair.errors] == [BlowUpError, WeightCollapseError]
+    assert pair.errors[0].step == 3
+    assert len(read_outs) == 6 + (kind == "homogenized")  # the first cloud's read-out
+    assert np.isnan(pair.means[5:]).all() and np.isnan(pair.ess[5:]).all()
+    assert not pair.resampled[5:].any()
+    assert np.isfinite(pair.means[:5, 1]).all() and np.isfinite(pair.ess[:5, 1]).all()
+
+
 class TestGaussianPrior:
     def test_draws_x_then_z_near_x(self):
         rng, again = np.random.default_rng(7), np.random.default_rng(7)
@@ -525,3 +586,21 @@ class TestRunForked:
     def test_unpicklable_result_is_an_error(self):
         with pytest.raises(ChildProcessError, match="cannot send its outcome"):
             run_forked([lambda: 1, lambda: (lambda: None)])
+
+    def test_failed_fork_closes_its_pipe_and_reaps_the_others(self, cpus, monkeypatch):
+        cpus(3)
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise BlockingIOError("fork refused at a process limit")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="process limit"):
+            run_forked([lambda: 1, lambda: 2, lambda: 3])
+        assert len(forks) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()

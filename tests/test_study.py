@@ -3,8 +3,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
 from homfilt import catalog, rng as rngmod, schema, study
+from homfilt.cli import main
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import (gaussian_prior, run_forked, run_full_filter,
                                run_homogenized_filter)
@@ -340,3 +342,23 @@ class TestRunStudyEndToEnd:
             small_config(epsilons=(0.5, 0.25))  # too few for a slope
         with pytest.raises(ValueError):
             small_config(epsilons=(0.25, 0.5, 0.125))  # not decreasing
+
+    @pytest.mark.parametrize("bad", [
+        {"resample_threshold": 1.5}, {"resample_threshold": 0.0},
+        {"resample_threshold": float("nan")}, {"init_mean": float("nan")},
+        {"init_mean": float("inf")}, {"init_std": float("nan")}, {"init_std": -0.5},
+        {"init_std": float("inf")}])
+    def test_bad_filter_settings_are_refused_before_any_fork(self, monkeypatch, tmp_path,
+                                                            capsys, bad):
+        forked = []
+        monkeypatch.setattr(study, "run_forked", lambda tasks: forked.append(tasks))
+        with pytest.raises(ValueError):
+            small_config(**bad)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({
+            "model": {"family": "ou_benchmark"},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02, **bad}}))
+        assert main(["--config", str(config), "--out", str(tmp_path), "study"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: bad [study] config: ")
+        assert forked == []
