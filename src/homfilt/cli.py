@@ -273,7 +273,7 @@ def cmd_filter(args):
         settings = {f.name: schema.parse(f.type, fsec[f.name]) if f.name in fsec
                     else f.default for f in dataclasses.fields(StudyConfig)
                     if f.name in _FILTER_SETTINGS}
-        basis = default_basis(settings["basis_count"], m) if mode == "both" else None
+        basis = default_basis(settings["basis_count"], m)  # checked in every mode
 
     manifest = _manifest_lines(args, {"mode": mode, "n_particles": str(n_particles),
                                       "dt": repr(obs.dt)})
@@ -290,7 +290,7 @@ def cmd_filter(args):
                                        settings["resample_threshold"], rngs))
     # The filters run side by side; their outputs and errors follow in order.
     finals = {}
-    for kind, batch in zip(targets, run_forked(tasks)):
+    for kind, batch in zip(targets, run_forked(lambda group: [f() for f in group], tasks)):
         if batch.errors[0] is not None:
             raise batch.errors[0]
         finals[kind] = EmpiricalMeasure(batch.states[0, :, :m], batch.weights[0])

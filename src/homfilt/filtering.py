@@ -280,24 +280,28 @@ def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
     return means, variances
 
 
-def run_forked(tasks: Sequence[Callable]) -> list:
-    """``[task() for task in tasks]``, with the tasks split into contiguous
-    groups, one per usable CPU while tasks last.
+def run_forked(fn: Callable[[Sequence], list], items: Sequence) -> list:
+    """``fn(items)``, with the items split into contiguous groups, one per
+    usable CPU while items last, and the lists ``fn(group)`` joined in item
+    order; no items give ``[]`` without a call of ``fn``.
 
-    The calling process runs the first group.  Each other group runs in a
-    child made by ``os.fork``, which inherits the caller's state, numpy's
-    errstate included, and pickles its results, or the exception that
-    stopped it, into a pipe before it ends with ``os._exit``.  The caller
-    reads every pipe to its end before it reaps the child, so a result
-    larger than the pipe's buffer cannot block, and it reaps every child
-    also when its own group raises.  A fork that fails closes its pipe and
-    raises once the children already made are reaped.  The first exception
-    in task order is raised in the caller, with its type and attributes; a
-    child that ends without a result, such as one killed by a signal,
-    raises ChildProcessError.
+    This is the one place that reads the usable CPUs.  The calling process
+    runs the first group.  Each other group runs in a child made by
+    ``os.fork``, which inherits the caller's state, numpy's errstate
+    included, and pickles its results, or the exception that stopped it,
+    into a pipe before it ends with ``os._exit``.  The caller reads every
+    pipe to its end before it reaps the child, so a result larger than the
+    pipe's buffer cannot block, and it reaps every child also when its own
+    group raises.  A fork that fails closes its pipe and raises once the
+    children already made are reaped.  The first exception in item order is
+    raised in the caller, with its type and attributes; a child that ends
+    without a result, such as one killed by a signal, raises
+    ChildProcessError.
     """
-    n_groups = max(1, min(len(os.sched_getaffinity(0)), len(tasks)))
-    groups = [tasks[len(tasks) * i // n_groups:len(tasks) * (i + 1) // n_groups]
+    n_groups = min(len(os.sched_getaffinity(0)), len(items))
+    if not n_groups:
+        return []
+    groups = [items[len(items) * i // n_groups:len(items) * (i + 1) // n_groups]
               for i in range(n_groups)]
     children = []
     try:
@@ -311,10 +315,10 @@ def run_forked(tasks: Sequence[Callable]) -> list:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _run_child(group, write_fd)
+                _run_child(fn, group, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        results = [task() for task in groups[0]]
+        results = list(fn(groups[0]))
     finally:
         ends = [_reap(pid, read_fd) for pid, read_fd in children]
     for pid, code, data in ends:
@@ -328,13 +332,13 @@ def run_forked(tasks: Sequence[Callable]) -> list:
     return results
 
 
-def _run_child(group: Sequence[Callable], write_fd: int):
-    """Run a forked child's tasks, send (ok, results or exception) through
-    ``write_fd`` and end the process, without returning to the caller."""
+def _run_child(fn: Callable[[Sequence], list], group: Sequence, write_fd: int):
+    """Run ``fn(group)`` in a forked child, send (ok, results or exception)
+    through ``write_fd`` and end the process, without returning to the caller."""
     code = 1
     try:
         try:
-            payload = True, [task() for task in group]
+            payload = True, list(fn(group))
         except BaseException as exc:  # handed to the parent, which raises it
             payload = False, exc
         try:

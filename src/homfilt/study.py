@@ -10,7 +10,6 @@ predicts slope 1/2 up to particle noise.
 """
 
 import io
-import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Dict, Iterable, List, Sequence
@@ -27,7 +26,7 @@ from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
-CHUNK_PARTICLES = 65536  # particles per run_replications call, unless one row has more
+CHUNK_PARTICLES = 65536  # particles per filter batch, unless one row has more
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,12 +76,10 @@ class ConvergenceReport:
     epsilons: tuple
     mean_distances: tuple
     standard_errors: tuple
-    counts: tuple                 # successful replications per epsilon
     failures: tuple               # failed replications per epsilon
     slope: float
     intercept: float
     slope_ci: tuple               # (lo, hi), bootstrap percentile interval
-    basis_version: str
     config: dict                  # flat snapshot of the study configuration
     distances: tuple              # per epsilon: tuple of per-replication distances
     replications: tuple           # per epsilon: the replication index of each distance
@@ -91,17 +88,24 @@ class ConvergenceReport:
 def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
                      cfg: StudyConfig, basis: TestFunctionBasis, eps_index: int,
                      rep_indices: Sequence[int]) -> list:
-    """Samples of the metric between the two filters at the final time, for a
-    batch of replications at one epsilon.
+    """Samples of the metric between the two filters at the final time, for
+    replications at one epsilon, in the order of ``rep_indices``.
 
     Truth, observation noise and each filter own independent streams derived
     from the root seed, the epsilon index, the replication index and a role
-    tag, so no stream is shared across roles or replications.  All
-    replications move together as one batch, yet each draws from its own
-    streams in the order a lone run would, so entry r equals the replication's
-    own run bit for bit.  Entry r is the distance, or the HomfiltError that
-    stopped replication r; the other replications go on without it.
+    tag, so no stream is shared across roles or replications.  Contiguous
+    rows move together in near-even batches of at most ``CHUNK_PARTICLES``
+    particles (one row, if it holds more), yet each row draws from its own
+    streams in the order a lone run would, so entry r equals the
+    replication's own run bit for bit.  Entry r is the distance, or the
+    HomfiltError that stopped replication r; the others go on without it.
     """
+    n_batches = -(-len(rep_indices) // max(1, CHUNK_PARTICLES // cfg.n_particles))
+    if n_batches != 1:
+        ends = [len(rep_indices) * i // n_batches for i in range(n_batches + 1)]
+        return [entry for lo, hi in zip(ends, ends[1:]) for entry in run_replications(
+            model, hmodel, cfg, basis, eps_index, rep_indices[lo:hi])]
+
     def streams(role):
         return [rngmod.stream(cfg.root_seed, eps_index, rep, role) for rep in rep_indices]
 
@@ -172,27 +176,20 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Run the full epsilon sweep and fit the convergence rate.
 
     The reduced filter runs on the family's analytic homogenized model.  Each
-    epsilon's replications run in row chunks of at most ``CHUNK_PARTICLES``
-    particles, at least one per usable CPU while replications last, through
-    ``run_forked``: one process per CPU, the caller and forked children.
-    Every row draws only from its own streams, so the report does not depend
-    on the chunking.  No epsilon runs after one whose failures abort the
-    study.
+    epsilon hands its row range to ``run_forked``, which splits it into one
+    contiguous group per usable CPU, run by the caller and forked children,
+    and ``run_replications`` runs each group in batches of at most
+    ``CHUNK_PARTICLES`` particles.  Every row draws only from its own
+    streams, so the report depends on neither split.  No epsilon runs after
+    one whose failures abort the study.
     """
     hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
     basis = default_basis(cfg.basis_count, hmodel.dim_slow)
-    cpus = len(os.sched_getaffinity(0))
-    reps = cfg.replications
-    rows_per_chunk = max(1, CHUNK_PARTICLES // cfg.n_particles)
-    n_chunks = min(reps, max(cpus, -(-reps // rows_per_chunk)))
-    chunks = [range(reps * i // n_chunks, reps * (i + 1) // n_chunks)
-              for i in range(n_chunks)]
 
     def level(ei, eps):
         model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
-        tasks = [partial(run_replications, model, hmodel, cfg, basis, eps_index=ei,
-                         rep_indices=rows) for rows in chunks]
-        return [entry for result in run_forked(tasks) for entry in result]
+        return run_forked(partial(run_replications, model, hmodel, cfg, basis, ei),
+                          range(cfg.replications))
 
     return summarize(cfg, (level(ei, eps) for ei, eps in enumerate(cfg.epsilons)))
 
@@ -229,10 +226,8 @@ def summarize(cfg: StudyConfig, results: Iterable[Sequence]) -> ConvergenceRepor
         epsilons=tuple(cfg.epsilons),
         mean_distances=tuple(float(v) for v in means),
         standard_errors=tuple(float(v) for v in ses),
-        counts=tuple(len(d) for d in distances),
         failures=tuple(failures),
-        slope=slope, intercept=intercept, slope_ci=slope_ci,
-        basis_version=measures.ENUMERATION_VERSION, config=_config_snapshot(cfg),
+        slope=slope, intercept=intercept, slope_ci=slope_ci, config=_config_snapshot(cfg),
         distances=tuple(tuple(float(v) for v in d) for d in distances),
         replications=tuple(tuple(reps) for reps in replications))
 
@@ -277,7 +272,7 @@ def report_text(report: ConvergenceReport) -> str:
     buf.write("# homfilt convergence report v1\n")
     for k, v in report.config.items():
         buf.write(f"{k}={v}\n")
-    buf.write(f"basis_version={report.basis_version}\n")
+    buf.write(f"basis_version={measures.ENUMERATION_VERSION}\n")
     buf.write(f"slope={report.slope!r}\n")
     buf.write(f"intercept={report.intercept!r}\n")
     buf.write(f"slope_ci_lo={report.slope_ci[0]!r}\n")
@@ -285,7 +280,7 @@ def report_text(report: ConvergenceReport) -> str:
     buf.write("epsilon mean_distance standard_error count failures\n")
     for i, eps in enumerate(report.epsilons):
         buf.write(f"{eps!r} {report.mean_distances[i]!r} "
-                  f"{report.standard_errors[i]!r} {report.counts[i]} "
+                  f"{report.standard_errors[i]!r} {len(report.distances[i])} "
                   f"{report.failures[i]}\n")
     return buf.getvalue()
 

@@ -191,3 +191,14 @@ def test_no_unseeded_generator_in_the_package():
                 for no, line in enumerate(path.read_text().splitlines(), 1)
                 if re.search(r"default_rng\(\s*\)", line)]
     assert unseeded == []
+
+
+def test_only_filtering_reads_the_cpu_count():
+    # run_forked alone splits work over the usable CPUs; a second reader would
+    # split it again, as the study's row chunks once did.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "homfilt"
+    readers = [f"{path.name}:{no}" for path in sorted(src.glob("*.py"))
+               if path.name != "filtering.py"
+               for no, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\b(sched_getaffinity|cpu_count)\b", line)]
+    assert readers == []

@@ -336,6 +336,17 @@ class TestErrors:
             "filter": {"observations": str(obs), **bad}}, "filter")
         assert not (tmp_path / "filter_full.csv").exists()
 
+    # The basis is used only in mode both, but its count is checked in every mode.
+    @pytest.mark.parametrize("mode", ["full", "homogenized", "both"])
+    def test_bad_basis_count_is_usage_error_in_every_mode(self, tmp_path, capsys, mode):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        err = self._usage_error(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark"},
+            "filter": {"mode": mode, "observations": str(obs), "basis_count": 0}}, "filter")
+        assert err.startswith("usage error: bad [filter] config: ")
+        assert not list(tmp_path.glob("filter_*"))
+
     # Warnings as errors: a parameter checked after its first use would warn
     # (sqrt of a negative q) on top of the one-line message.
     @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import signal
 
@@ -506,6 +507,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def call_each(tasks):
+    return [task() for task in tasks]
+
+
+def with_pid(items):
+    return [(i, os.getpid()) for i in items]
+
+
 class TestRunForked:
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch):
@@ -519,44 +528,57 @@ class TestRunForked:
                                                (8, [1] * 5)])
     def test_results_in_task_order_one_process_per_cpu(self, cpus, count, groups):
         cpus(count)
-        out = run_forked([lambda i=i: (i, os.getpid()) for i in range(5)])
+        out = run_forked(with_pid, range(5))
         assert [i for i, _ in out] == list(range(5))
         pids = [pid for _, pid in out]
         assert pids[0] == os.getpid() and os.getpid() not in pids[groups[0]:]
         assert [pids.count(pid) for pid in dict.fromkeys(pids)] == groups
 
+    def test_items_split_evenly_in_contiguous_groups(self, cpus):
+        cpus(3)
+        out = run_forked(with_pid, range(100))
+        assert [i for i, _ in out] == list(range(100))
+        pids = [pid for _, pid in out]
+        assert pids[0] == os.getpid() and os.getpid() not in pids[33:]
+        # One run of items per process, so each group is contiguous.
+        assert [len(list(run)) for _, run in itertools.groupby(pids)] == [33, 33, 34]
+        assert len(set(pids)) == 3
+
     def test_no_tasks(self):
-        assert run_forked([]) == []
+        called = []
+        assert run_forked(called.append, []) == []
+        assert called == []
 
     def test_result_larger_than_a_pipe_buffer(self):
         big = np.arange(1 << 16, dtype=float)  # 512 KiB
-        first, second = run_forked([lambda: big, lambda: big + 1])
+        first, second = run_forked(call_each, [lambda: big, lambda: big + 1])
         assert np.array_equal(first, big) and np.array_equal(second, big + 1)
 
     def test_child_keeps_the_callers_errstate(self):
         with np.errstate(over="raise"):
             tasks = [lambda: np.geterr()["over"]] * 2
-            assert run_forked(tasks) == ["raise", "raise"]
+            assert run_forked(call_each, tasks) == ["raise", "raise"]
 
     def test_childs_homfilt_error_is_raised_with_its_attributes(self):
         def blow_up():
             raise BlowUpError(7, "node 2 at x=[0.5]: numerical blow-up")
 
         with pytest.raises(BlowUpError) as info:
-            run_forked([lambda: 1, blow_up])
+            run_forked(call_each, [lambda: 1, blow_up])
         assert info.value.step == 7
         assert str(info.value) == "node 2 at x=[0.5]: numerical blow-up"
 
     def test_childs_other_exception_is_raised(self):
         with pytest.raises(KeyError, match="missing"):
-            run_forked([lambda: 1, lambda: {}["missing"]])
+            run_forked(call_each, [lambda: 1, lambda: {}["missing"]])
 
     def test_first_exception_in_task_order_wins(self):
         def fail(exc):
             raise exc
 
         with pytest.raises(UsageError, match="first"):
-            run_forked([lambda: fail(UsageError("first")), lambda: fail(KeyError("second"))])
+            run_forked(call_each, [lambda: fail(UsageError("first")),
+                                   lambda: fail(KeyError("second"))])
 
     def test_child_killed_by_a_signal_is_an_error(self):
         parent = os.getpid()
@@ -567,7 +589,7 @@ class TestRunForked:
             os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(ChildProcessError, match=f"killed by signal {signal.SIGKILL:d}"):
-            run_forked([lambda: 1, die])
+            run_forked(call_each, [lambda: 1, die])
 
     def test_children_are_reaped_when_the_callers_task_raises(self, tmp_path):
         done = tmp_path / "done"
@@ -580,12 +602,12 @@ class TestRunForked:
             raise UsageError("caller failed")
 
         with pytest.raises(UsageError, match="caller failed"):
-            run_forked([fail, finish])
+            run_forked(call_each, [fail, finish])
         assert done.read_text() == "yes"
 
     def test_unpicklable_result_is_an_error(self):
         with pytest.raises(ChildProcessError, match="cannot send its outcome"):
-            run_forked([lambda: 1, lambda: (lambda: None)])
+            run_forked(call_each, [lambda: 1, lambda: (lambda: None)])
 
     def test_failed_fork_closes_its_pipe_and_reaps_the_others(self, cpus, monkeypatch):
         cpus(3)
@@ -600,7 +622,7 @@ class TestRunForked:
         monkeypatch.setattr(os, "fork", second_fails)
         before = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError, match="process limit"):
-            run_forked([lambda: 1, lambda: 2, lambda: 3])
+            run_forked(call_each, [lambda: 1, lambda: 2, lambda: 3])
         assert len(forks) == 2
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert_no_child_left()

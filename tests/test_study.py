@@ -106,7 +106,9 @@ class TestRunStudySynthetic:
         cfg = small_config(replications=8)
         report = summarize(cfg, sweep(cfg, flaky))
         assert report.failures == (1, 0, 0)
-        assert report.counts == (7, 8, 8)
+        assert tuple(map(len, report.distances)) == (7, 8, 8)
+        table = report_text(report).splitlines()[-3:]
+        assert [line.split()[3:] for line in table] == [["7", "1"], ["8", "0"], ["8", "0"]]
 
     def test_report_csv_keeps_replication_index_after_failure(self):
         def flaky(eps, ei, ri):
@@ -183,6 +185,35 @@ class TestRunReplication:
         d1 = run_replication(model, hm, cfg, basis, 1, 2)
         d2 = run_replication(model, hm, cfg, basis, 1, 2)
         assert d1 == d2
+
+    @pytest.mark.parametrize("chunk_particles, widths", [
+        (64, [1, 2, 2]),  # two rows of 32 particles per batch
+        (16, [1] * 5),    # one row holds more than the bound
+    ])
+    def test_batches_are_bounded_and_rows_equal_lone_runs(self, monkeypatch,
+                                                          chunk_particles, widths):
+        cfg = small_config(replications=5, n_particles=32)
+        model = catalog.make_model("ou_benchmark", epsilon=0.25)
+        hm = catalog.make_analytic_homogenized("ou_benchmark")
+        basis = default_basis(cfg.basis_count, 1)
+        lone = [run_replication(model, hm, cfg, basis, 1, rep) for rep in range(5)]
+        seen = []
+
+        def counted(run):
+            def wrapper(target, obs, states, *args):
+                seen.append((run.__name__, len(states)))
+                return run(target, obs, states, *args)
+            return wrapper
+
+        monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
+        monkeypatch.setattr(study, "run_full_filter", counted(run_full_filter))
+        monkeypatch.setattr(study, "run_homogenized_filter",
+                            counted(run_homogenized_filter))
+        assert run_replications(model, hm, cfg, basis, 1, range(5)) == lone
+        assert seen == [(run, width) for width in widths
+                        for run in ("run_full_filter", "run_homogenized_filter")]
+        bound = max(chunk_particles, cfg.n_particles)
+        assert all(width * cfg.n_particles <= bound for _, width in seen)
 
     def test_self_comparison_bounded_by_particle_noise(self):
         # Model whose coefficients are already z-independent and equal to
@@ -292,23 +323,34 @@ class TestRunStudyEndToEnd:
                                                 chunk_particles, sizes):
         cfg = small_config(replications=5, n_particles=32)
         default = run_study(cfg)
-        chunks = []
+        handed, groups, widths = [], [], []
 
-        # Recorded where run_study hands its chunks over: a forked worker's
+        def counted(model, obs, states, *args):
+            widths.append(len(states))
+            return run_full_filter(model, obs, states, *args)
+
+        # Recorded where run_study hands its rows over; each group sends the
+        # widths of its batches back beside its results, as a forked worker's
         # appends would never reach this process.
-        def recorded(tasks):
-            chunks.extend((task.keywords["eps_index"], list(task.keywords["rep_indices"]))
-                          for task in tasks)
-            return run_forked(tasks)
+        def recorded(fn, items):
+            def traced(group):
+                start = len(widths)
+                return [(fn(group), widths[start:])]
+
+            handed.append((fn.args[-1], items))
+            out = run_forked(traced, items)
+            groups.append([batch_widths for _, batch_widths in out])
+            return [entry for results, _ in out for entry in results]
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
+        monkeypatch.setattr(study, "run_full_filter", counted)
         monkeypatch.setattr(study, "run_forked", recorded)
         assert run_study(cfg) == default
-        for ei in range(len(cfg.epsilons)):
-            rows = sorted(reps for e, reps in chunks if e == ei)
-            assert [len(r) for r in rows] == sizes
-            assert sum(rows, []) == list(range(cfg.replications))
+        assert handed == [(ei, range(cfg.replications)) for ei in range(len(cfg.epsilons))]
+        for batches in groups:
+            assert len(batches) == min(cpus, cfg.replications)
+            assert sum(batches, []) == sizes
 
     def test_abort_starts_no_later_epsilon(self, monkeypatch):
         cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625))
@@ -318,15 +360,15 @@ class TestRunStudyEndToEnd:
             return [HomfiltError("forced failure") if eps_index == 1 else 0.1
                     for _ in rep_indices]
 
-        def recorded(tasks):
-            started.extend(task.keywords["eps_index"] for task in tasks)
-            return run_forked(tasks)
+        def recorded(fn, items):
+            started.append(fn.args[-1])
+            return run_forked(fn, items)
 
         monkeypatch.setattr(study, "run_replications", fake)
         monkeypatch.setattr(study, "run_forked", recorded)
         with pytest.raises(StudyAbortError, match="epsilon=0.25"):
             run_study(cfg)
-        assert set(started) == {0, 1}
+        assert started == [0, 1]
 
     @pytest.mark.filterwarnings("error")
     def test_workers_keep_the_callers_errstate(self, monkeypatch):
@@ -351,7 +393,7 @@ class TestRunStudyEndToEnd:
     def test_bad_filter_settings_are_refused_before_any_fork(self, monkeypatch, tmp_path,
                                                             capsys, bad):
         forked = []
-        monkeypatch.setattr(study, "run_forked", lambda tasks: forked.append(tasks))
+        monkeypatch.setattr(study, "run_forked", lambda fn, items: forked.append(items))
         with pytest.raises(ValueError):
             small_config(**bad)
         config = tmp_path / "config.yaml"
