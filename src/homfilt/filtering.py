@@ -25,6 +25,9 @@ from .rng import StreamBatch
 
 
 RESAMPLE_THRESHOLD = 0.5  # default: resample once the ESS falls below half of N
+# Particles per block of filter rows, unless one row holds more: a (rows, N)
+# float64 array of a block is at most 128 KiB.
+CHUNK_PARTICLES = 16384
 
 
 def gaussian_prior(rng, shape: tuple, mean: float, std: float, m: int,
@@ -141,38 +144,74 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
             errors[r] = make(r)
 
 
+def row_blocks(n_rows: int, n_particles: int) -> list:
+    """Slices that cut rows ``0 .. n_rows`` into near-even contiguous blocks
+    of at most ``CHUNK_PARTICLES`` particles of ``n_particles`` per row, or of
+    one row where a row holds more; no rows give one empty block."""
+    n_blocks = max(1, -(-n_rows // max(1, CHUNK_PARTICLES // n_particles)))
+    ends = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
 def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: int,
-                resample_threshold: float, rngs: StreamBatch) -> FilterBatch:
+                resample_threshold: float,
+                rngs: Sequence[np.random.Generator]) -> FilterBatch:
     """The filter loop, over R replications held as (R, N, dim) states and (R, N) weights.
 
-    The loop starts from a copy of ``states``, an (R, N, dim) cloud with
-    N >= 1, so the caller's cloud is never changed, and a zero-step path
-    hands that copy back.  ``obs`` holds R replications on a uniform grid
-    (``ObservationPath`` checks it), and each step is ``step(states, carried,
-    rngs, dt)`` with that grid's step, which returns the moved states, their
-    (R, N, d) read-out and the tuple of (R, N, ...) arrays carried beside the
-    states into the next step; the first step gets an empty tuple.
-    Resampling gathers the states and copies of the carried arrays with the
-    same indices.  Row r draws only from ``rngs[r]``, in the order a lone run
-    of it draws, and every operation acts row by row, so each row equals its
-    own R = 1 run bit for bit.  A row that goes non-finite or whose weights
-    collapse gets its error recorded and runs on as NaN without touching
-    other rows; the loop stops once every row has failed.  Of each step only
-    the (R, dim) means and the (R,) ESS and resample flags are kept, so
-    memory grows with the horizon only as the (T, R, d) observations do, and
-    never with N.
+    ``states`` is an (R, N, dim) cloud with N >= 1, ``obs`` holds R
+    replications on a uniform grid (``ObservationPath`` checks it) and
+    ``rngs`` one generator per row; all three are checked before any draw.
+    The rows run in the blocks of ``row_blocks``, each block's cloud,
+    increments and generators on their own through ``_run_block``, and the
+    blocks' records are joined in row order.  Row r draws only from
+    ``rngs[r]``, in the order a lone run of it draws, and every operation
+    acts row by row, so each row equals its own R = 1 run bit for bit,
+    whatever the blocks.
     """
     if not (0.0 < resample_threshold <= 1.0):
         raise UsageError("resample_threshold must lie in (0, 1]")
-    states = np.array(states, dtype=float)
+    states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[1] < 1 or states.shape[2] != dim:
         raise ValueError(f"a cloud of shape {states.shape} is not (R, N >= 1, {dim})")
-    n_rows, n = states.shape[:2]
     increments = np.asarray(obs.increments, dtype=float)
-    if increments.shape[1] != n_rows:
+    if increments.shape[1] != len(states):
         raise ValueError(f"observation increments of shape {increments.shape} "
-                         f"do not hold {n_rows} replications")
-    dt = obs.dt
+                         f"do not hold {len(states)} replications")
+    rngs = list(rngs)
+    if len(rngs) != len(states):
+        raise ValueError(f"{len(rngs)} generators for {len(states)} replications")
+    blocks = [_run_block(step, increments[:, rows], obs.dt, states[rows],
+                         resample_threshold, StreamBatch(rngs[rows]))
+              for rows in row_blocks(*states.shape[:2])]
+    return FilterBatch(
+        states=np.concatenate([b.states for b in blocks]),
+        weights=np.concatenate([b.weights for b in blocks]),
+        errors=[e for b in blocks for e in b.errors],
+        means=np.concatenate([b.means for b in blocks], axis=1),
+        ess=np.concatenate([b.ess for b in blocks], axis=1),
+        resampled=np.concatenate([b.resampled for b in blocks], axis=1))
+
+
+def _run_block(step: Callable, increments: np.ndarray, dt: float, states: np.ndarray,
+               resample_threshold: float, rngs: StreamBatch) -> FilterBatch:
+    """``_run_filter``'s loop over one block of rows, with (T, R, d)
+    ``increments`` on a grid of step ``dt``.
+
+    The loop starts from a copy of ``states``, so the caller's cloud is never
+    changed, and a zero-step path hands that copy back.  Each step is
+    ``step(states, carried, rngs, dt)``, which returns the moved states,
+    their (R, N, d) read-out and the tuple of (R, N, ...) arrays carried
+    beside the states into the next step; the first step gets an empty
+    tuple.  Resampling gathers the states and copies of the carried arrays
+    with the same indices.  A row that goes non-finite or whose weights
+    collapse gets its error recorded and runs on as NaN without touching
+    other rows; the loop stops once every row of the block has failed.  Of
+    each step only the (R, dim) means and the (R,) ESS and resample flags
+    are kept, so memory grows with the horizon only as the (T, R, d)
+    observations do, and never with N.
+    """
+    states = np.array(states)
+    n_rows, n = states.shape[:2]
     w = np.full((n_rows, n), 1.0 / n)
     errors = [None] * n_rows
     means = np.full((len(increments), n_rows, states.shape[-1]), np.nan)
@@ -225,8 +264,7 @@ def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.nda
                                                 dt, substeps, streams), axis=-1)
         return states, model.obs_fn(states[..., :m], states[..., m:]), ()
 
-    return _run_filter(step, obs, states, m + model.dim_fast, resample_threshold,
-                       StreamBatch(rngs))
+    return _run_filter(step, obs, states, m + model.dim_fast, resample_threshold, rngs)
 
 
 def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
@@ -246,8 +284,7 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
         b, sigma, h = hmodel.coefficients(x)
         return x, h, (b, sigma)
 
-    return _run_filter(step, obs, states, hmodel.dim_slow, resample_threshold,
-                       StreamBatch(rngs))
+    return _run_filter(step, obs, states, hmodel.dim_slow, resample_threshold, rngs)
 
 
 def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,

@@ -19,14 +19,13 @@ import numpy as np
 from . import catalog, measures, rng as rngmod, schema
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
-from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_forked,
+from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, row_blocks, run_forked,
                         run_full_filter, run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
                      simulate_observations, step_count)
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
-CHUNK_PARTICLES = 65536  # particles per filter batch, unless one row has more
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,18 +92,18 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
 
     Truth, observation noise and each filter own independent streams derived
     from the root seed, the epsilon index, the replication index and a role
-    tag, so no stream is shared across roles or replications.  Contiguous
-    rows move together in near-even batches of at most ``CHUNK_PARTICLES``
-    particles (one row, if it holds more), yet each row draws from its own
-    streams in the order a lone run would, so entry r equals the
-    replication's own run bit for bit.  Entry r is the distance, or the
-    HomfiltError that stopped replication r; the others go on without it.
+    tag, so no stream is shared across roles or replications.  The rows run
+    in the blocks of ``filtering.row_blocks``, priors, truth, filters and
+    metric together, so memory stays bounded whatever the number of
+    replications; yet each row draws from its own streams in the order a
+    lone run would, so entry r equals the replication's own run bit for bit.
+    Entry r is the distance, or the HomfiltError that stopped replication r;
+    the others go on without it.
     """
-    n_batches = -(-len(rep_indices) // max(1, CHUNK_PARTICLES // cfg.n_particles))
-    if n_batches != 1:
-        ends = [len(rep_indices) * i // n_batches for i in range(n_batches + 1)]
-        return [entry for lo, hi in zip(ends, ends[1:]) for entry in run_replications(
-            model, hmodel, cfg, basis, eps_index, rep_indices[lo:hi])]
+    blocks = row_blocks(len(rep_indices), cfg.n_particles)
+    if len(blocks) > 1:
+        return [entry for rows in blocks for entry in run_replications(
+            model, hmodel, cfg, basis, eps_index, rep_indices[rows])]
 
     def streams(role):
         return [rngmod.stream(cfg.root_seed, eps_index, rep, role) for rep in rep_indices]
@@ -178,10 +177,10 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     The reduced filter runs on the family's analytic homogenized model.  Each
     epsilon hands its row range to ``run_forked``, which splits it into one
     contiguous group per usable CPU, run by the caller and forked children,
-    and ``run_replications`` runs each group in batches of at most
-    ``CHUNK_PARTICLES`` particles.  Every row draws only from its own
-    streams, so the report depends on neither split.  No epsilon runs after
-    one whose failures abort the study.
+    and ``run_replications`` runs each group in the cache-sized row blocks
+    of ``filtering.row_blocks``.  Every row draws only from its own streams,
+    so the report depends on neither split.  No epsilon runs after one whose
+    failures abort the study.
     """
     hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
     basis = default_basis(cfg.basis_count, hmodel.dim_slow)

@@ -96,9 +96,10 @@ def test_criterion_4_filter_matches_kalman():
     The signed per-replication time-averaged difference is averaged over 50
     independent replications and compared with 3x its Monte Carlo standard
     error; the sign carries the information (absolute differences never
-    average to zero at finite particle counts).  The 50 filters run as one
-    batch, replication r drawing from its own stream, and one Kalman call
-    follows all 50 observation paths.
+    average to zero at finite particle counts).  The 50 filters go to one
+    ``run_full_filter`` call, which runs them in cache-sized blocks of rows,
+    replication r drawing from its own stream, and one Kalman call follows
+    all 50 observation paths.
     """
     t0 = time.time()
     a, q, h = -1.0, 1.0, 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homfilt import catalog
+from homfilt import catalog, filtering
 from homfilt.averaging import HomogenizedModel, TabulationGrid, _tabulated_model
 from homfilt.errors import BlowUpError, UsageError, WeightCollapseError
 from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
@@ -16,6 +16,7 @@ from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
                                weight_update)
 from homfilt.models import (MultiscaleModel, ObservationPath, simulate_multiscale,
                             simulate_observations)
+from homfilt.rng import StreamBatch
 
 
 def ensemble(states, weights):
@@ -326,10 +327,16 @@ def test_cloud_of_another_shape_is_rejected(kind, steps, shape):
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
 def test_cloud_rows_must_match_generators(kind):
+    # One generator too few or too many for a 2-row cloud: refused before a
+    # single draw, not at the first draw or by dropping the extra generator.
     obs = ObservationPath(times=np.arange(4) * 0.1, increments=np.zeros((3, 2, 1)))
     run, target, dim = _filter(kind)
-    with pytest.raises(ValueError):
-        run(target, obs, np.zeros((2, 4, dim)), 0.5, [np.random.default_rng(0)])
+    for n_rngs in (1, 3):
+        rngs = [np.random.default_rng(r) for r in range(n_rngs)]
+        before = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match=f"{n_rngs} generators for 2 replications"):
+            run(target, obs, np.zeros((2, 4, dim)), 0.5, rngs)
+        assert [rng.bit_generator.state for rng in rngs] == before
 
 
 def test_initial_draws_are_independent_arrays():
@@ -430,6 +437,84 @@ def test_rows_that_fail_mid_run(kind):
     assert np.isnan(pair.means[5:]).all() and np.isnan(pair.ess[5:]).all()
     assert not pair.resampled[5:].any()
     assert np.isfinite(pair.means[:5, 1]).all() and np.isfinite(pair.ess[:5, 1]).all()
+
+
+def _record_block_widths(monkeypatch, bound):
+    """Lower ``CHUNK_PARTICLES`` to ``bound`` and record the rows of every
+    move the two filters' step functions make, one entry per step."""
+    widths = []
+
+    def recorded(move, cloud_arg):
+        def traced(*args):
+            widths.append(len(args[cloud_arg]))
+            return move(*args)
+        return traced
+
+    monkeypatch.setattr(filtering, "CHUNK_PARTICLES", bound)
+    monkeypatch.setattr(filtering, "multiscale_step",
+                        recorded(filtering.multiscale_step, 1))
+    monkeypatch.setattr(filtering, "euler_maruyama", recorded(filtering.euler_maruyama, 0))
+    return widths
+
+
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+@pytest.mark.parametrize("n, widths", [
+    (16, [1, 2, 2]),  # two rows of 16 particles per block of 40
+    (48, [1] * 5),    # one row holds more than the bound, and runs alone
+])
+def test_blocks_are_bounded_and_rows_equal_lone_runs(monkeypatch, kind, n, widths):
+    run, target, dim = _filter(kind)
+    steps, bound = 6, 40
+    increments = np.random.default_rng(0).normal(0.0, 0.3, (steps, 5, 1))
+    cloud = gaussian_prior(StreamBatch([np.random.default_rng(10 + r) for r in range(5)]),
+                           (5, n), 0.0, 1.0, 1, dim - 1)
+
+    def rows(r):
+        obs = ObservationPath(np.arange(steps + 1) * 0.1, increments[:, r])
+        return run(target, obs, cloud[r], 0.9, [np.random.default_rng(20 + i) for i in r])
+
+    lone = [rows([r]) for r in range(5)]
+    seen = _record_block_widths(monkeypatch, bound)
+    batch = rows(list(range(5)))
+    assert seen == [width for width in widths for _ in range(steps)]
+    assert all(width * n <= max(bound, n) for width in seen)
+    assert batch.resampled.any()
+    assert batch.errors == [one.errors[0] for one in lone] == [None] * 5
+    for r, one in enumerate(lone):
+        assert np.array_equal(batch.states[r], one.states[0])
+        assert np.array_equal(batch.weights[r], one.weights[0])
+        for record in ("means", "ess", "resampled"):
+            assert np.array_equal(getattr(batch, record)[:, r], getattr(one, record)[:, 0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["full", "homogenized"])
+def test_row_that_blows_up_in_a_later_block(monkeypatch, kind):
+    run, target, dim = _ramp(kind, [])
+    steps, n = 8, 16
+    # Blocks of two 16-particle rows: [0], [1, 2], [3, 4].  Row 2 stands
+    # above 0.25 from step 3 on, so that step's move blows up; the other
+    # rows stay near -10.
+    cloud = np.empty((5, n, dim))
+    cloud[:] = np.linspace(-10.5, -9.5, n)[:, None]
+    cloud[2] = np.linspace(0.0, 0.01, n)[:, None]
+    increments = np.random.default_rng(0).normal(0.0, 0.3, (steps, 5, 1))
+
+    def rows(r):
+        obs = ObservationPath(np.arange(steps + 1) * 0.1, increments[:, r])
+        return run(target, obs, cloud[r], 0.9, [np.random.default_rng(i) for i in r])
+
+    lone = [rows([r]) for r in range(5)]
+    seen = _record_block_widths(monkeypatch, 40)
+    batch = rows(list(range(5)))
+    assert seen == [1] * steps + [2] * steps + [2] * steps
+    assert isinstance(batch.errors[2], BlowUpError)
+    assert batch.errors[2].step == lone[2].errors[0].step == 3
+    assert batch.errors[:2] == batch.errors[3:] == [None, None]
+    for r in (0, 1, 3, 4):
+        assert np.array_equal(batch.states[r], lone[r].states[0])
+        for record in ("means", "ess", "resampled"):
+            assert np.array_equal(getattr(batch, record)[:, r], getattr(lone[r], record)[:, 0])
 
 
 class TestGaussianPrior:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from homfilt import catalog, rng as rngmod, schema, study
+from homfilt import catalog, filtering, rng as rngmod, schema, study
 from homfilt.cli import main
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import (gaussian_prior, run_forked, run_full_filter,
@@ -205,7 +205,7 @@ class TestRunReplication:
                 return run(target, obs, states, *args)
             return wrapper
 
-        monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
+        monkeypatch.setattr(filtering, "CHUNK_PARTICLES", chunk_particles)
         monkeypatch.setattr(study, "run_full_filter", counted(run_full_filter))
         monkeypatch.setattr(study, "run_homogenized_filter",
                             counted(run_homogenized_filter))
@@ -314,10 +314,10 @@ class TestRunStudyEndToEnd:
         assert report.slope_ci[0] <= report.slope_ci[1]
 
     @pytest.mark.parametrize("cpus, chunk_particles, sizes", [
-        (1, study.CHUNK_PARTICLES, [5]),
-        (3, study.CHUNK_PARTICLES, [1, 2, 2]),
+        (1, filtering.CHUNK_PARTICLES, [5]),
+        (3, filtering.CHUNK_PARTICLES, [1, 2, 2]),
         (1, 64, [1, 2, 2]),      # two rows of 32 particles per chunk
-        (8, study.CHUNK_PARTICLES, [1] * 5),
+        (8, filtering.CHUNK_PARTICLES, [1] * 5),
     ])
     def test_report_does_not_depend_on_chunking(self, monkeypatch, cpus,
                                                 chunk_particles, sizes):
@@ -343,7 +343,7 @@ class TestRunStudyEndToEnd:
             return [entry for results, _ in out for entry in results]
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(study, "CHUNK_PARTICLES", chunk_particles)
+        monkeypatch.setattr(filtering, "CHUNK_PARTICLES", chunk_particles)
         monkeypatch.setattr(study, "run_full_filter", counted)
         monkeypatch.setattr(study, "run_forked", recorded)
         assert run_study(cfg) == default
