@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from homfilt.averaging import (HomogenizedModel, StationaryAverager,
                                load_tabulated,
                                matrix_sqrt_psd, save_tabulated)
 from homfilt.errors import BlowUpError, NonErgodicWarning, NotPSDError, NotSymmetricError
-from homfilt.models import MultiscaleModel
+from homfilt.models import MultiscaleModel, simulate_frozen_fast
 
 from conftest import const_mat
 
@@ -40,6 +41,48 @@ def lone_average(model, x, theta, cfg, rng):
         raise BlowUpError(int(first_bad[0]))
     ((est, se),) = _estimates(sums, count, cfg, nodes)
     return est[0], se[0]
+
+
+def cubic_model():
+    """A fast block given without fast_ou, so every path takes Euler steps:
+    drift -(z - x) - 0.1 z^3 and constant diffusion 0.8."""
+    return MultiscaleModel(
+        dim_slow=1, dim_fast=1, drift_slow=lambda x, z: -x + 0.5 * z,
+        diff_slow=const_mat(1.0), drift_fast=lambda x, z: -(z - x) - 0.1 * z ** 3,
+        diff_fast=const_mat(0.8), obs_fn=lambda x, z: x + z)
+
+
+# sha256 of cubic_model()'s frozen-x outputs below; they pin the Euler path's
+# bytes and the order in which each generator draws its normals.
+FROZEN_SUMS_SHA256 = "ab96e7f8d97fc0c9441bf2335fc350ceabdff4b2164229db966a0b7cc0bd5a81"
+FROZEN_PATH_SHA256 = "7d3f4b96f99143fe3907337b98ddcbb91ce45d8cf4717e7e6cded71b366f6560"
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                   for a in arrays)).hexdigest()
+
+
+class TestEulerFastBlockPinned:
+    def test_frozen_sums(self):
+        # 5000 steps over three nodes, one stream each.
+        model = cubic_model()
+        nodes = np.array([[-1.0], [0.0], [1.5]])
+        cfg = StationaryAverager(burn_in=1.0, sample_horizon=50.0, dt=1e-2,
+                                 replicates=5)
+        sums, count, first_bad = _frozen_sums(
+            model, nodes, [lambda x, z: z[..., 0], lambda x, z: z[..., 0] ** 2,
+                           model.obs_fn],
+            cfg, [rngmod.stream(17, rngmod.NODE_STREAM, i) for i in range(3)])
+        assert (count, first_bad.tolist()) == (4901, [-1, -1, -1])
+        assert digest(*sums) == FROZEN_SUMS_SHA256
+
+    def test_frozen_path(self):
+        path = simulate_frozen_fast(cubic_model(), np.array([0.4]),
+                                    np.linspace(-2.0, 2.0, 3)[:, None], 2.0, 1e-2,
+                                    rng=np.random.default_rng(18))
+        assert path.shape == (201, 3, 1)
+        assert digest(path) == FROZEN_PATH_SHA256
 
 
 class TestEstimateStationaryAverage:
