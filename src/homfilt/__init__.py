@@ -21,7 +21,7 @@ from .measures import EmpiricalMeasure, TestFunctionBasis, default_basis, metric
 from . import catalog
 from .rng import stream
 from .models import (MultiscaleModel, ObservationPath, blow_up_steps,
-                     multiscale_step, simulate_frozen_fast,
+                     fast_step, multiscale_step, simulate_frozen_fast,
                      simulate_multiscale, simulate_observations, step_count)
 from .study import (ConvergenceReport, StudyConfig, fit_loglog_slope,
                     report_csv, report_text, run_replication,

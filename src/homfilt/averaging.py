@@ -18,14 +18,10 @@ import numpy as np
 
 from .errors import (BlowUpError, HomfiltError, NonErgodicWarning, NotPSDError,
                      NotSymmetricError, UsageError)
-from .models import MultiscaleModel, euler_maruyama, step_count
+from .models import MultiscaleModel, fast_step, step_count
 from . import rng as rngmod, schema
 
 TOL_PSD = 1e-10
-
-# Each generator draws the fast noise of several steps in one call, with at
-# most this many doubles for the whole grid per call.
-NOISE_BLOCK = 1 << 16
 
 TABLE_KEYS = ("b", "a", "h", "b_se", "a_se", "h_se")  # node arrays, in file order
 
@@ -57,8 +53,9 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
                  streams: Sequence[np.random.Generator]) -> tuple:
     """Per-replicate time sums of several integrands along frozen-x paths.
 
-    One time loop serves every node: z has shape (nodes, replicates, n).  Node
-    i draws only from ``streams[i]``, first its replicates' initial z and then
+    One time loop serves every node: z has shape (nodes, replicates, n) and
+    takes one ``fast_step`` substep of size ``cfg.dt`` per step.  Node i
+    draws only from ``streams[i]``, first its replicates' initial z and then
     what ``simulate_frozen_fast`` would draw from that z, so its sums do not
     depend on the other nodes.  Memory does not grow with the horizon.  Returns
     the sums, one array of shape (nodes, replicates) + tail per integrand, the
@@ -73,23 +70,17 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     i0 = step_count(cfg.burn_in, cfg.dt)
     sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
     first_bad = np.full(k, -1)
-    block = min(n_steps, max(1, NOISE_BLOCK // (k * r * model.dim_noise_fast)))
-
-    for start in range(0, n_steps, block):
-        steps = min(block, n_steps - start)
-        xis = noise.standard_normal((k, steps, r, model.dim_noise_fast))
-        for j in range(steps):
-            z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z),
-                               xis[:, j], cfg.dt)
-            if not np.isfinite(z).all():
-                bad = ~np.isfinite(z).all(axis=(1, 2))
-                first_bad[bad & (first_bad < 0)] = start + j
-                if first_bad[0] >= 0:  # no later failure can come first
-                    return sums, n_steps + 1 - i0, first_bad
-                z[bad] = 0.0  # keeps failed nodes quiet; their sums are dropped
-            if start + j + 1 >= i0:
-                for acc, theta in zip(sums, thetas):
-                    acc += np.asarray(theta(x, z), dtype=float)
+    for i in range(n_steps):
+        z = fast_step(model, x, z, cfg.dt, 1, noise)
+        if not np.isfinite(z).all():
+            bad = ~np.isfinite(z).all(axis=(1, 2))
+            first_bad[bad & (first_bad < 0)] = i
+            if first_bad[0] >= 0:  # no later failure can come first
+                return sums, n_steps + 1 - i0, first_bad
+            z[bad] = 0.0  # keeps failed nodes quiet; their sums are dropped
+        if i + 1 >= i0:
+            for acc, theta in zip(sums, thetas):
+                acc += np.asarray(theta(x, z), dtype=float)
     return sums, n_steps + 1 - i0, first_bad
 
 

@@ -32,8 +32,8 @@ class MultiscaleModel:
     ``fast_ou``, the triple (theta, mu, g) of an Ornstein-Uhlenbeck block
     f(x, z) = -theta (z - mu(x)), g(x, z) = g I with scalars theta and g and
     ``mu`` mapping ``(..., m) -> (..., n)``.  The model then sets ``drift_fast``
-    and ``diff_fast`` itself, and ``multiscale_step`` draws the fast substeps'
-    end state in one go.
+    and ``diff_fast`` itself, and ``fast_step`` draws the fast substeps' end
+    state in one go.
     """
 
     dim_slow: int
@@ -129,40 +129,46 @@ def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
     return out
 
 
+def fast_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray, h: float,
+              substeps: int, rng: np.random.Generator) -> np.ndarray:
+    """z after ``substeps`` Euler substeps of size ``h`` of dZ = f(x,Z) dt +
+    g(x,Z) dW with x frozen, one normal per state and noise coordinate each;
+    a caller scales the block by 1/eps through ``h``.
+
+    With ``model.fast_ou`` = (theta, mu, g) the substeps compose in closed
+    form, and z takes one draw of their end state: with a = 1 - theta h,
+    z_S = a^S z + (1 - a^S) mu(x) + g sqrt(h sum_{j<S} a^{2j}) xi.
+    """
+    noise_shape = x.shape[:-1] + (model.dim_noise_fast,)
+    if model.fast_ou is None:
+        for _ in range(substeps):
+            xi = rng.standard_normal(noise_shape)
+            z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, h)
+        return z
+    theta, mu, g = model.fast_ou
+    decay = (1.0 - theta * h) ** substeps
+    # sum_{j<S} a^{2j} = (1 - a^{2S}) / (1 - a^2), with 1 - a^2 written without
+    # cancellation; it is S when a^2 = 1.
+    shrink = theta * h * (2.0 - theta * h)
+    terms = (1.0 - decay * decay) / shrink if shrink else substeps
+    z_new = rng.standard_normal(noise_shape)
+    z_new *= g * np.sqrt(h * terms)
+    z_new += decay * z
+    z_new += (1.0 - decay) * mu(x)
+    return z_new
+
+
 def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
                     dt: float, substeps: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray]:
     """One slow step of size ``dt``: fast substeps with x frozen, then the slow update.
 
-    Lie splitting: z is advanced through ``substeps`` Euler substeps with drift
-    scaled by 1/eps and diffusion by 1/sqrt(eps), after which x takes a single
-    Euler step using the updated z.  Works on single states or batches.
-
-    With ``model.fast_ou`` = (theta, mu, g) the S = ``substeps`` Euler substeps
-    of size h compose in closed form, and z takes one draw of their end state:
-    with a = 1 - theta h, z_S = a^S z + (1 - a^S) mu(x) + g sqrt(h sum_{j<S}
-    a^{2j}) xi, from one normal xi per state, drawn before the slow normal.
+    Lie splitting: ``fast_step`` takes z through ``substeps`` substeps of size
+    dt / substeps / eps, after which x takes a single Euler step using the
+    updated z, drawn after the fast normals.  Works on single states or batches.
     """
-    h_fast = dt / substeps / model.epsilon
-    batch = x.shape[:-1]
-    if model.fast_ou is None:
-        for _ in range(substeps):
-            xi = rng.standard_normal(batch + (model.dim_noise_fast,))
-            z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi,
-                               h_fast)
-    else:
-        theta, mu, g = model.fast_ou
-        decay = (1.0 - theta * h_fast) ** substeps
-        # sum_{j<S} a^{2j} = (1 - a^{2S}) / (1 - a^2), with 1 - a^2 written without
-        # cancellation; it is S when a^2 = 1.
-        shrink = theta * h_fast * (2.0 - theta * h_fast)
-        terms = (1.0 - decay * decay) / shrink if shrink else substeps
-        z_new = rng.standard_normal(batch + (model.dim_noise_fast,))
-        z_new *= g * np.sqrt(h_fast * terms)
-        z_new += decay * z
-        z_new += (1.0 - decay) * mu(x)
-        z = z_new
-    xi = rng.standard_normal(batch + (model.dim_noise_slow,))
+    z = fast_step(model, x, z, dt / substeps / model.epsilon, substeps, rng)
+    xi = rng.standard_normal(x.shape[:-1] + (model.dim_noise_slow,))
     x = euler_maruyama(x, model.drift_slow(x, z), model.diff_slow(x, z), xi, dt)
     return x, z
 
@@ -219,9 +225,9 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """Path of the frozen-x fast process dZ = f(x,Z) dt + g(x,Z) dW at natural speed.
 
-    No epsilon scaling is applied: the rescaled process is the same up to a
-    deterministic time change, and only time averages of it are ever used.
-    ``z0`` may carry a leading batch axis for independent replicates; the
+    Each step of size ``dt`` is one ``fast_step`` substep.  No epsilon scaling
+    is applied: the rescaled process is the same up to a deterministic time
+    change, and only time averages of it are ever used.  ``z0`` may carry a leading batch axis for independent replicates; the
     returned array then has shape ``(T+1, batch, n)``.
     """
     n_steps = step_count(horizon, dt)
@@ -230,8 +236,7 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
     out = np.empty((n_steps + 1,) + z.shape)
     out[0] = z
     for i in range(n_steps):
-        xi = rng.standard_normal(z.shape[:-1] + (model.dim_noise_fast,))
-        z = euler_maruyama(z, model.drift_fast(x, z), model.diff_fast(x, z), xi, dt)
+        z = fast_step(model, x, z, dt, 1, rng)
         out[i + 1] = z
     return out
 

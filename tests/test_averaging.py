@@ -264,7 +264,7 @@ class TestBuildHomogenized:
                 assert np.array_equal(hm.table[key + "_se"][i], se)
 
     def test_memory_does_not_grow_with_horizon(self):
-        # Both horizons are long enough to fill the noise block.
+        # Four times the steps keep the peak below 1.5 times the shorter run's.
         model = ou_model()
         grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(3,))
         peaks = []

@@ -27,7 +27,8 @@ def sha256(path):
 
 # sha256 of the outputs at these configs and seeds with the exact-draw
 # scheme: every catalog family's OU fast block takes one exact draw of its
-# S Euler substeps per slow step, in the truth and in the full filter,
+# S Euler substeps per slow step, in the truth and in the full filter, and
+# of its one substep per averager step in the tables (models.fast_step),
 # report.txt's slope interval resamples with one index matrix per epsilon and
 # refits each sample with the report's weighted slope fit, and each
 # observation increment scales by the grid step dt that the filters use.
@@ -54,12 +55,12 @@ SIMULATE_SHA256 = {
 TABULATED_FILTER_SHA256 = {
     "filter_full.csv": "695bd7e81cf14f6c12ca13903841e321ceeb0774835b9d4215c1234c145b1dd6",
     "filter_homogenized.csv":
-        "a364edc5cb9e283d281528f223a886c83421dee102d55b623903fcf071025424",
+        "cf49c5301d447bb24cdb62fb5644f73c5042b385a0d0907139ffd6716094b324",
     "filter_distance.txt":
-        "d722dc6cbd92dcaab3834699fd9fb617d83a12aa09354d4138b7fd23d772a5dc",
+        "72fdc79012682077395276d0306c95670d53491ed4b941039372f5f6e0e09741",
 }
 # A small grid-wide averaging run; pins the per-node streams.
-TABLE_SHA256 = "ec50644736bab0a0b27068a37b36152f7757732aaa8a9e2f28f3cc475f2e5a60"
+TABLE_SHA256 = "fb542c45d6c580614ecefee41eb6c564872b495c1c3e78f77563d0342867f24b"
 
 
 class TestPinnedOutputs:
