@@ -62,14 +62,13 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     number of sampled states, and per node the first step whose state is not
     finite, or -1.  The loop stops early once node 0 has failed.
     """
-    k, r, n = len(nodes), cfg.replicates, model.dim_fast
     noise = rngmod.StreamBatch(streams)
-    z = noise.standard_normal((k, r, n))
-    x = np.broadcast_to(nodes[:, None, :], (k, r, model.dim_slow))
+    z = noise.standard_normal((len(nodes), cfg.replicates, model.dim_fast))
+    x = np.broadcast_to(nodes[:, None, :], z.shape[:-1] + (model.dim_slow,))
     n_steps = step_count(cfg.sample_horizon, cfg.dt)
     i0 = step_count(cfg.burn_in, cfg.dt)
     sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
-    first_bad = np.full(k, -1)
+    first_bad = np.full(len(nodes), -1)
     for i in range(n_steps):
         z = fast_step(model, x, z, cfg.dt, 1, noise)
         if not np.isfinite(z).all():
@@ -264,12 +263,17 @@ def _interpolator(grid: TabulationGrid, node_values: np.ndarray):
 
 def _tabulated_model(table: dict) -> HomogenizedModel:
     """Wrap a table of node arrays on ``table["grid"]`` as a model, adding the
-    PSD root ``sigma`` of each node's ``a``; a failure names its node."""
+    PSD root ``sigma`` of each node's ``a``.  Built and loaded tables both pass
+    here, so both refuse a non-finite value; a failure names its node."""
     grid = table["grid"]
     sigma = np.empty_like(table["a"])
-    for i, (x, a) in enumerate(zip(grid.nodes(), table["a"])):
+    for i, x in enumerate(grid.nodes()):
+        bad = [k for k in TABLE_KEYS if k in table and not np.isfinite(table[k][i]).all()]
+        if bad:
+            raise HomfiltError(f"block [{bad[0]}] node {i} at x={x.tolist()}: "
+                               "non-finite value")
         try:
-            sigma[i] = matrix_sqrt_psd(a)
+            sigma[i] = matrix_sqrt_psd(table["a"][i])
         except HomfiltError as exc:
             raise type(exc)(f"node {i} at x={x.tolist()}: {exc}") from exc
     table = {**table, "sigma": sigma}
@@ -377,10 +381,6 @@ def load_tabulated(path: str) -> HomogenizedModel:
         if len(rows) != len(nodes):
             raise ValueError(f"block [{key}] has {len(rows)} rows, not one for each "
                              f"node 0..{len(nodes) - 1}")
-        bad = [j for j, row in enumerate(rows) if not np.isfinite(row).all()]
-        if bad:
-            raise ValueError(f"block [{key}] node {bad[0]} at x={nodes[bad[0]].tolist()}: "
-                             "non-finite value")
         blocks[key] = np.array(rows)
     cfg = schema.build(StationaryAverager,
                        {f.name: header[f.name] for f in fields(StationaryAverager)})

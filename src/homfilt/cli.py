@@ -1,9 +1,9 @@
 """Command-line front end: simulate | homogenize | filter | study.
 
 A single YAML config file drives every subcommand (sections: model, averager,
-filter, study); a key that no subcommand reads is a usage error.  A few
-global flags override config values, and flags win.  Every emitted CSV
-starts with a '#'-prefixed manifest block recording the resolved inputs that
+filter, study); a key that no subcommand reads is a usage error.  The global
+flags --seed and --out set what no config key sets.  Every emitted CSV starts
+with a '#'-prefixed manifest block recording the resolved inputs that
 produced it, so outputs are self-describing and reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
@@ -155,15 +155,20 @@ def read_csv(path):
     return manifest, header, np.array(rows)
 
 
+def _family_params(sec):
+    """[model] params, each read as a real number: YAML's string '5e-1' is 0.5."""
+    with _config_values("model"):
+        return {str(k): schema.real(v) for k, v in dict(sec.get("params", {})).items()}
+
+
 def _model_from_config(cfg):
     """[model]'s full model, its family's closed-form averaged model and the
     family name."""
     sec = _section(cfg, "model")
     family = _require(sec, "family", "model")
     with _config_values("model"):
-        params = dict(sec.get("params", {}))
         epsilon = schema.real(sec.get("epsilon", 1.0))
-        model, averaged = catalog.make_views(family, epsilon, **params)
+        model, averaged = catalog.make_views(family, epsilon, **_family_params(sec))
     return model, averaged, family
 
 
@@ -316,7 +321,7 @@ def cmd_study(args):
     msec = _section(cfg, "model")
     family = {"family": msec["family"]} if "family" in msec else {}
     scfg = _build(StudyConfig, "study", sec, root_seed=args.seed,
-                  family_params=msec.get("params", {}), **family)
+                  family_params=_family_params(msec), **family)
     report = run_study(scfg)
     txt_path = os.path.join(args.out, "report.txt")
     csv_path = os.path.join(args.out, "report.csv")

@@ -132,12 +132,10 @@ def euler_maruyama(y: np.ndarray, drift: np.ndarray, diff: np.ndarray,
 def fast_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray, h: float,
               substeps: int, rng: np.random.Generator) -> np.ndarray:
     """z after ``substeps`` Euler substeps of size ``h`` of dZ = f(x,Z) dt +
-    g(x,Z) dW with x frozen, one normal per state and noise coordinate each;
-    a caller scales the block by 1/eps through ``h``.
-
-    With ``model.fast_ou`` = (theta, mu, g) the substeps compose in closed
-    form, and z takes one draw of their end state: with a = 1 - theta h,
-    z_S = a^S z + (1 - a^S) mu(x) + g sqrt(h sum_{j<S} a^{2j}) xi.
+    g(x,Z) dW with x frozen; a caller scales the block by 1/eps through ``h``.
+    With ``model.fast_ou`` = (theta, mu, g) they compose in closed form, and z
+    takes one draw of their end state: with a = 1 - theta h, z_S = a^S z +
+    (1 - a^S) mu(x) + g sqrt(h sum_{j<S} a^{2j}) xi.
     """
     noise_shape = x.shape[:-1] + (model.dim_noise_fast,)
     if model.fast_ou is None:
@@ -225,10 +223,10 @@ def simulate_frozen_fast(model: MultiscaleModel, x: np.ndarray, z0: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """Path of the frozen-x fast process dZ = f(x,Z) dt + g(x,Z) dW at natural speed.
 
-    Each step of size ``dt`` is one ``fast_step`` substep.  No epsilon scaling
-    is applied: the rescaled process is the same up to a deterministic time
-    change, and only time averages of it are ever used.  ``z0`` may carry a leading batch axis for independent replicates; the
-    returned array then has shape ``(T+1, batch, n)``.
+    Each step is one ``fast_step`` substep of size ``dt``, with no epsilon scaling:
+    the rescaled process is the same up to a deterministic time change, and only
+    time averages of it are ever used.  ``z0`` may carry a leading batch axis for
+    independent replicates; the returned array then has shape ``(T+1, batch, n)``.
     """
     n_steps = step_count(horizon, dt)
     z = np.asarray(z0, dtype=float)

@@ -65,7 +65,6 @@ def digest(*arrays):
 
 class TestEulerFastBlockPinned:
     def test_frozen_sums(self):
-        # 5000 steps over three nodes, one stream each.
         model = cubic_model()
         nodes = np.array([[-1.0], [0.0], [1.5]])
         cfg = StationaryAverager(burn_in=1.0, sample_horizon=50.0, dt=1e-2,
@@ -264,7 +263,6 @@ class TestBuildHomogenized:
                 assert np.array_equal(hm.table[key + "_se"][i], se)
 
     def test_memory_does_not_grow_with_horizon(self):
-        # Four times the steps keep the peak below 1.5 times the shorter run's.
         model = ou_model()
         grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(3,))
         peaks = []

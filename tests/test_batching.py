@@ -214,3 +214,14 @@ def test_only_filtering_bounds_the_particles_per_block():
               for no, line in enumerate(path.read_text().splitlines(), 1)
               if re.search(r"\bCHUNK_PARTICLES\b|//\s*[\w.]*n_particles\b", line)]
     assert bounds == []
+
+
+def test_only_models_reads_the_fast_block():
+    # models.fast_step alone moves z with x frozen; a module that read the fast
+    # coefficients itself would be a second way to step the fast block.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "homfilt"
+    readers = [f"{path.name}:{no}" for path in sorted(src.glob("*.py"))
+               if path.name != "models.py"
+               for no, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\.(drift_fast|diff_fast|fast_ou)\b", line)]
+    assert readers == []

@@ -74,6 +74,22 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
 
+    def test_family_param_in_scientific_notation(self, tmp_path, monkeypatch):
+        # PyYAML reads 5e-1 (no dot) as a string; params read it as 0.5, as
+        # every other real key does.  The manifest records the config path,
+        # so both runs read the same relative path.
+        monkeypatch.chdir(tmp_path)
+        signals = []
+        for value in ("0.5", "5e-1"):
+            (tmp_path / "config.yaml").write_text(
+                "model:\n  family: ou_benchmark\n"
+                f"  params: {{c_b: {value}}}\n  horizon: 0.1\n  dt: 0.01\n")
+            assert run(["--config", "./config.yaml", "--seed", 2, "--out", value,
+                        "simulate"]) == 0
+            signals.append((tmp_path / value / "signal.csv").read_bytes())
+        assert signals[0] == signals[1]
+
+
 class TestHomogenize:
     def test_z_independent_table_matches_analytic(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -225,6 +241,21 @@ class TestStudy:
         assert "slope=" in text and "basis_version=gauss-v1" in text
         # slope_ci depends on the bootstrap size, so the report records it.
         assert "\nbootstrap_samples=20\n" in text
+
+
+    def test_family_param_in_scientific_notation(self, tmp_path):
+        reports = []
+        for value in ("0.5", "5e-1"):
+            (tmp_path / "config.yaml").write_text(
+                f"model:\n  family: ou_benchmark\n  params: {{c_b: {value}}}\n"
+                "study: {epsilons: [0.5, 0.25, 0.125], replications: 2, horizon: 0.1,"
+                " n_particles: 8, dt: 0.02, bootstrap_samples: 20}\n")
+            out = tmp_path / value
+            assert run(["--config", tmp_path / "config.yaml", "--seed", 1, "--out", out,
+                        "study"]) == 0
+            reports.append((out / "report.txt").read_text())
+        assert "\nparam_c_b=0.5\n" in reports[1]
+        assert reports[0] == reports[1]
 
 
 class TestErrors:
@@ -402,6 +433,10 @@ class TestErrors:
         ("averager", {"replicates": [4]}, "homogenize"),
         ("model", {"params": [1]}, "simulate"),
         ("model", {"horizon": "abc"}, "simulate"),
+        ("model", {"params": {"c_b": "abc"}}, "simulate"),
+        ("model", {"params": {"c_b": "abc"}}, "homogenize"),
+        ("model", {"params": {"c_b": "abc"}}, "study"),
+        ("model", {"params": {1: 0.5}}, "study"),
     ])
     def test_wrong_config_type_is_usage_error(self, tmp_path, capsys, section, bad,
                                               command):
@@ -506,6 +541,19 @@ class TestErrors:
                                     "simulate")
         assert err == "numeric failure: numerical blow-up at step 1\n"
         assert not (tmp_path / "signal.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_table_is_numeric_failure(self, tmp_path, capsys):
+        # The averaged drift a x + c_b z overflows at the outer nodes; filter
+        # would refuse that table, so homogenize writes none.
+        err = self._numeric_failure(tmp_path, capsys, {
+            "model": {"family": "ou_benchmark", "params": {"a": 1.0e308}},
+            "averager": {"burn_in": 0.1, "sample_horizon": 0.2, "dt": 0.1,
+                         "replicates": 2,
+                         "grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]}}},
+            "homogenize")
+        assert err == "numeric failure: block [b] node 0 at x=[-2.0]: non-finite value\n"
+        assert not (tmp_path / "homogenized_table.txt").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_study_blow_up_is_numeric_failure(self, tmp_path, capsys):

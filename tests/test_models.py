@@ -4,7 +4,7 @@ import pytest
 from homfilt import catalog
 from homfilt.errors import ModelShapeError
 from homfilt.models import (MultiscaleModel, ObservationPath, blow_up_steps,
-                            multiscale_step, simulate_frozen_fast,
+                            fast_step, multiscale_step, simulate_frozen_fast,
                             simulate_multiscale, simulate_observations, step_count)
 from homfilt.rng import StreamBatch
 
@@ -234,12 +234,10 @@ class _ConstantRng:
         return np.full(shape, self.value)
 
 
-def _euler_chain(model, x, dt):
+def _euler_chain(model, x, h, substeps):
     """The S-fold Euler recursion of a diagonal affine fast block with x frozen,
     run on the law of each coordinate of z: z_S = coef z_0 + offset + N(0, var),
     read from the model's ``drift_fast`` and ``diff_fast``, not from ``fast_ou``."""
-    substeps = model.default_substeps()
-    h = dt / substeps / model.epsilon
     zero = np.zeros(model.dim_fast)
     f0 = model.drift_fast(x, zero)
     slope = model.drift_fast(x, zero + 1.0) - f0
@@ -271,13 +269,31 @@ class TestExactFastStep:
     def test_law_equals_the_euler_chains(self, family, epsilon, dt):
         model = _law_model(family, epsilon)
         assert model.fast_ou is not None
-        coef, offset, var = _euler_chain(model, self.X, dt)
+        substeps = model.default_substeps()
+        coef, offset, var = _euler_chain(model, self.X, dt / substeps / epsilon, substeps)
 
         def end_state(z0, xi):
             _, z = multiscale_step(model, self.X, np.full(model.dim_fast, z0), dt,
-                                   model.default_substeps(), _ConstantRng(xi))
+                                   substeps, _ConstantRng(xi))
             return z
 
+        self._check_law(end_state, coef, offset, var)
+
+    # S = 1 at an averager's step, as _frozen_sums and simulate_frozen_fast take it.
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["ou_2d"])
+    @pytest.mark.parametrize("h", [1e-3, 1e-2])
+    def test_one_substep_law_equals_one_euler_step(self, family, h):
+        model = _law_model(family, 1.0)
+        coef, offset, var = _euler_chain(model, self.X, h, 1)
+
+        def end_state(z0, xi):
+            return fast_step(model, self.X, np.full(model.dim_fast, z0), h, 1,
+                             _ConstantRng(xi))
+
+        self._check_law(end_state, coef, offset, var)
+
+    @staticmethod
+    def _check_law(end_state, coef, offset, var):
         np.testing.assert_allclose(end_state(0.0, 0.0), offset, rtol=1e-12, atol=0)
         np.testing.assert_allclose(end_state(1.0, 0.0) - end_state(0.0, 0.0), coef,
                                    rtol=1e-12)
@@ -288,9 +304,11 @@ class TestExactFastStep:
     def test_draws_have_the_euler_chains_law(self, family):
         model = catalog.make_model(family, 1 / 16)
         n, dt, z0 = 200_000, 0.02, 1.0
-        coef, offset, var = _euler_chain(model, self.X, dt)
+        substeps = model.default_substeps()
+        coef, offset, var = _euler_chain(model, self.X, dt / substeps / model.epsilon,
+                                         substeps)
         _, z = multiscale_step(model, np.full((n, 1), self.X), np.full((n, 1), z0), dt,
-                               model.default_substeps(), np.random.default_rng(8))
+                               substeps, np.random.default_rng(8))
         mean = coef * z0 + offset
         assert abs(z.mean() - mean) < 5 * np.sqrt(var / n)
         assert abs(z.var(ddof=1) - var) < 5 * var * np.sqrt(2.0 / (n - 1))
@@ -313,6 +331,16 @@ class TestExactFastStep:
         hand_x = x0 + (-x0 + hand_z) * dt + (0.4 * xi) * np.sqrt(dt)
         assert np.array_equal(z, hand_z)
         assert np.array_equal(x, hand_x)
+
+    def test_model_without_the_triple_composes_one_substep_calls(self):
+        # S substeps in one call draw and step as S calls of one substep.
+        model = make_model(f=lambda x, z: np.sin(x) - z - 0.3 * z ** 3, g=0.7)
+        x, z0 = np.full((5, 1), 0.2), np.linspace(-1.0, 1.0, 5)[:, None]
+        z = fast_step(model, x, z0, 0.01, 7, np.random.default_rng(5))
+        rng, one_by_one = np.random.default_rng(5), z0
+        for _ in range(7):
+            one_by_one = fast_step(model, x, one_by_one, 0.01, 1, rng)
+        assert np.array_equal(z, one_by_one)
 
 def _ou(**fields):
     """A scalar model with the OU fast block (1, x, 1), as changed by ``fields``."""
