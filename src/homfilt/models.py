@@ -163,7 +163,7 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
 
     Lie splitting: ``fast_step`` takes z through ``substeps`` substeps of size
     dt / substeps / eps, after which x takes a single Euler step using the
-    updated z, drawn after the fast normals.  Works on single states or batches.
+    updated z and a slow normal drawn after the fast ones.  Works on batches too.
     """
     z = fast_step(model, x, z, dt / substeps / model.epsilon, substeps, rng)
     xi = rng.standard_normal(x.shape[:-1] + (model.dim_noise_slow,))

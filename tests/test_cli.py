@@ -73,7 +73,6 @@ class TestSimulate:
             outs.append((out / "signal.csv").read_bytes())
         assert outs[0] == outs[1]
 
-
     def test_family_param_in_scientific_notation(self, tmp_path, monkeypatch):
         # PyYAML reads 5e-1 (no dot) as a string; params read it as 0.5, as
         # every other real key does.  The manifest records the config path,
@@ -241,7 +240,6 @@ class TestStudy:
         assert "slope=" in text and "basis_version=gauss-v1" in text
         # slope_ci depends on the bootstrap size, so the report records it.
         assert "\nbootstrap_samples=20\n" in text
-
 
     def test_family_param_in_scientific_notation(self, tmp_path):
         reports = []

@@ -342,6 +342,7 @@ class TestExactFastStep:
             one_by_one = fast_step(model, x, one_by_one, 0.01, 1, rng)
         assert np.array_equal(z, one_by_one)
 
+
 def _ou(**fields):
     """A scalar model with the OU fast block (1, x, 1), as changed by ``fields``."""
     return MultiscaleModel(**{
