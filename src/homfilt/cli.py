@@ -136,12 +136,12 @@ def _fmt(v):
 
 
 def read_csv(path):
-    """Parse one of our own CSVs: manifest dict, column names, float matrix."""
+    """Parse one of our own CSVs, blank lines skipped: manifest, column names, floats."""
     manifest = {}
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for line in filter(str.strip, fh):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 k, eq, v = line[1:].strip().partition("=")

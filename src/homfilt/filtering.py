@@ -118,8 +118,8 @@ class FilterBatch:
 
     ``errors[r]`` is None, or the HomfiltError that stopped replication r,
     whose final states and record from its failure on are meaningless.
-    Steps after the loop stopped early are NaN in ``means`` and ``ess`` and
-    False in ``resampled``.
+    Steps after a row's block stopped early are NaN in ``means`` and
+    ``ess`` and False in ``resampled``.
     """
 
     states: np.ndarray     # (R, N, dim)
@@ -161,12 +161,22 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
     ``states`` is an (R, N, dim) cloud with N >= 1, ``obs`` holds R
     replications on a uniform grid (``ObservationPath`` checks it) and
     ``rngs`` one generator per row; all three are checked before any draw.
-    The rows run in the blocks of ``row_blocks``, each block's cloud,
-    increments and generators on their own through ``_run_block``, and the
-    blocks' records are joined in row order.  Row r draws only from
-    ``rngs[r]``, in the order a lone run of it draws, and every operation
-    acts row by row, so each row equals its own R = 1 run bit for bit,
-    whatever the blocks.
+    The cloud is copied once into the FilterBatch returned, so the caller's
+    is never changed and a zero-step path hands the copy back.  The rows run
+    in the blocks of ``row_blocks``; a block writes its rows of the record
+    at each step, and its final states, weights and errors when it ends.
+    Each step is ``step(states, carried, rngs, dt)``, which returns the
+    moved states, their (R, N, d) read-out and the tuple of (R, N, ...)
+    arrays carried beside the states into the next step; the first step gets
+    an empty tuple.  Resampling gathers the states and copies of the carried
+    arrays with the same indices.  A row that goes non-finite or whose
+    weights collapse gets its error recorded and runs on as NaN without
+    touching other rows; a block stops once all its rows have failed.  Of
+    each step only the record is kept, so memory grows with the horizon only
+    as the (T, R, d) observations do, and never with N.  Row r draws only
+    from ``rngs[r]``, in the order a lone run of it draws, and every
+    operation acts row by row, so each row equals its own R = 1 run bit for
+    bit, whatever the blocks.
     """
     if not (0.0 < resample_threshold <= 1.0):
         raise UsageError("resample_threshold must lie in (0, 1]")
@@ -180,70 +190,44 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
     rngs = list(rngs)
     if len(rngs) != len(states):
         raise ValueError(f"{len(rngs)} generators for {len(states)} replications")
-    blocks = [_run_block(step, increments[:, rows], obs.dt, states[rows],
-                         resample_threshold, StreamBatch(rngs[rows]))
-              for rows in row_blocks(*states.shape[:2])]
-    return FilterBatch(
-        states=np.concatenate([b.states for b in blocks]),
-        weights=np.concatenate([b.weights for b in blocks]),
-        errors=[e for b in blocks for e in b.errors],
-        means=np.concatenate([b.means for b in blocks], axis=1),
-        ess=np.concatenate([b.ess for b in blocks], axis=1),
-        resampled=np.concatenate([b.resampled for b in blocks], axis=1))
-
-
-def _run_block(step: Callable, increments: np.ndarray, dt: float, states: np.ndarray,
-               resample_threshold: float, rngs: StreamBatch) -> FilterBatch:
-    """``_run_filter``'s loop over one block of rows, with (T, R, d)
-    ``increments`` on a grid of step ``dt``.
-
-    The loop starts from a copy of ``states``, so the caller's cloud is never
-    changed, and a zero-step path hands that copy back.  Each step is
-    ``step(states, carried, rngs, dt)``, which returns the moved states,
-    their (R, N, d) read-out and the tuple of (R, N, ...) arrays carried
-    beside the states into the next step; the first step gets an empty
-    tuple.  Resampling gathers the states and copies of the carried arrays
-    with the same indices.  A row that goes non-finite or whose weights
-    collapse gets its error recorded and runs on as NaN without touching
-    other rows; the loop stops once every row of the block has failed.  Of
-    each step only the (R, dim) means and the (R,) ESS and resample flags
-    are kept, so memory grows with the horizon only as the (T, R, d)
-    observations do, and never with N.
-    """
-    states = np.array(states)
     n_rows, n = states.shape[:2]
-    w = np.full((n_rows, n), 1.0 / n)
-    errors = [None] * n_rows
-    means = np.full((len(increments), n_rows, states.shape[-1]), np.nan)
-    ess_steps = np.full((len(increments), n_rows), np.nan)
-    resampled = np.zeros((len(increments), n_rows), dtype=bool)
-    carried = ()
-    for i in range(len(increments)):
-        states, obs_values, carried = step(states, carried, rngs, dt)
-        if not np.isfinite(states).all():
-            _fail(errors, ~np.isfinite(states).reshape(n_rows, -1).all(axis=1),
-                  lambda r: BlowUpError(i))
-            if None not in errors:
-                break
-        w, mx = _reweight(w, obs_values, increments[i], dt)
-        del obs_values  # not held through the next move, which sets the peak memory
-        if not np.isfinite(mx).all():
-            _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
-            if None not in errors:
-                break
-        ess_steps[i] = ess(w)
-        resampled[i] = ess_steps[i] < resample_threshold * n
-        rows = np.flatnonzero(resampled[i])
-        if rows.size:
-            # A closed-form coefficient may return its argument or a read-only
-            # broadcast, so the gathers write into copies of the carried arrays.
-            carried = tuple(np.array(a) for a in carried)
-        for r in rows:
-            _gather((states, *carried), r, _systematic_indices(w[r], rngs[r].uniform(), n))
-            w[r] = 1.0 / n
-        means[i] = (w[:, None, :] @ states)[:, 0]
-    return FilterBatch(states=states, weights=w, errors=errors, means=means,
-                       ess=ess_steps, resampled=resampled)
+    batch = FilterBatch(states=np.array(states), weights=np.full((n_rows, n), 1.0 / n),
+                        errors=[None] * n_rows,
+                        means=np.full((len(increments), n_rows, dim), np.nan),
+                        ess=np.full((len(increments), n_rows), np.nan),
+                        resampled=np.zeros((len(increments), n_rows), dtype=bool))
+    for rows in row_blocks(n_rows, n):
+        # Views of the block's rows, but for the list of errors, written back below.
+        x, w, errors = batch.states[rows], batch.weights[rows], batch.errors[rows]
+        means, ess_steps, resampled = (batch.means[:, rows], batch.ess[:, rows],
+                                       batch.resampled[:, rows])
+        streams, carried = StreamBatch(rngs[rows]), ()
+        for i in range(len(increments)):
+            x, obs_values, carried = step(x, carried, streams, obs.dt)
+            if not np.isfinite(x).all():
+                _fail(errors, ~np.isfinite(x).reshape(len(x), -1).all(axis=1),
+                      lambda r: BlowUpError(i))
+                if None not in errors:
+                    break
+            w, mx = _reweight(w, obs_values, increments[i, rows], obs.dt)
+            del obs_values  # not held through the next move, which sets the peak memory
+            if not np.isfinite(mx).all():
+                _fail(errors, ~np.isfinite(mx), lambda r: WeightCollapseError(float(mx[r])))
+                if None not in errors:
+                    break
+            ess_steps[i] = ess(w)
+            resampled[i] = ess_steps[i] < resample_threshold * n
+            resample = np.flatnonzero(resampled[i])
+            if resample.size:
+                # A closed-form coefficient may return its argument or a read-only
+                # broadcast, so the gathers write into copies of the carried arrays.
+                carried = tuple(np.array(a) for a in carried)
+            for r in resample:
+                _gather((x, *carried), r, _systematic_indices(w[r], streams[r].uniform(), n))
+                w[r] = 1.0 / n
+            means[i] = (w[:, None, :] @ x)[:, 0]
+        batch.states[rows], batch.weights[rows], batch.errors[rows] = x, w, errors
+    return batch
 
 
 def run_full_filter(model: MultiscaleModel, obs: ObservationPath, states: np.ndarray,

@@ -101,7 +101,7 @@ class ObservationPath:
     def __post_init__(self):
         times = np.asarray(self.times)
         steps = np.diff(times)
-        if times[0] != 0.0 or np.any(steps <= 0):
+        if not times.size or times[0] != 0.0 or np.any(steps <= 0):
             raise ValueError("times must start at 0 and be strictly increasing")
         if not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
             raise ValueError("observation grid is not uniform")

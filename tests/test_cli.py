@@ -187,6 +187,15 @@ class TestFilter:
         _, _, rows = read_csv(str(out / "filter_homogenized.csv"))
         assert np.all(rows[:, 2] == 1.0)  # ESS stays 1 for one particle
 
+    def test_blank_lines_in_observations_are_skipped(self, tmp_path):
+        cfg, out = self.make_inputs(tmp_path)
+        assert run(["--config", cfg, "--seed", 8, "--out", out / "plain", "filter"]) == 0
+        obs = out / "observations.csv"
+        obs.write_text(obs.read_text() + "\n")
+        assert run(["--config", cfg, "--seed", 8, "--out", out / "blank", "filter"]) == 0
+        for name in ("filter_full.csv", "filter_homogenized.csv", "filter_distance.txt"):
+            assert (out / "blank" / name).read_bytes() == (out / "plain" / name).read_bytes()
+
     def test_builds_the_family_once(self, tmp_path, monkeypatch):
         # Mode both without a table: one build gives both filters their model.
         from homfilt import catalog

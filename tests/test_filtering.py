@@ -361,21 +361,27 @@ def test_resample_threshold_outside_unit_interval_is_usage_error(kind, threshold
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
-@pytest.mark.parametrize("steps", [0, 5])
-def test_callers_cloud_is_left_unchanged(kind, steps):
-    # A threshold of 1 resamples at every step that has unequal weights.
+@pytest.mark.parametrize("steps, n_rows", [
+    pytest.param(0, 1, id="0"), pytest.param(5, 1, id="5"),
+    pytest.param(0, 3, id="0-3blocks"), pytest.param(5, 3, id="5-3blocks"),
+])
+def test_callers_cloud_is_left_unchanged(monkeypatch, kind, steps, n_rows):
+    # A threshold of 1 resamples at every step that has unequal weights; a
+    # bound of one 16-particle row per block runs 3 rows as 3 blocks.
+    monkeypatch.setattr(filtering, "CHUNK_PARTICLES", 16)
     obs = ObservationPath(times=np.arange(steps + 1) * 0.1,
-                          increments=np.full((steps, 1, 1), 0.3))
+                          increments=np.full((steps, n_rows, 1), 0.3))
     run, target, dim = _filter(kind)
-    states = gaussian_prior(np.random.default_rng(1), (1, 16), 0.0, 1.0, 1, dim - 1)
+    states = gaussian_prior(np.random.default_rng(1), (n_rows, 16), 0.0, 1.0, 1, dim - 1)
     before = states.copy()
-    batch = run(target, obs, states, 1.0, [np.random.default_rng(2)])
+    rngs = [np.random.default_rng(2 + r) for r in range(n_rows)]
+    batch = run(target, obs, states, 1.0, rngs)
     assert np.array_equal(states, before)
     assert not np.shares_memory(batch.states, states)
     if steps == 0:
         assert np.array_equal(batch.states, states)
     else:
-        assert batch.resampled[:, 0].any()
+        assert batch.resampled.any(axis=0).all()
 
 
 def _ramp(kind, read_outs):
@@ -488,16 +494,21 @@ def test_blocks_are_bounded_and_rows_equal_lone_runs(monkeypatch, kind, n, width
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("kind", ["full", "homogenized"])
-def test_row_that_blows_up_in_a_later_block(monkeypatch, kind):
+@pytest.mark.parametrize("kind, bad", [
+    pytest.param("full", 2, id="full"), pytest.param("homogenized", 2, id="homogenized"),
+    pytest.param("full", 0, id="full-row0"),
+    pytest.param("homogenized", 0, id="homogenized-row0"),
+])
+def test_row_that_blows_up_in_a_later_block(monkeypatch, kind, bad):
     run, target, dim = _ramp(kind, [])
     steps, n = 8, 16
-    # Blocks of two 16-particle rows: [0], [1, 2], [3, 4].  Row 2 stands
-    # above 0.25 from step 3 on, so that step's move blows up; the other
-    # rows stay near -10.
+    # Blocks of two 16-particle rows: [0], [1, 2], [3, 4].  Row ``bad``
+    # stands above 0.25 from step 3 on, so that step's move blows up; the
+    # other rows stay near -10.  Row 0's block stops there, and its final
+    # cloud and record are written back as a lone run leaves them.
     cloud = np.empty((5, n, dim))
     cloud[:] = np.linspace(-10.5, -9.5, n)[:, None]
-    cloud[2] = np.linspace(0.0, 0.01, n)[:, None]
+    cloud[bad] = np.linspace(0.0, 0.01, n)[:, None]
     increments = np.random.default_rng(0).normal(0.0, 0.3, (steps, 5, 1))
 
     def rows(r):
@@ -507,14 +518,17 @@ def test_row_that_blows_up_in_a_later_block(monkeypatch, kind):
     lone = [rows([r]) for r in range(5)]
     seen = _record_block_widths(monkeypatch, 40)
     batch = rows(list(range(5)))
-    assert seen == [1] * steps + [2] * steps + [2] * steps
-    assert isinstance(batch.errors[2], BlowUpError)
-    assert batch.errors[2].step == lone[2].errors[0].step == 3
-    assert batch.errors[:2] == batch.errors[3:] == [None, None]
-    for r in (0, 1, 3, 4):
-        assert np.array_equal(batch.states[r], lone[r].states[0])
+    assert seen == [1] * (4 if bad == 0 else steps) + [2] * steps + [2] * steps
+    assert isinstance(batch.errors[bad], BlowUpError)
+    assert batch.errors[bad].step == lone[bad].errors[0].step == 3
+    assert batch.errors[:bad] + batch.errors[bad + 1:] == [None] * 4
+    assert not np.isfinite(batch.states[bad]).all()  # the move that blew up
+    # Row 2 runs on as NaN beside row 1 after its lone run has stopped.
+    for r in (0, 1, 3, 4) if bad == 2 else range(5):
+        assert np.array_equal(batch.states[r], lone[r].states[0], equal_nan=r == bad)
         for record in ("means", "ess", "resampled"):
-            assert np.array_equal(getattr(batch, record)[:, r], getattr(lone[r], record)[:, 0])
+            assert np.array_equal(getattr(batch, record)[:, r],
+                                  getattr(lone[r], record)[:, 0], equal_nan=r == bad)
 
 
 class TestGaussianPrior:

@@ -201,7 +201,7 @@ class TestSimulateObservations:
 
 class TestObservationPath:
     @pytest.mark.parametrize("times", [[0.0, 0.0, 0.1], [0.0, -0.01, -0.02],
-                                       [0.1, 0.2, 0.3]])
+                                       [0.1, 0.2, 0.3], []])
     def test_times_start_at_zero_and_increase(self, times):
         with pytest.raises(ValueError):
             ObservationPath(times=np.array(times), increments=np.zeros((2, 1, 1)))
