@@ -1,13 +1,15 @@
 """Built-in coefficient families.
 
-Three scalar (m = n = d = 1) families cover the test and study workloads:
+Two scalar (m = n = d = 1) families cover the test and study workloads:
 
-* ``linear``      -- fully z-independent linear-Gaussian model, used to
-                     validate the particle filters against the Kalman recursion.
 * ``ou_benchmark``-- fast Ornstein-Uhlenbeck block relaxing towards the slow
                      state (frozen stationary law N(x, 1)), with linear
                      slow-drift and read-out coupling to z.  All averaged
-                     coefficients are known in closed form.
+                     coefficients are known in closed form.  With c_b = c_h
+                     = 0 the slow state never reads z: the linear-Gaussian
+                     model dX = a X dt + sigma0 dV, dY = h_x X dt + dB, on
+                     which the filters are checked against the Kalman
+                     recursion.
 * ``sinusoidal``  -- same fast block with sinusoidal coupling sin(z) in the
                      slow drift and read-out; averages against N(x, 1) are
                      sin(x) exp(-1/2), also closed form.
@@ -51,21 +53,6 @@ def _scalar(sigma0, theta, mu, g, drift_slow, obs_fn, drift_avg, obs_avg):
     return coefficients, averaged
 
 
-def _linear(a=-1.0, q=1.0, h=1.0):
-    """Scalar linear-Gaussian model dX = a X dt + sqrt(q) dV, dY = h X dt + dB.
-
-    The fast block is an inert unit OU process that nothing depends on, so
-    the averaged model is the slow block itself.
-    """
-    if q <= 0:
-        raise UsageError("q must be positive")
-    return _scalar(np.sqrt(q), 1.0, np.zeros_like, 1.0,
-                   drift_slow=lambda x, z: a * x,
-                   obs_fn=lambda x, z: h * x,
-                   drift_avg=lambda x: a * x,
-                   obs_avg=lambda x: h * x)
-
-
 def _ou_benchmark(a=-1.0, c_b=0.5, sigma0=0.5, h_x=1.0, c_h=0.5, relax=1.0):
     """Fast OU block relaxing to the slow state with linear couplings.
 
@@ -96,8 +83,7 @@ def _sinusoidal(a=-1.0, amp_b=1.0, sigma0=0.5, h_x=1.0, amp_h=1.0, relax=1.0):
                    obs_avg=lambda x: h_x * x + amp_h * damp * np.sin(x))
 
 
-_FAMILIES = {"linear": _linear, "ou_benchmark": _ou_benchmark,
-             "sinusoidal": _sinusoidal}
+_FAMILIES = {"ou_benchmark": _ou_benchmark, "sinusoidal": _sinusoidal}
 
 
 def make_views(name: str, epsilon: float, **params) -> tuple:

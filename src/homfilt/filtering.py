@@ -1,4 +1,4 @@
-"""Weighted-particle filters for the full and reduced models, plus a Kalman reference.
+"""Weighted-particle filters for the full and reduced models, plus the Kalman filter.
 
 Both filters are bootstrap filters: particles move through the prior dynamics
 and are reweighted by the one-step discrete Girsanov factor
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .averaging import HomogenizedModel
+from .averaging import HomogenizedModel, matrix_sqrt_psd
 from .errors import BlowUpError, UsageError, WeightCollapseError
 from .measures import EmpiricalMeasure
 from .models import (MultiscaleModel, ObservationPath, euler_maruyama,
@@ -271,34 +271,38 @@ def run_homogenized_filter(hmodel: HomogenizedModel, obs: ObservationPath,
     return _run_filter(step, obs, states, hmodel.dim_slow, resample_threshold, rngs)
 
 
-def kalman_reference(a_lin: float, q: float, h_lin: float, obs: ObservationPath,
-                     prior_mean: float, prior_var: float) -> tuple:
-    """Discrete Kalman recursion for the Euler-discretized scalar linear model,
-    over every replication of an observation batch at once.
+def kalman_filter(A, Q, H, obs: ObservationPath, prior_mean, prior_cov) -> tuple:
+    """Discrete Kalman recursion of the linear-Gaussian chain s' = A s + w,
+    w ~ N(0, Q), over every replication of an observation batch at once.
 
-    Model: dX = a_lin X dt + sqrt(q) dV, with each increment of ``obs``,
-    (T, R, 1) on a uniform grid of step ``dt``, a reading of
-    h_lin * X * dt plus unit-rate noise dB.  Returns the means (T+1, R) and
-    the variances (T+1,), which do not depend on the observations; row 0 is
-    the prior.
+    Each increment of ``obs``, (T, R, d) on a uniform grid of step ``dt``, is
+    read as H s' + dB with dB ~ N(0, dt I): as in the particle filters, a
+    step predicts, then updates at the propagated state.  A and Q are k x k,
+    H is d x k and ``prior_mean`` broadcasts to (R, k).  Returns the means
+    (T+1, R, k) and the covariances (T+1, k, k), which do not depend on the
+    observations; row 0 is the prior.
     """
-    if q <= 0:
-        raise UsageError("q must be positive")
+    A, Q, H, cov = (np.atleast_2d(np.asarray(v, dtype=float))
+                    for v in (A, Q, H, prior_cov))
     increments = np.asarray(obs.increments, dtype=float)
-    if increments.shape[2:] != (1,):
-        raise ValueError(f"increments {increments.shape} are not scalar paths")
-    means = np.empty((len(increments) + 1, increments.shape[1]))
-    variances = np.empty(len(increments) + 1)
-    means[0], variances[0] = prior_mean, prior_var
-    dt = obs.dt
-    for i, dy in enumerate(increments[:, :, 0]):
-        mean = (1.0 + a_lin * dt) * means[i]
-        var = (1.0 + a_lin * dt) ** 2 * variances[i] + q * dt
-        hh = h_lin * dt
-        gain = var * hh / (hh * hh * var + dt)
-        means[i + 1] = mean + gain * (dy - hh * mean)
-        variances[i + 1] = (1.0 - gain * hh) * var
-    return means, variances
+    k, d = len(A), increments.shape[2]
+    if not A.shape == Q.shape == cov.shape == (k, k):
+        raise ValueError(f"A {A.shape}, Q {Q.shape} and the prior covariance "
+                         f"{cov.shape} are not all k x k")
+    if H.shape != (d, k):
+        raise ValueError(f"H {H.shape} is not {d} x {k} for increments {increments.shape}")
+    for square in (Q, cov):
+        matrix_sqrt_psd(square)  # refuses one that is not symmetric PSD
+    means = np.empty((len(increments) + 1, increments.shape[1], k))
+    covs = np.empty((len(increments) + 1, k, k))
+    means[0], covs[0] = prior_mean, cov
+    for i, dy in enumerate(increments):
+        mean = means[i] @ A.T
+        cov = A @ covs[i] @ A.T + Q
+        gain = np.linalg.solve(H @ cov @ H.T + obs.dt * np.eye(d), H @ cov).T  # (k, d)
+        means[i + 1] = mean + (dy - mean @ H.T) @ gain.T
+        covs[i + 1] = cov - gain @ H @ cov
+    return means, covs
 
 
 def run_forked(fn: Callable[[Sequence], list], items: Sequence) -> list:

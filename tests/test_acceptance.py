@@ -14,12 +14,14 @@ import yaml
 from homfilt import catalog
 from homfilt.averaging import StationaryAverager, _estimates, _frozen_sums, matrix_sqrt_psd
 from homfilt.cli import main as cli_main
-from homfilt.filtering import (ParticleEnsemble, kalman_reference, run_full_filter,
+from homfilt.filtering import (ParticleEnsemble, kalman_filter, run_full_filter,
                                systematic_resample)
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
 from homfilt.models import simulate_multiscale, simulate_observations
 from homfilt.rng import StreamBatch, stream
 from homfilt.study import StudyConfig, run_study
+
+from conftest import linear_gaussian
 
 
 def report(number, name, ok, detail=""):
@@ -79,12 +81,12 @@ def test_criterion_2_psd_square_root():
 def test_criterion_3_kalman_steady_state():
     """Kalman variance converges to the Riccati root sqrt(2) - 1."""
     a, q, h, dt, horizon = -1.0, 1.0, 1.0, 1e-3, 20.0
-    model = catalog.make_model("linear", a=a, q=q, h=h)
+    model = catalog.make_model("ou_benchmark", **linear_gaussian(a, q, h))
     rng = stream(11, 0)
     xs, zs = simulate_multiscale(model, np.zeros(1), np.zeros(1), horizon, dt, rng=rng)
     obs = simulate_observations(xs, zs, model, dt, rng=stream(11, 1))
-    _, variances = kalman_reference(a, q, h, obs, 0.0, 1.0)
-    var = float(variances[-1])
+    _, covs = kalman_filter(1 + a * dt, q * dt, h * dt, obs, 0.0, 1.0)
+    var = float(covs[-1, 0, 0])
     target = np.sqrt(2.0) - 1.0
     ok = abs(var - target) <= 1e-3
     report(3, "Kalman steady state", ok, f"var={var:.6f}, target={target:.6f}")
@@ -103,7 +105,7 @@ def test_criterion_4_filter_matches_kalman():
     """
     t0 = time.time()
     a, q, h = -1.0, 1.0, 1.0
-    model = catalog.make_model("linear", a=a, q=q, h=h)
+    model = catalog.make_model("ou_benchmark", **linear_gaussian(a, q, h))
     dt, horizon = 0.01, 2.0
     prior_mean, prior_var = 0.5, 0.25
     reps = range(50)
@@ -117,9 +119,10 @@ def test_criterion_4_filter_matches_kalman():
         (len(reps), 8192, 1))
     batch = run_full_filter(model, obs, np.concatenate([x0, np.zeros_like(x0)], -1),
                             0.5, rngs)
-    kalman_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
+    kalman_means, _ = kalman_filter(1 + a * dt, q * dt, h * dt, obs, prior_mean,
+                                    prior_var)
     # (steps, replications) -> the time-averaged difference of each replication
-    diffs = (batch.means[:, :, 0] - kalman_means[1:]).mean(axis=0)
+    diffs = (batch.means[:, :, 0] - kalman_means[1:, :, 0]).mean(axis=0)
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))
     elapsed = time.time() - t0
     ok = abs(diffs.mean()) <= 3 * se and elapsed < 300.0

@@ -6,8 +6,7 @@ import pytest
 from homfilt import catalog
 from homfilt.errors import UsageError
 
-BAD_VALUE = {"linear": {"q": 0.0}, "ou_benchmark": {"relax": 0.0},
-             "sinusoidal": {"relax": 0.0}}
+BAD_VALUE = {"ou_benchmark": {"relax": 0.0}, "sinusoidal": {"relax": 0.0}}
 
 
 @pytest.mark.parametrize("family", sorted(catalog._FAMILIES))

@@ -55,9 +55,10 @@ class TestSimulate:
 
     def test_zero_dynamics_constant_columns(self, tmp_path):
         cfg = write_config(tmp_path, {
-            "model": {"family": "linear", "epsilon": 1.0, "horizon": 0.5,
+            "model": {"family": "ou_benchmark", "epsilon": 1.0, "horizon": 0.5,
                       "dt": 0.01, "x0": [2.0], "z0": [0.0],
-                      "params": {"a": 0.0, "q": 1e-30, "h": 0.0}}})
+                      "params": {"a": 0.0, "c_b": 0.0, "sigma0": 1e-15, "h_x": 0.0,
+                                 "c_h": 0.0}}})
         out = tmp_path / "out"
         assert run(["--config", cfg, "--seed", 1, "--out", out, "simulate"]) == 0
         _, _, rows = read_csv(str(out / "signal.csv"))
@@ -92,8 +93,9 @@ class TestSimulate:
 class TestHomogenize:
     def test_z_independent_table_matches_analytic(self, tmp_path):
         cfg = write_config(tmp_path, {
-            "model": {"family": "linear",
-                      "params": {"a": -1.0, "q": 0.49, "h": 1.0}},
+            "model": {"family": "ou_benchmark",
+                      "params": {"a": -1.0, "c_b": 0.0, "sigma0": 0.7, "h_x": 1.0,
+                                 "c_h": 0.0}},
             "averager": {"burn_in": 0.5, "sample_horizon": 3.0, "dt": 1e-2,
                          "replicates": 2,
                          "grid": {"lows": [-1.0], "highs": [1.0],
@@ -286,8 +288,18 @@ class TestErrors:
         assert err.count("\n") == 1
 
     def test_missing_key_is_usage_error(self, tmp_path):
-        cfg = write_config(tmp_path, {"model": {"family": "linear"}})
+        cfg = write_config(tmp_path, {"model": {"family": "ou_benchmark"}})
         assert run(["--config", cfg, "--out", tmp_path, "simulate"]) == 2
+
+    # The linear-Gaussian model is ou_benchmark with c_b = c_h = 0; no family
+    # is named after it.
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_linear_family_is_unknown(self, tmp_path, capsys, command):
+        err = self._usage_error(tmp_path, capsys, {
+            "model": {"family": "linear", "horizon": 0.1, "dt": 0.01},
+            "study": {"epsilons": [0.5, 0.25, 0.125], "replications": 2,
+                      "horizon": 0.1, "n_particles": 8, "dt": 0.02}}, command)
+        assert "unknown model family 'linear'; known: ou_benchmark, sinusoidal" in err
 
     def _usage_error(self, tmp_path, capsys, cfg, command):
         path = write_config(tmp_path, cfg)
@@ -386,11 +398,11 @@ class TestErrors:
         assert not list(tmp_path.glob("filter_*"))
 
     # Warnings as errors: a parameter checked after its first use would warn
-    # (sqrt of a negative q) on top of the one-line message.
+    # (sqrt of a negative relax) on top of the one-line message.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family, params", [
-        ("linear", {"q": -1.0}), ("ou_benchmark", {"relax": -1.0}),
-        ("linear", {"q": float("nan")}), ("ou_benchmark", {"sigma0": float("nan")}),
+        ("sinusoidal", {"relax": -1.0}), ("ou_benchmark", {"relax": -1.0}),
+        ("sinusoidal", {"amp_b": float("nan")}), ("ou_benchmark", {"sigma0": float("nan")}),
         ("ou_benchmark", {"relax": float("inf")})])
     def test_bad_family_value_is_usage_error(self, tmp_path, capsys, family, params):
         self._usage_error(tmp_path, capsys, {

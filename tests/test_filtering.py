@@ -9,14 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from homfilt import catalog, filtering
 from homfilt.averaging import HomogenizedModel, TabulationGrid, _tabulated_model
-from homfilt.errors import BlowUpError, UsageError, WeightCollapseError
+from homfilt.errors import (BlowUpError, NotPSDError, NotSymmetricError, UsageError,
+                            WeightCollapseError)
 from homfilt.filtering import (ParticleEnsemble, ess, gaussian_prior,
-                               kalman_reference, run_forked, run_full_filter,
+                               kalman_filter, run_forked, run_full_filter,
                                run_homogenized_filter, systematic_resample,
                                weight_update)
 from homfilt.models import (MultiscaleModel, ObservationPath, simulate_multiscale,
                             simulate_observations)
 from homfilt.rng import StreamBatch
+
+from conftest import linear_gaussian
 
 
 def ensemble(states, weights):
@@ -152,7 +155,8 @@ class _FixedUniformRng:
 class TestRunFullFilter:
     def test_no_information_matches_prior(self):
         # h == 0: the filter is a plain Monte Carlo sample of the signal law.
-        model = catalog.make_model("linear", epsilon=1.0, a=-1.0, q=0.25, h=0.0)
+        model = catalog.make_model("ou_benchmark", epsilon=1.0,
+                                   **linear_gaussian(a=-1.0, q=0.25, h=0.0))
         dt, horizon = 0.01, 1.0
         times = np.arange(int(horizon / dt) + 1) * dt
         obs = ObservationPath(
@@ -170,7 +174,7 @@ class TestRunFullFilter:
         assert abs(mean - np.exp(-1.0)) < 3 * sd / np.sqrt(n_particles) + 3e-3
 
     def test_single_particle_is_one_trajectory(self):
-        model = catalog.make_model("linear", epsilon=1.0)
+        model = catalog.make_model("ou_benchmark", epsilon=1.0, **linear_gaussian())
         dt = 0.01
         times = np.arange(11) * dt
         obs = ObservationPath(times=times,
@@ -192,7 +196,7 @@ class TestRunFullFilter:
         # Linear-Gaussian model: the particle posterior mean should follow
         # the exact discrete Kalman recursion.
         a, q, h = -1.0, 1.0, 1.0
-        model = catalog.make_model("linear", a=a, q=q, h=h)
+        model = catalog.make_model("ou_benchmark", **linear_gaussian(a, q, h))
         dt, horizon = 0.01, 2.0
         r_truth = np.random.default_rng(10)
         xs, zs = simulate_multiscale(model, np.array([[0.5]]), np.array([[0.0]]),
@@ -203,14 +207,16 @@ class TestRunFullFilter:
         x = prior_mean + np.sqrt(prior_var) * rngs[0].standard_normal((1, 4000, 1))
         batch = run_full_filter(model, obs, np.concatenate([x, np.zeros_like(x)], -1),
                                 0.5, rngs)
-        kal_means, _ = kalman_reference(a, q, h, obs, prior_mean, prior_var)
-        err = np.abs(batch.means[:, 0, 0] - kal_means[1:, 0]).mean()
+        kal_means, _ = kalman_filter(1 + a * dt, q * dt, h * dt, obs, prior_mean,
+                                     prior_var)
+        err = np.abs(batch.means[:, 0, 0] - kal_means[1:, 0, 0]).mean()
         assert err < 0.05  # ~3x the particle-noise scale at N=4000
 
 
 class TestRunHomogenizedFilter:
     def test_frozen_dynamics_keeps_point_mass(self):
-        hm = catalog.make_analytic_homogenized("linear", a=0.0, q=1e-30, h=0.0)
+        hm = catalog.make_analytic_homogenized(
+            "ou_benchmark", **linear_gaussian(a=0.0, q=1e-30, h=0.0))
         times = np.arange(6) * 0.1
         obs = ObservationPath(times=times, increments=np.zeros((5, 1, 1)))
         final = run_homogenized_filter(hm, obs, np.full((1, 32, 1), 2.5), 0.5,
@@ -294,10 +300,11 @@ class TestRunHomogenizedFilter:
 
 
 def _filter(kind):
-    """A filter on the ``linear`` family, its model and its state dimension."""
-    return {"full": (run_full_filter, catalog.make_model("linear"), 2),
-            "homogenized": (run_homogenized_filter,
-                            catalog.make_analytic_homogenized("linear"), 1)}[kind]
+    """A filter on the linear-Gaussian model, its model and its state dimension."""
+    params = linear_gaussian()
+    return {"full": (run_full_filter, catalog.make_model("ou_benchmark", **params), 2),
+            "homogenized": (run_homogenized_filter, catalog.make_analytic_homogenized(
+                "ou_benchmark", **params), 1)}[kind]
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
@@ -553,6 +560,9 @@ class TestGaussianPrior:
 
 
 class TestKalmanReference:
+    """``kalman_filter`` on the Euler chain of dX = a X dt + sqrt(q) dV,
+    dY = h X dt + dB: (A, Q, H) = (1 + a dt, q dt, h dt)."""
+
     def make_obs(self, dt, horizon, increments=None):
         times = np.arange(int(round(horizon / dt)) + 1) * dt
         if increments is None:
@@ -561,44 +571,71 @@ class TestKalmanReference:
 
     def test_no_observation_is_pure_prediction(self):
         obs = self.make_obs(0.1, 1.0)
-        _, variances = kalman_reference(-1.0, 1.0, 0.0, obs, 1.0, 0.5)
+        _, covs = kalman_filter(1.0 - 0.1, 0.1, 0.0, obs, 1.0, 0.5)
         var = 0.5
-        for v in variances[1:]:
+        for v in covs[1:, 0, 0]:
             var = 0.81 * var + 0.1
             assert abs(v - var) < 1e-12
 
     def test_riccati_steady_state(self):
-        obs = self.make_obs(1e-3, 20.0)
-        _, variances = kalman_reference(-1.0, 1.0, 1.0, obs, 0.0, 1.0)
-        assert abs(variances[-1] - (np.sqrt(2.0) - 1.0)) < 1e-3
+        dt = 1e-3
+        obs = self.make_obs(dt, 20.0)
+        _, covs = kalman_filter(1.0 - dt, dt, dt, obs, 0.0, 1.0)
+        assert abs(covs[-1, 0, 0] - (np.sqrt(2.0) - 1.0)) < 1e-3
 
     def test_deterministic_mean_zero_variance(self):
-        obs = self.make_obs(0.01, 1.0)
-        means, variances = kalman_reference(-1.0, 1e-12, 0.0, obs, 1.0, 0.0)
-        assert abs(means[-1, 0] - np.exp(-1.0)) < 5e-3
-        assert variances[-1] < 1e-9
+        dt = 0.01
+        obs = self.make_obs(dt, 1.0)
+        means, covs = kalman_filter(1.0 - dt, 1e-12 * dt, 0.0, obs, 1.0, 0.0)
+        assert abs(means[-1, 0, 0] - np.exp(-1.0)) < 5e-3
+        assert covs[-1, 0, 0] < 1e-9
 
     def test_parameter_validation(self):
+        # q = 0 is a deterministic model, so a valid Q; q < 0 is not PSD.
         obs = self.make_obs(0.1, 0.5)
-        with pytest.raises(UsageError):
-            kalman_reference(-1.0, 0.0, 1.0, obs, 0.0, 1.0)
+        kalman_filter(0.9, 0.0, 0.1, obs, 0.0, 1.0)
+        with pytest.raises(NotPSDError):
+            kalman_filter(0.9, -0.1, 0.1, obs, 0.0, 1.0)  # q = -1
 
     def test_rejects_vector_observations(self):
+        # d = 2 increments against a one-row H would broadcast without the check.
         obs = self.make_obs(0.1, 0.5, np.zeros((5, 1, 2)))
+        with pytest.raises(ValueError, match="H"):
+            kalman_filter(0.9, 0.1, 0.1, obs, 0.0, 1.0)
+
+    @pytest.mark.parametrize("A, Q, H, cov", [
+        (np.eye(2), np.eye(2), np.ones((2, 2)), np.eye(2)),
+        (np.ones((1, 2)), np.eye(2), np.ones((1, 2)), np.eye(2)),
+        (np.eye(2), np.eye(3), np.ones((1, 2)), np.eye(2)),
+        (np.eye(2), np.eye(2), np.ones((1, 2)), 1.0),
+        (np.eye(2), np.eye(2), np.ones((1, 3)), np.eye(2))])
+    def test_rejects_shapes_that_are_not_k_by_k(self, A, Q, H, cov):
+        obs = self.make_obs(0.1, 0.5)
         with pytest.raises(ValueError):
-            kalman_reference(-1.0, 1.0, 1.0, obs, 0.0, 1.0)
+            kalman_filter(A, Q, H, obs, 0.0, cov)
+
+    @pytest.mark.parametrize("Q, cov, error", [
+        ([[1.0, 0.5], [0.0, 1.0]], np.eye(2), NotSymmetricError),
+        (np.eye(2), [[1.0, 0.0], [0.5, 1.0]], NotSymmetricError),
+        ([[1.0, 2.0], [2.0, 1.0]], np.eye(2), NotPSDError),
+        (np.eye(2), np.diag([1.0, -1.0]), NotPSDError)])
+    def test_refuses_a_covariance_that_is_not_symmetric_psd(self, Q, cov, error):
+        obs = self.make_obs(0.1, 0.5)
+        with pytest.raises(error):
+            kalman_filter(np.eye(2), Q, np.ones((1, 2)), obs, 0.0, cov)
 
     def test_batch_equals_lone_replications(self):
-        obs = self.make_obs(0.01, 0.5, 0.1 * np.random.default_rng(6).standard_normal(
+        dt = 0.01
+        obs = self.make_obs(dt, 0.5, 0.1 * np.random.default_rng(6).standard_normal(
             (50, 3, 1)))
-        means, variances = kalman_reference(-1.0, 1.0, 2.0, obs, 0.5, 0.25)
-        assert means.shape == (51, 3) and variances.shape == (51,)
+        means, covs = kalman_filter(1.0 - dt, dt, 2.0 * dt, obs, 0.5, 0.25)
+        assert means.shape == (51, 3, 1) and covs.shape == (51, 1, 1)
         for r in range(3):
-            lone = kalman_reference(-1.0, 1.0, 2.0,
-                                    ObservationPath(obs.times, obs.increments[:, r:r + 1]),
-                                    0.5, 0.25)
+            lone = kalman_filter(1.0 - dt, dt, 2.0 * dt,
+                                 ObservationPath(obs.times, obs.increments[:, r:r + 1]),
+                                 0.5, 0.25)
             assert np.array_equal(means[:, r], lone[0][:, 0])
-            assert np.array_equal(variances, lone[1])
+            assert np.array_equal(covs, lone[1])
 
 
 def assert_no_child_left():

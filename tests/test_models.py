@@ -250,7 +250,13 @@ def _euler_chain(model, x, h, substeps):
 
 
 def _law_model(name, epsilon):
-    """A catalog family, or ``ou_2d``: a hand-built n = 2 OU block given as fast_ou."""
+    """A catalog family, or a hand-built OU block given as fast_ou: ``linear``,
+    a linear-Gaussian slow block beside the unit OU block (1, 0, 1) that x does
+    not drive, or ``ou_2d``, an n = 2 block."""
+    if name == "linear":
+        return MultiscaleModel(
+            dim_slow=1, dim_fast=1, drift_slow=lambda x, z: -x, diff_slow=const_mat(1.0),
+            obs_fn=lambda x, z: x, fast_ou=(1.0, np.zeros_like, 1.0), epsilon=epsilon)
     if name != "ou_2d":
         return catalog.make_model(name, epsilon)
     return MultiscaleModel(
@@ -263,7 +269,7 @@ def _law_model(name, epsilon):
 class TestExactFastStep:
     X = np.array([0.3])
 
-    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["ou_2d"])
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["linear", "ou_2d"])
     @pytest.mark.parametrize("epsilon", [1 / 2, 1 / 16, 1 / 64, 0.05])
     @pytest.mark.parametrize("dt", [0.01, 0.02])
     def test_law_equals_the_euler_chains(self, family, epsilon, dt):
@@ -280,7 +286,7 @@ class TestExactFastStep:
         self._check_law(end_state, coef, offset, var)
 
     # S = 1 at an averager's step, as _frozen_sums and simulate_frozen_fast take it.
-    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["ou_2d"])
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["linear", "ou_2d"])
     @pytest.mark.parametrize("h", [1e-3, 1e-2])
     def test_one_substep_law_equals_one_euler_step(self, family, h):
         model = _law_model(family, 1.0)
@@ -300,9 +306,9 @@ class TestExactFastStep:
         np.testing.assert_allclose((end_state(0.0, 1.0) - end_state(0.0, 0.0)) ** 2,
                                    var, rtol=1e-12)
 
-    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES))
+    @pytest.mark.parametrize("family", sorted(catalog._FAMILIES) + ["linear"])
     def test_draws_have_the_euler_chains_law(self, family):
-        model = catalog.make_model(family, 1 / 16)
+        model = _law_model(family, 1 / 16)
         n, dt, z0 = 200_000, 0.02, 1.0
         substeps = model.default_substeps()
         coef, offset, var = _euler_chain(model, self.X, dt / substeps / model.epsilon,

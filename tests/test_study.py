@@ -16,6 +16,8 @@ from homfilt.study import (StudyConfig, _bootstrap_slope_ci, fit_loglog_slope,
                            report_csv, report_text, run_replication,
                            run_replications, run_study, summarize)
 
+from conftest import linear_gaussian
+
 
 def small_config(**overrides):
     kw = dict(epsilons=(0.5, 0.25, 0.125), replications=4, horizon=0.5,
@@ -219,8 +221,8 @@ class TestRunReplication:
         # Model whose coefficients are already z-independent and equal to
         # their averages: only particle noise separates the two filters.
         cfg = small_config(n_particles=4096, horizon=0.5, dt=0.02)
-        model = catalog.make_model("linear", epsilon=0.25)
-        hm = catalog.make_analytic_homogenized("linear")
+        model = catalog.make_model("ou_benchmark", epsilon=0.25, **linear_gaussian())
+        hm = catalog.make_analytic_homogenized("ou_benchmark", **linear_gaussian())
         basis = default_basis(cfg.basis_count, 1)
         d = run_replication(model, hm, cfg, basis, 0, 0)
         assert d <= 0.05
