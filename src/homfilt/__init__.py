@@ -24,5 +24,6 @@ from .models import (MultiscaleModel, ObservationPath, blow_up_steps,
                      fast_step, multiscale_step, simulate_frozen_fast,
                      simulate_multiscale, simulate_observations, step_count)
 from .study import (ConvergenceReport, StudyConfig, fit_loglog_slope,
-                    report_csv, report_text, run_replication,
-                    run_replications, run_study, summarize)
+                    replication_filters, replication_paths, report_csv,
+                    report_text, run_replication, run_replications, run_study,
+                    summarize)

@@ -39,14 +39,16 @@ def _const_mat(value):
     return coeff
 
 
-def _scalar(sigma0, theta, mu, g, drift_slow, obs_fn, drift_avg, obs_avg):
+def _scalar(sigma0, relax, drift_slow, obs_fn, drift_avg, obs_avg):
     """Full coefficients and averaged model of a scalar family with constant
-    slow diffusion sigma0 and the OU fast block dZ = -theta (Z - mu(X))/eps dt
-    + (g/sqrt(eps)) dW; sigma0 is its own average.  The model reads its fast
-    coefficients and its exact fast step off the one triple (theta, mu, g)."""
-    sigma = _const_mat(sigma0)
+    slow diffusion sigma0 and the OU fast block dZ = -relax (Z - X)/eps dt +
+    sqrt(2 relax / eps) dW; sigma0 is its own average.  The model reads its fast
+    coefficients and its exact fast step off the one triple in ``fast_ou``."""
+    if relax <= 0:
+        raise UsageError("relax must be positive")
+    sigma, fast_ou = _const_mat(sigma0), (relax, lambda x: x, np.sqrt(2.0 * relax))
     coefficients = dict(dim_slow=1, dim_fast=1, drift_slow=drift_slow, diff_slow=sigma,
-                        obs_fn=obs_fn, fast_ou=(theta, mu, g))
+                        obs_fn=obs_fn, fast_ou=fast_ou)
     averaged = HomogenizedModel(dim_slow=1, drift_avg=drift_avg,
                                 diffsq_avg=_const_mat(sigma0 ** 2), diff_avg=sigma,
                                 obs_avg=obs_avg)
@@ -61,10 +63,7 @@ def _ou_benchmark(a=-1.0, c_b=0.5, sigma0=0.5, h_x=1.0, c_h=0.5, relax=1.0):
     sigma0, read-out h_x x + c_h z; their averages are (a + c_b) x and
     (h_x + c_h) x.
     """
-    if relax <= 0:
-        raise UsageError("relax must be positive")
-    return _scalar(sigma0, relax, lambda x: x, np.sqrt(2.0 * relax),
-                   drift_slow=lambda x, z: a * x + c_b * z,
+    return _scalar(sigma0, relax, drift_slow=lambda x, z: a * x + c_b * z,
                    obs_fn=lambda x, z: h_x * x + c_h * z,
                    drift_avg=lambda x: (a + c_b) * x,
                    obs_avg=lambda x: (h_x + c_h) * x)
@@ -73,11 +72,8 @@ def _ou_benchmark(a=-1.0, c_b=0.5, sigma0=0.5, h_x=1.0, c_h=0.5, relax=1.0):
 def _sinusoidal(a=-1.0, amp_b=1.0, sigma0=0.5, h_x=1.0, amp_h=1.0, relax=1.0):
     """``ou_benchmark``'s fast block with sinusoidal coupling in slow drift and
     read-out; E[sin(Z)] under N(x, 1) is sin(x) exp(-1/2)."""
-    if relax <= 0:
-        raise UsageError("relax must be positive")
     damp = np.exp(-0.5)
-    return _scalar(sigma0, relax, lambda x: x, np.sqrt(2.0 * relax),
-                   drift_slow=lambda x, z: a * x + amp_b * np.sin(z),
+    return _scalar(sigma0, relax, drift_slow=lambda x, z: a * x + amp_b * np.sin(z),
                    obs_fn=lambda x, z: h_x * x + amp_h * np.sin(z),
                    drift_avg=lambda x: a * x + amp_b * damp * np.sin(x),
                    obs_avg=lambda x: h_x * x + amp_h * damp * np.sin(x))

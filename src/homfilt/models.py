@@ -174,11 +174,11 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
 def step_count(span: float, dt: float) -> int:
     """The number of steps of size ``dt`` that make up ``span``.
 
-    Raises ValueError unless 0 < dt <= span < inf and span / dt is a whole
+    Raises ValueError unless 0 < dt <= span, span / dt is finite and a whole
     number to within 1e-9 (relative), so no grid is silently cut short.
     """
-    if not 0.0 < dt <= span < np.inf:
-        raise ValueError(f"need 0 < dt <= span < inf, got dt={dt:g}, span={span:g}")
+    if not (0.0 < dt <= span and np.isfinite(span / dt)):
+        raise ValueError(f"need 0 < dt <= span, span/dt < inf; dt={dt:g}, span={span:g}")
     n = int(round(span / dt))
     if abs(span / dt - n) > 1e-9 * n:
         raise ValueError(f"span={span:g} is not a whole number of steps of dt={dt:g}")

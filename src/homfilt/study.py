@@ -22,8 +22,8 @@ from .errors import BlowUpError, HomfiltError, StudyAbortError
 from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, row_blocks, run_forked,
                         run_full_filter, run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
-from .models import (MultiscaleModel, blow_up_steps, simulate_multiscale,
-                     simulate_observations, step_count)
+from .models import (MultiscaleModel, ObservationPath, blow_up_steps,
+                     simulate_multiscale, simulate_observations, step_count)
 
 MAX_FAILURE_FRACTION = 0.2  # of one epsilon's replications, before the study aborts
 
@@ -84,53 +84,63 @@ class ConvergenceReport:
     replications: tuple           # per epsilon: the replication index of each distance
 
 
+def _streams(cfg: StudyConfig, eps_index: int, rep_indices: Sequence[int], role: int):
+    """The streams of replications ``rep_indices`` in one role: the only code that
+    builds the key (root_seed, eps_index, rep, role), so no two rows or roles share."""
+    return rngmod.StreamBatch(rngmod.stream(cfg.root_seed, eps_index, rep, role)
+                              for rep in rep_indices)
+
+
+def replication_paths(model: MultiscaleModel, cfg: StudyConfig, eps_index: int,
+                      rep_indices: Sequence[int]) -> tuple:
+    """The truth ``xs (T+1, R, m)``, ``zs (T+1, R, n)`` and observations of
+    replications ``rep_indices``, from states drawn by ``gaussian_prior``."""
+    streams = partial(_streams, cfg, eps_index, rep_indices)
+    m = model.dim_slow
+    s0 = gaussian_prior(streams(rngmod.ROLE_INIT), (len(rep_indices),), cfg.init_mean,
+                        cfg.init_std, m, model.dim_fast)
+    xs, zs = simulate_multiscale(model, s0[:, :m], s0[:, m:], cfg.horizon, cfg.dt,
+                                 rng=streams(rngmod.ROLE_TRUTH))
+    return xs, zs, simulate_observations(xs, zs, model, cfg.dt,
+                                         rng=streams(rngmod.ROLE_OBS))
+
+
+def replication_filters(model: MultiscaleModel, hmodel: HomogenizedModel,
+                        cfg: StudyConfig, eps_index: int, rep_indices: Sequence[int],
+                        obs: ObservationPath) -> tuple:
+    """The full and the reduced filter's ``FilterBatch`` on ``obs``, each from a
+    cloud drawn by ``gaussian_prior``."""
+    def run(run_filter, target, role, n_fast):
+        rngs = _streams(cfg, eps_index, rep_indices, role)
+        cloud = gaussian_prior(rngs, (len(rep_indices), cfg.n_particles), cfg.init_mean,
+                               cfg.init_std, model.dim_slow, n_fast)
+        return run_filter(target, obs, cloud, cfg.resample_threshold, rngs.generators)
+
+    return (run(run_full_filter, model, rngmod.ROLE_FULL_FILTER, model.dim_fast),
+            run(run_homogenized_filter, hmodel, rngmod.ROLE_HOMOG_FILTER, 0))
+
+
 def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
                      cfg: StudyConfig, basis: TestFunctionBasis, eps_index: int,
                      rep_indices: Sequence[int]) -> list:
     """Samples of the metric between the two filters at the final time, for
-    replications at one epsilon, in the order of ``rep_indices``.
+    replications at one epsilon, in the order of ``rep_indices``: their
+    ``replication_paths``, ``replication_filters`` and one ``metric_d`` call.
 
-    Truth, observation noise and each filter own independent streams derived
-    from the root seed, the epsilon index, the replication index and a role
-    tag, so no stream is shared across roles or replications.  The rows run
-    in the blocks of ``filtering.row_blocks``, priors, truth, filters and
-    metric together, so memory stays bounded whatever the number of
-    replications; yet each row draws from its own streams in the order a
-    lone run would, so entry r equals the replication's own run bit for bit.
-    Entry r is the distance, or the HomfiltError that stopped replication r;
-    the others go on without it.
+    The rows run in the blocks of ``filtering.row_blocks``, so memory stays
+    bounded; yet each row draws from its own streams in the order a lone run
+    would, so entry r equals the replication's own run bit for bit.  Entry r is
+    the distance, or the HomfiltError that stopped replication r.
     """
     blocks = row_blocks(len(rep_indices), cfg.n_particles)
     if len(blocks) > 1:
         return [entry for rows in blocks for entry in run_replications(
             model, hmodel, cfg, basis, eps_index, rep_indices[rows])]
 
-    def streams(role):
-        return [rngmod.stream(cfg.root_seed, eps_index, rep, role) for rep in rep_indices]
-
-    r_truth = streams(rngmod.ROLE_TRUTH)
-    r_obs = streams(rngmod.ROLE_OBS)
-    r_full = streams(rngmod.ROLE_FULL_FILTER)
-    r_homog = streams(rngmod.ROLE_HOMOG_FILTER)
-    r_init = streams(rngmod.ROLE_INIT)
-
-    m, n = model.dim_slow, model.dim_fast
-
-    def prior(generators, shape, n_fast):
-        return gaussian_prior(rngmod.StreamBatch(generators), shape, cfg.init_mean,
-                              cfg.init_std, m, n_fast)
-
-    s0 = prior(r_init, (len(rep_indices),), n)
-    xs, zs = simulate_multiscale(model, s0[:, :m], s0[:, m:], cfg.horizon, cfg.dt,
-                                 rng=rngmod.StreamBatch(r_truth))
-    obs = simulate_observations(xs, zs, model, cfg.dt, rng=rngmod.StreamBatch(r_obs))
-    shape = (len(rep_indices), cfg.n_particles)
-    full = run_full_filter(model, obs, prior(r_full, shape, n), cfg.resample_threshold,
-                           r_full)
-    homog = run_homogenized_filter(hmodel, obs, prior(r_homog, shape, 0),
-                                   cfg.resample_threshold, r_homog)
+    xs, zs, obs = replication_paths(model, cfg, eps_index, rep_indices)
+    full, homog = replication_filters(model, hmodel, cfg, eps_index, rep_indices, obs)
     # A failed row's distance may be NaN; its error stands in for it.
-    distances = metric_d(EmpiricalMeasure(full.states[..., :m], full.weights),
+    distances = metric_d(EmpiricalMeasure(full.states[..., :model.dim_slow], full.weights),
                          EmpiricalMeasure(homog.states, homog.weights), basis)
     return [BlowUpError(int(b)) if b >= 0 else e_full or e_homog or float(dist)
             for b, e_full, e_homog, dist in zip(blow_up_steps(xs, zs), full.errors,

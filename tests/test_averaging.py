@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homfilt import rng as rngmod
+from homfilt import catalog, rng as rngmod
 from homfilt.averaging import (HomogenizedModel, StationaryAverager,
                                TabulationGrid, _estimates, _frozen_sums,
                                _interpolator, _tabulated_model, build_homogenized,
@@ -170,6 +170,8 @@ class TestMatrixSqrtPsd:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             matrix_sqrt_psd(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(NotSymmetricError, match="square matrix, got shape"):
+            matrix_sqrt_psd(np.zeros((2, 3)))
 
     def test_not_psd(self):
         with pytest.raises(NotPSDError):
@@ -236,6 +238,8 @@ class TestBuildHomogenized:
         assert np.array_equal(hm.diffsq_avg(probes), hm2.diffsq_avg(probes))
         assert np.array_equal(hm.diff_avg(probes), hm2.diff_avg(probes))
         assert np.array_equal(hm.obs_avg(probes), hm2.obs_avg(probes))
+        with pytest.raises(ValueError, match="only tabulated models"):
+            save_tabulated(catalog.make_analytic_homogenized("ou_benchmark"), path)
 
     def test_determinism(self):
         model = ou_model()

@@ -339,7 +339,7 @@ class TestErrors:
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
 
     @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 0.0), (1.0, -0.1),
-                                             (1.0, 0.3)])
+                                             (1.0, 0.3), (1.0e300, 1.0e-300)])
     def test_bad_simulate_grid_is_usage_error(self, tmp_path, capsys, horizon, dt):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark", "horizon": horizon, "dt": dt}},
@@ -368,6 +368,10 @@ class TestErrors:
         {"burn_in": 0.5, "sample_horizon": 1.0, "dt": 2.0},
         {"burn_in": 0.25, "sample_horizon": 1.0, "dt": 0.1},
         {"burn_in": 0.5, "sample_horizon": 1.05, "dt": 0.1},
+        {"burn_in": 0.5, "sample_horizon": 1.0e300, "dt": 1.0e-300},
+        {"replicates": 0},
+        {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [1]}},
+        {"grid": {"lows": [-2.0], "highs": [2.0, 3.0], "counts": [3]}},
     ])
     def test_bad_averager_config_is_usage_error(self, tmp_path, capsys, averager):
         averager = {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]},
@@ -377,7 +381,7 @@ class TestErrors:
             "averager": averager}, "homogenize")
 
     @pytest.mark.parametrize("bad", [{"n_particles": 0}, {"resample_threshold": 2},
-                                     {"basis_count": 0}])
+                                     {"basis_count": 0}, {"mode": "bogus"}])
     def test_bad_filter_config_is_usage_error(self, tmp_path, capsys, bad):
         obs = tmp_path / "obs.csv"
         obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
@@ -536,6 +540,14 @@ class TestErrors:
         err = self._usage_error(tmp_path, capsys, cfg, command)
         assert err == f"usage error: unknown key {key!r} in config section [{section}]\n"
 
+    @pytest.mark.parametrize("cfg, message", [
+        ([{"model": {"family": "ou_benchmark"}}], "must be a mapping of sections"),
+        ({"model": ["ou_benchmark"]}, "config section [model] must be a mapping")],
+        ids=["config", "section"])
+    def test_config_that_is_not_a_mapping_is_usage_error(self, tmp_path, capsys, cfg,
+                                                         message):
+        assert message in self._usage_error(tmp_path, capsys, cfg, "simulate")
+
     def test_unknown_config_section_is_usage_error(self, tmp_path, capsys):
         err = self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark", "horizon": 0.1, "dt": 0.01},
@@ -642,6 +654,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"io error: {bad_path}: ") and err.count("\n") == 1
         return err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("observations", "time,dy0\n", "no rows of time and increments"),
+        ("table", "dim_slow=1\n[b]\n0.0\n", "no '# homfilt tabulated' header line")],
+        ids=["observations", "table"])
+    def test_file_without_its_data_is_io_error(self, tmp_path, capsys, name, text,
+                                               message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,dy0\n0.01,0.3\n0.02,-0.1\n")
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text(text)
+        err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                                "observations": str(obs), name: str(bad)},
+                             bad)
+        assert err.endswith(f": {message}\n")
 
     def test_non_numeric_observations_is_io_error(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -751,7 +778,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("bad", [{"dt": 0.0}, {"dt": -0.02},
                                      {"bootstrap_samples": -1},
-                                     {"bootstrap_samples": 0}, {"dt": 0.03}])
+                                     {"bootstrap_samples": 0}, {"dt": 0.03},
+                                     {"horizon": 1.0e300, "dt": 1.0e-300},
+                                     {"epsilons": [2.0, 0.5, 0.25]},
+                                     {"replications": 0}])
     def test_bad_study_grid_or_bootstrap_is_usage_error(self, tmp_path, capsys, bad):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark"},

@@ -9,19 +9,25 @@ with the averaged coefficients, the exact reduced filter.
 
 import numpy as np
 
-from homfilt import catalog, rng as rngmod
-from homfilt.filtering import (gaussian_prior, kalman_filter, run_full_filter,
-                               run_homogenized_filter)
+from homfilt import catalog
+from homfilt.filtering import kalman_filter
 from homfilt.measures import default_basis
-from homfilt.models import simulate_multiscale, simulate_observations
-from homfilt.rng import StreamBatch, stream
-from homfilt.study import fit_loglog_slope
+from homfilt.study import (StudyConfig, fit_loglog_slope, replication_filters,
+                           replication_paths)
 
 # Criterion 7's model and initial law: x ~ N(0, 0.5^2), z = x + N(0, 1).
 PARAMS = dict(a=-1.0, c_b=0.5, sigma0=0.5, h_x=1.0, c_h=2.0, relax=1.0)
 EPSILONS = (0.5, 0.25, 0.125, 0.0625)
 DT, HORIZON, INIT_STD = 0.02, 1.0, 0.5
 PRIOR_COV = np.array([[0.25, 0.25], [0.25, 1.25]])
+
+
+def study_config(**overrides):
+    """Criterion 7's study settings, with ``overrides``: the stages of
+    ``run_replications`` draw the study's own streams from it."""
+    kw = dict(epsilons=EPSILONS, replications=100, horizon=HORIZON, n_particles=2048,
+              dt=DT, root_seed=0, init_std=INIT_STD, family_params=PARAMS)
+    return StudyConfig(**kw | overrides)
 
 
 def endpoint_scheme(epsilon, dt, a, c_b, sigma0, h_x, c_h, relax):
@@ -62,18 +68,6 @@ def gaussian_distance(mean_1, var_1, mean_2, var_2, basis):
     return gaps @ (0.5 ** np.arange(1, basis.count + 1))
 
 
-def study_paths(root, eps_index, model, reps):
-    """The study's truth and observations of replications ``reps``, drawn
-    from its streams (root, eps_index, rep, role)."""
-    def streams(role):
-        return StreamBatch([stream(root, eps_index, rep, role) for rep in reps])
-
-    s0 = gaussian_prior(streams(rngmod.ROLE_INIT), (len(reps),), 0.0, INIT_STD, 1, 1)
-    xs, zs = simulate_multiscale(model, s0[:, :1], s0[:, 1:], HORIZON, DT,
-                                 rng=streams(rngmod.ROLE_TRUTH))
-    return simulate_observations(xs, zs, model, DT, rng=streams(rngmod.ROLE_OBS))
-
-
 def test_gaussian_integrals_match_quadrature():
     basis = default_basis(16, 1)
     x = np.linspace(-15.0, 15.0, 30_001)
@@ -91,18 +85,10 @@ def test_filters_on_a_coupled_model_match_the_exact_kalman_filters():
     reduced filter, the mean over replications of each one's time-averaged
     (particle - Kalman) mean lies within 3 SE of 0; so does the mean
     difference of each entry of the full filter's final covariance."""
-    epsilon, reps, n_particles = 0.25, range(40), 8192
+    epsilon, reps, cfg = 0.25, range(40), study_config(n_particles=8192)
     model, hm = catalog.make_views("ou_benchmark", epsilon, **PARAMS)
-    obs = study_paths(0, 0, model, reps)
-
-    def run(run_filter, target, role, n_fast):
-        rngs = [stream(0, 0, rep, role) for rep in reps]
-        cloud = gaussian_prior(StreamBatch(rngs), (len(reps), n_particles), 0.0,
-                               INIT_STD, 1, n_fast)
-        return run_filter(target, obs, cloud, 0.5, rngs)
-
-    full = run(run_full_filter, model, rngmod.ROLE_FULL_FILTER, 1)
-    reduced = run(run_homogenized_filter, hm, rngmod.ROLE_HOMOG_FILTER, 0).means
+    _, _, obs = replication_paths(model, cfg, 0, reps)
+    full, reduced = replication_filters(model, hm, cfg, 0, reps, obs)
     joint, joint_covs = kalman_filter(*endpoint_scheme(epsilon, DT, **PARAMS), obs, 0.0,
                                       PRIOR_COV)
     slow, _ = kalman_filter(*reduced_scheme(DT, **PARAMS), obs, 0.0, INIT_STD ** 2)
@@ -112,7 +98,7 @@ def test_filters_on_a_coupled_model_match_the_exact_kalman_filters():
     for name, diffs in (
             ("x", (full.means[..., 0] - joint[1:, :, 0]).mean(axis=0)),
             ("z", (full.means[..., 1] - joint[1:, :, 1]).mean(axis=0)),
-            ("reduced x", (reduced[..., 0] - slow[1:, :, 0]).mean(axis=0)),
+            ("reduced x", (reduced.means[..., 0] - slow[1:, :, 0]).mean(axis=0)),
             ("final var x", cov_gaps[:, 0, 0]), ("final cov xz", cov_gaps[:, 0, 1]),
             ("final var z", cov_gaps[:, 1, 1])):
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
@@ -130,7 +116,7 @@ def test_exact_filters_converge_at_rate_sqrt_epsilon():
         means, ses = [], []
         for ei, epsilon in enumerate(EPSILONS):
             model = catalog.make_model("ou_benchmark", epsilon, **PARAMS)
-            obs = study_paths(root, ei, model, reps)
+            _, _, obs = replication_paths(model, study_config(root_seed=root), ei, reps)
             joint, joint_covs = kalman_filter(*endpoint_scheme(epsilon, DT, **PARAMS), obs,
                                               0.0, PRIOR_COV)
             slow, slow_covs = kalman_filter(*reduced, obs, 0.0, INIT_STD ** 2)
@@ -140,3 +126,42 @@ def test_exact_filters_converge_at_rate_sqrt_epsilon():
             ses.append(d.std(ddof=1) / np.sqrt(len(d)))
         slope, _ = fit_loglog_slope(EPSILONS, means, ses)
         assert 0.3 <= slope <= 0.7, f"root {root}: slope {slope:.3f}, means {means}"
+
+
+LADDER = (0.5, 1.0 / 64, 1.0 / 512)
+MUTANTS = {f"{scale} {term}": PARAMS | {term: scale * PARAMS[term]}
+           for term in ("c_b", "c_h") for scale in (0.95, 1.05)}
+
+
+def test_exact_ladder_rejects_wrong_reduced_models():
+    """At dt 0.0025, on 100 study paths per eps, the exact distance from the
+    joint Kalman filter's x-marginal to the reduced Kalman filter of the right
+    averaged model keeps falling down to eps = 1/512, by more than 3 SE per
+    rung, while a reduced model with c_b's or c_h's term 5% off sits more
+    than 5 SE of the paired differences above it at eps = 1/512."""
+    dt, basis, reps = 0.0025, default_basis(16, 1), range(100)
+    cfg = study_config(epsilons=LADDER, dt=dt)
+    models = {"right": PARAMS} | MUTANTS
+    ladder = []
+    for ei, epsilon in enumerate(LADDER):
+        model = catalog.make_model("ou_benchmark", epsilon, **PARAMS)
+        _, _, obs = replication_paths(model, cfg, ei, reps)
+        joint, joint_covs = kalman_filter(*endpoint_scheme(epsilon, dt, **PARAMS), obs,
+                                          0.0, PRIOR_COV)
+        rung = {}
+        for name, params in models.items():
+            slow, slow_covs = kalman_filter(*reduced_scheme(dt, **params), obs, 0.0,
+                                            INIT_STD ** 2)
+            rung[name] = gaussian_distance(joint[-1, :, 0], joint_covs[-1, 0, 0],
+                                           slow[-1, :, 0], slow_covs[-1, 0, 0], basis)
+        ladder.append(rung)
+
+    def mean_and_se(d):
+        return d.mean(), d.std(ddof=1) / np.sqrt(len(d))
+
+    right = [mean_and_se(rung["right"]) for rung in ladder]
+    for (mean_1, se_1), (mean_2, se_2) in zip(right, right[1:]):
+        assert mean_1 - mean_2 > 3 * np.hypot(se_1, se_2), f"right model: {right}"
+    for name in MUTANTS:
+        gap, se = mean_and_se(ladder[-1][name] - ladder[-1]["right"])
+        assert gap > 5 * se, f"{name}: {gap:.2e} above the right model, se {se:.2e}"

@@ -149,7 +149,8 @@ class TestStepCount:
 
     @pytest.mark.parametrize("span, dt", [(1.0, 0.3), (0.25, 0.1), (0.001, 0.01),
                                           (1.0, 0.0), (1.0, -0.1), (np.inf, 0.1),
-                                          (np.nan, 0.1), (1.0, np.nan)])
+                                          (np.nan, 0.1), (1.0, np.nan),
+                                          (1.0e300, 1.0e-300)])
     def test_rejects_a_partial_or_empty_grid(self, span, dt):
         with pytest.raises(ValueError):
             step_count(span, dt)
@@ -177,6 +178,11 @@ class TestSimulateObservations:
         assert np.array_equal(obs.times, np.arange(11) * 0.01)
         assert np.allclose(obs.increments, 0.01, rtol=0, atol=1e-15)
 
+    def test_a_lone_state_is_refused(self, rng):
+        with pytest.raises(ValueError, match="at least one step"):
+            simulate_observations(np.zeros((1, 1)), np.zeros((1, 1)), make_model(), 0.01,
+                                  rng=rng)
+
     def test_noise_free_linear_read_out(self):
         model = make_model(h=lambda x, z: x)
         obs = simulate_observations(np.full((11, 1), 2.0), np.zeros((11, 1)), model,
@@ -197,6 +203,8 @@ class TestSimulateObservations:
             lone = simulate_observations(xs[:, r], zs[:, r], model, 0.02,
                                          rng=np.random.default_rng(100 + r))
             assert batch.increments[:, r].tobytes() == lone.increments.tobytes()
+        with pytest.raises(ValueError, match="leading axis 2 != 3 streams"):
+            StreamBatch(gens).standard_normal((2, 1))
 
 
 class TestObservationPath:
@@ -385,8 +393,10 @@ class TestModelForm:
         {"diff_slow": const_mat(0.0, cols=0)},
         {"obs_fn": lambda x, z: x[..., :0]},
         {"fast_ou": (1.0, lambda x: np.concatenate([x, x], -1), 1.0)},
+        {"dim_slow": 0, "diff_slow": lambda x, z: np.zeros(x.shape + (1,)),
+         "obs_fn": lambda x, z: z, "fast_ou": (1.0, lambda x: np.zeros(1), 1.0)},
     ], ids=["both_forms", "neither_form", "drift_fast_alone", "zero_width_diff_slow",
-            "zero_width_obs_fn", "mu_width"])
+            "zero_width_obs_fn", "mu_width", "no_slow_state"])
     def test_ill_formed_model_is_refused(self, fields):
         with pytest.raises(ModelShapeError):
             _ou(**fields)

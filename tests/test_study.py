@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 import yaml
 
-from homfilt import catalog, filtering, rng as rngmod, schema, study
+from homfilt import catalog, filtering, schema, study
 from homfilt.cli import main
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
-from homfilt.filtering import (gaussian_prior, run_forked, run_full_filter,
-                               run_homogenized_filter)
+from homfilt.filtering import run_forked, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
-from homfilt.models import ObservationPath, blow_up_steps, simulate_multiscale
+from homfilt.models import ObservationPath, blow_up_steps
 from homfilt.study import (StudyConfig, _bootstrap_slope_ci, fit_loglog_slope,
-                           report_csv, report_text, run_replication,
-                           run_replications, run_study, summarize)
+                           replication_paths, report_csv, report_text,
+                           run_replication, run_replications, run_study, summarize)
 
 from conftest import linear_gaussian
 
@@ -239,19 +238,13 @@ class TestRunReplication:
         reps = range(cfg.replications)
         results = run_replications(model, hm, cfg, default_basis(cfg.basis_count, 1),
                                    1, reps)
-
-        def streams(role):
-            return rngmod.StreamBatch([rngmod.stream(cfg.root_seed, 1, rep, role)
-                                       for rep in reps])
-
-        s0 = gaussian_prior(streams(rngmod.ROLE_INIT), (len(reps),), cfg.init_mean,
-                            cfg.init_std, 1, 1)
-        xs, zs = simulate_multiscale(model, s0[:, :1], s0[:, 1:], cfg.horizon, cfg.dt,
-                                     rng=streams(rngmod.ROLE_TRUTH))
-        steps = blow_up_steps(xs, zs)
+        steps = blow_up_steps(*replication_paths(model, cfg, 1, reps)[:2])
         assert (steps >= 0).all()
         assert all(type(r) is BlowUpError for r in results)
         assert [r.step for r in results] == steps.tolist()
+        with pytest.raises(BlowUpError) as raised:
+            run_replication(model, hm, cfg, default_basis(cfg.basis_count, 1), 1, 0)
+        assert raised.value.step == steps[0]
 
     def test_zero_steps_identical_delta_inits(self):
         # Point-mass initial ensembles and no observation steps: both
