@@ -58,9 +58,10 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     draws only from ``streams[i]``, first its replicates' initial z and then
     what ``simulate_frozen_fast`` would draw from that z, so its sums do not
     depend on the other nodes.  Memory does not grow with the horizon.  Returns
-    the sums, one array of shape (nodes, replicates) + tail per integrand, the
-    number of sampled states, and per node the first step whose state is not
-    finite, or -1.  The loop stops early once node 0 has failed.
+    the sums, one array of shape (nodes, replicates) + tail per integrand, and
+    the number of sampled states.  A table needs every node, so the loop stops
+    at the first step at which any node's z is not finite and raises
+    BlowUpError for the lowest-index node that is non-finite at that step.
     """
     noise = rngmod.StreamBatch(streams)
     z = noise.standard_normal((len(nodes), cfg.replicates, model.dim_fast))
@@ -68,19 +69,16 @@ def _frozen_sums(model: MultiscaleModel, nodes: np.ndarray,
     n_steps = step_count(cfg.sample_horizon, cfg.dt)
     i0 = step_count(cfg.burn_in, cfg.dt)
     sums = [np.zeros(np.shape(theta(x, z))) for theta in thetas]
-    first_bad = np.full(len(nodes), -1)
     for i in range(n_steps):
         z = fast_step(model, x, z, cfg.dt, 1, noise)
         if not np.isfinite(z).all():
-            bad = ~np.isfinite(z).all(axis=(1, 2))
-            first_bad[bad & (first_bad < 0)] = i
-            if first_bad[0] >= 0:  # no later failure can come first
-                return sums, n_steps + 1 - i0, first_bad
-            z[bad] = 0.0  # keeps failed nodes quiet; their sums are dropped
+            k = np.argmin(np.isfinite(z).all(axis=(1, 2)))  # lowest-index failed node
+            raise BlowUpError(i, f"node {k} at x={nodes[k].tolist()}: "
+                              f"numerical blow-up at step {i}")
         if i + 1 >= i0:
             for acc, theta in zip(sums, thetas):
                 acc += np.asarray(theta(x, z), dtype=float)
-    return sums, n_steps + 1 - i0, first_bad
+    return sums, n_steps + 1 - i0
 
 
 def _estimates(sums: Sequence[np.ndarray], count: int, cfg: StationaryAverager,
@@ -147,8 +145,8 @@ class TabulationGrid:
         if len(self.lows) != len(self.highs) or len(self.lows) != len(self.counts):
             raise ValueError("lows, highs and counts must have equal length")
         for lo, hi, c in zip(self.lows, self.highs, self.counts):
-            if not lo < hi:
-                raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+            if not (lo < hi and np.isfinite(hi - lo)):
+                raise ValueError(f"need lo < hi, hi - lo finite; got [{lo}, {hi}]")
             if c < 2:
                 raise ValueError("need at least 2 nodes per dimension")
         if self.interpolation not in ("multilinear", "nearest"):
@@ -289,8 +287,9 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
 
     Each node owns an independent random stream derived from root_seed and the
     node index, so node estimates are reproducible and order-independent.
-    All nodes share one time loop.  A failure is reported for the
-    lowest-index node that failed, as if the nodes had run one at a time.
+    All nodes share one time loop, which stops at the first step at which
+    any node's fast state is not finite: the BlowUpError names that step and
+    the lowest-index node that failed at it.
     """
     if grid.ndim != model.dim_slow:
         raise UsageError(f"grid has {grid.ndim} axes, the model {model.dim_slow} "
@@ -302,13 +301,8 @@ def build_homogenized(model: MultiscaleModel, grid: TabulationGrid,
 
     nodes = grid.nodes()
     streams = [rngmod.stream(root_seed, rngmod.NODE_STREAM, i) for i in range(len(nodes))]
-    sums, count, first_bad = _frozen_sums(
+    sums, count = _frozen_sums(
         model, nodes, [model.drift_slow, theta_a, model.obs_fn], cfg, streams)
-    failed = np.flatnonzero(first_bad >= 0)
-    if failed.size:
-        i = failed[0]
-        raise BlowUpError(int(first_bad[i]), f"node {i} at x={nodes[i].tolist()}: "
-                          f"numerical blow-up at step {first_bad[i]}")
     (b, b_se), (a, a_se), (h, h_se) = _estimates(sums, count, cfg, nodes)
     table = {"b": b, "a": 0.5 * (a + np.swapaxes(a, -1, -2)), "h": h,
              "b_se": b_se, "a_se": a_se, "h_se": h_se,

@@ -108,11 +108,6 @@ def make_model(name: str, epsilon: float = 1.0, **params) -> MultiscaleModel:
     return make_views(name, epsilon, **params)[0]
 
 
-def make_analytic_homogenized(name: str, **params) -> HomogenizedModel:
-    """Closed-form averaged model for a catalog family (epsilon-independent)."""
-    return make_views(name, 1.0, **params)[1]
-
-
 def make_ou_benchmark(epsilon: float = 1.0, **params) -> MultiscaleModel:
     """``make_model("ou_benchmark", ...)``, kept because perfbench/layer_micro.py
     calls it by name."""

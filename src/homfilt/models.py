@@ -171,14 +171,21 @@ def multiscale_step(model: MultiscaleModel, x: np.ndarray, z: np.ndarray,
     return x, z
 
 
+# The most steps one time grid may hold: far above the largest grid in use
+# (610 000 steps); a longer one would fail to allocate or run for days.
+MAX_STEPS = 10 ** 8
+
+
 def step_count(span: float, dt: float) -> int:
     """The number of steps of size ``dt`` that make up ``span``.
 
-    Raises ValueError unless 0 < dt <= span, span / dt is finite and a whole
-    number to within 1e-9 (relative), so no grid is silently cut short.
+    Raises ValueError unless 0 < dt <= span, span / dt is at most MAX_STEPS
+    and a whole number to within 1e-9 (relative), so no grid is silently cut
+    short and none is too long to hold or to run.
     """
-    if not (0.0 < dt <= span and np.isfinite(span / dt)):
-        raise ValueError(f"need 0 < dt <= span, span/dt < inf; dt={dt:g}, span={span:g}")
+    if not (0.0 < dt <= span and span / dt <= MAX_STEPS):
+        raise ValueError(f"need 0 < dt <= span, span/dt <= MAX_STEPS={MAX_STEPS}; "
+                         f"dt={dt:g}, span={span:g}")
     n = int(round(span / dt))
     if abs(span / dt - n) > 1e-9 * n:
         raise ValueError(f"span={span:g} is not a whole number of steps of dt={dt:g}")

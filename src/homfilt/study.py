@@ -192,11 +192,9 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     so the report depends on neither split.  No epsilon runs after one whose
     failures abort the study.
     """
-    hmodel = catalog.make_analytic_homogenized(cfg.family, **cfg.family_params)
-    basis = default_basis(cfg.basis_count, hmodel.dim_slow)
-
     def level(ei, eps):
-        model = catalog.make_model(cfg.family, epsilon=eps, **cfg.family_params)
+        model, hmodel = catalog.make_views(cfg.family, eps, **cfg.family_params)
+        basis = default_basis(cfg.basis_count, model.dim_slow)
         return run_forked(partial(run_replications, model, hmodel, cfg, basis, ei),
                           range(cfg.replications))
 

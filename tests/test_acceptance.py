@@ -37,15 +37,16 @@ def test_criterion_1_averaging_oracle():
     cfg = StationaryAverager()
     nodes = np.array([[-1.0], [0.5], [1.0]])
     # One time loop over the three nodes; node i draws from stream(2026, i).
-    sums, count, first_bad = _frozen_sums(
+    # A non-finite step raises BlowUpError, which fails the criterion.
+    sums, count = _frozen_sums(
         model, nodes, [lambda xb, zb: zb[..., 0], lambda xb, zb: zb[..., 0] ** 2],
         cfg, [stream(2026, i) for i in range(len(nodes))])
     (e1, s1), (e2, s2) = _estimates(sums, count, cfg, nodes)
     rows = [(x, float(e1[i]), float(s1[i]), float(e2[i]), float(s2[i]))
             for i, (x,) in enumerate(nodes.tolist())]
     elapsed = time.time() - t0
-    ok = elapsed < 60.0 and (first_bad < 0).all()
-    detail = [f"elapsed={elapsed:.1f}s", f"first_bad={first_bad.tolist()}"]
+    ok = elapsed < 60.0
+    detail = [f"elapsed={elapsed:.1f}s"]
     for x, e1, s1, e2, s2 in rows:
         ok &= abs(e1 - x) <= 3 * s1 and s1 < 0.02
         ok &= abs(e2 - (x * x + 1.0)) <= 3 * s2 and s2 < 0.02

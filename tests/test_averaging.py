@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homfilt import catalog, rng as rngmod
+from homfilt import averaging, catalog, rng as rngmod
 from homfilt.averaging import (HomogenizedModel, StationaryAverager,
                                TabulationGrid, _estimates, _frozen_sums,
                                _interpolator, _tabulated_model, build_homogenized,
@@ -36,9 +36,7 @@ def ou_model(diff_slow=None, drift_slow=None, obs_fn=None):
 def lone_average(model, x, theta, cfg, rng):
     """(estimate, standard error) of one integrand at one node x, drawn from rng."""
     nodes = np.asarray(x, dtype=float)[None]
-    sums, count, first_bad = _frozen_sums(model, nodes, [theta], cfg, [rng])
-    if first_bad[0] >= 0:
-        raise BlowUpError(int(first_bad[0]))
+    sums, count = _frozen_sums(model, nodes, [theta], cfg, [rng])
     ((est, se),) = _estimates(sums, count, cfg, nodes)
     return est[0], se[0]
 
@@ -69,11 +67,11 @@ class TestEulerFastBlockPinned:
         nodes = np.array([[-1.0], [0.0], [1.5]])
         cfg = StationaryAverager(burn_in=1.0, sample_horizon=50.0, dt=1e-2,
                                  replicates=5)
-        sums, count, first_bad = _frozen_sums(
+        sums, count = _frozen_sums(
             model, nodes, [lambda x, z: z[..., 0], lambda x, z: z[..., 0] ** 2,
                            model.obs_fn],
             cfg, [rngmod.stream(17, rngmod.NODE_STREAM, i) for i in range(3)])
-        assert (count, first_bad.tolist()) == (4901, [-1, -1, -1])
+        assert count == 4901
         assert digest(*sums) == FROZEN_SUMS_SHA256
 
     def test_frozen_path(self):
@@ -239,7 +237,7 @@ class TestBuildHomogenized:
         assert np.array_equal(hm.diff_avg(probes), hm2.diff_avg(probes))
         assert np.array_equal(hm.obs_avg(probes), hm2.obs_avg(probes))
         with pytest.raises(ValueError, match="only tabulated models"):
-            save_tabulated(catalog.make_analytic_homogenized("ou_benchmark"), path)
+            save_tabulated(catalog.make_views("ou_benchmark", 1.0)[1], path)
 
     def test_determinism(self):
         model = ou_model()
@@ -279,9 +277,9 @@ class TestBuildHomogenized:
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-    def test_blow_up_names_lowest_failed_node(self):
-        # The fast process explodes for x > 0.2, sooner at larger x; node 3
-        # fails after node 4, yet is the one reported, at its own step.
+    def test_blow_up_names_earliest_failed_node(self):
+        # The fast process explodes for x > 0.2, sooner at larger x; node 4
+        # fails before node 3, so the loop stops at node 4's own step.
         model = MultiscaleModel(
             dim_slow=1, dim_fast=1,
             drift_slow=lambda x, z: -x, diff_slow=const_mat(1.0),
@@ -300,8 +298,44 @@ class TestBuildHomogenized:
                                  rngmod.stream(1, rngmod.NODE_STREAM, i))
                 lone[i] = exc.value.step
         assert lone[4] < lone[3]
-        assert str(info.value).startswith("node 3 at x=[0.5]: ")
-        assert info.value.step == lone[3]
+        assert str(info.value) == ("node 4 at x=[1.0]: "
+                                   f"numerical blow-up at step {lone[4]}")
+        assert info.value.step == lone[4]
+
+    def test_blow_up_stops_the_loop_at_the_earliest_lone_failure(self, monkeypatch):
+        # The fast drift depends on x1 alone and dwarfs z at once, so every
+        # replicate of a node with x1 > 0 overflows at the same step, sooner
+        # at larger x1: nodes 6 and 7 (x1 = 0.5) fail after nodes 8 and 9
+        # (x1 = 1), which tie.  The grid loop reports the earliest lone
+        # failure, the tie going to the lower index, and takes no step past it.
+        model = MultiscaleModel(
+            dim_slow=2, dim_fast=1, drift_slow=lambda x, z: -x,
+            diff_slow=const_mat(1.0, 2, 2),
+            drift_fast=lambda x, z: np.maximum(x[..., :1], 0.0) * 1e307,
+            diff_fast=const_mat(1.0), obs_fn=lambda x, z: x[..., :1] + z)
+        grid = TabulationGrid(lows=(-1.0, -1.0), highs=(1.0, 1.0), counts=(5, 2))
+        cfg = StationaryAverager(burn_in=1.0, sample_horizon=50.0, dt=0.1,
+                                 replicates=3)
+        lone = {}
+        with np.errstate(all="ignore"):
+            for i, x in enumerate(grid.nodes()):
+                try:
+                    lone_average(model, x, model.obs_fn, cfg,
+                                 rngmod.stream(2, rngmod.NODE_STREAM, i))
+                except BlowUpError as exc:
+                    lone[i] = exc.step
+            calls = []
+            real_step = averaging.fast_step
+            monkeypatch.setattr(averaging, "fast_step",
+                                lambda *args: calls.append(1) or real_step(*args))
+            with pytest.raises(BlowUpError) as info:
+                build_homogenized(model, grid, cfg, root_seed=2)
+        assert sorted(lone) == [6, 7, 8, 9]
+        assert lone[8] == lone[9] < lone[6] == lone[7]
+        assert str(info.value) == ("node 8 at x=[1.0, -1.0]: "
+                                   f"numerical blow-up at step {lone[8]}")
+        assert info.value.step == lone[8]
+        assert len(calls) == lone[8] + 1
 
 
 INTERP_CASES = list(itertools.product((1, 2, 3), ((2,), (2, 2)),
@@ -430,5 +464,5 @@ def test_reads_the_read_out_width_off_obs_avg():
                                   "h": rng.standard_normal((12, 3))})
     by_hand = HomogenizedModel(dim_slow=2, drift_avg=lambda x: -x, diffsq_avg=None,
                                diff_avg=None, obs_avg=lambda x: x[..., :1] * np.ones(3))
-    assert catalog.make_analytic_homogenized("sinusoidal").dim_obs == 1
+    assert catalog.make_views("sinusoidal", 1.0)[1].dim_obs == 1
     assert (tabulated.dim_obs, by_hand.dim_obs) == (3, 3)

@@ -134,7 +134,7 @@ def test_study_distances_equal_lone_replications():
     cfg = StudyConfig(epsilons=(0.5, 0.25, 0.125), replications=4, horizon=0.4,
                       n_particles=64, dt=0.02, root_seed=11, bootstrap_samples=20)
     report = run_study(cfg)
-    hm = catalog.make_analytic_homogenized(cfg.family)
+    hm = catalog.make_views(cfg.family, 1.0)[1]
     basis = default_basis(cfg.basis_count, 1)
     assert report.failures == (0, 0, 0)
     for ei, eps in enumerate(cfg.epsilons):
@@ -147,8 +147,7 @@ def test_study_distances_equal_lone_replications():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["full", "homogenized", "tabulated"])
 def test_failed_replication_leaves_the_other_untouched(kind):
-    model = catalog.make_model("ou_benchmark", epsilon=0.25)
-    hm = catalog.make_analytic_homogenized("ou_benchmark")
+    model, hm = catalog.make_views("ou_benchmark", 0.25)
     if kind == "tabulated":
         # The NaN particle's carried coefficients are NaN too.
         hm = build_homogenized(model, TabulationGrid((-2.0,), (2.0,), (9,)),

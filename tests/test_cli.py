@@ -339,7 +339,8 @@ class TestErrors:
                       "horizon": 1.0, "dt": 0.1}}, "simulate")
 
     @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 0.0), (1.0, -0.1),
-                                             (1.0, 0.3), (1.0e300, 1.0e-300)])
+                                             (1.0, 0.3), (1.0e300, 1.0e-300),
+                                             (1.0e300, 1.0e-5)])
     def test_bad_simulate_grid_is_usage_error(self, tmp_path, capsys, horizon, dt):
         self._usage_error(tmp_path, capsys, {
             "model": {"family": "ou_benchmark", "horizon": horizon, "dt": dt}},
@@ -372,6 +373,10 @@ class TestErrors:
         {"replicates": 0},
         {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [1]}},
         {"grid": {"lows": [-2.0], "highs": [2.0, 3.0], "counts": [3]}},
+        {"sample_horizon": 1.0e300, "dt": 0.1},
+        {"grid": {"lows": [-np.inf], "highs": [2.0], "counts": [3]}},
+        {"grid": {"lows": [-2.0], "highs": [np.inf], "counts": [3]}},
+        {"grid": {"lows": [-1.0e308], "highs": [1.0e308], "counts": [3]}},
     ])
     def test_bad_averager_config_is_usage_error(self, tmp_path, capsys, averager):
         averager = {"grid": {"lows": [-2.0], "highs": [2.0], "counts": [3]},

@@ -215,8 +215,8 @@ class TestRunFullFilter:
 
 class TestRunHomogenizedFilter:
     def test_frozen_dynamics_keeps_point_mass(self):
-        hm = catalog.make_analytic_homogenized(
-            "ou_benchmark", **linear_gaussian(a=0.0, q=1e-30, h=0.0))
+        hm = catalog.make_views(
+            "ou_benchmark", 1.0, **linear_gaussian(a=0.0, q=1e-30, h=0.0))[1]
         times = np.arange(6) * 0.1
         obs = ObservationPath(times=times, increments=np.zeros((5, 1, 1)))
         final = run_homogenized_filter(hm, obs, np.full((1, 32, 1), 2.5), 0.5,
@@ -228,8 +228,7 @@ class TestRunHomogenizedFilter:
         # At epsilon = 0.01 the reduced filter's posterior mean should agree
         # with the full filter's slow marginal up to combined particle noise.
         eps = 0.01
-        model = catalog.make_model("ou_benchmark", epsilon=eps)
-        hm = catalog.make_analytic_homogenized("ou_benchmark")
+        model, hm = catalog.make_views("ou_benchmark", eps)
         dt, horizon = 0.01, 1.0
         xs, zs = simulate_multiscale(model, np.array([[0.2]]), np.array([[0.2]]),
                                      horizon, dt, rng=np.random.default_rng(20))
@@ -303,8 +302,8 @@ def _filter(kind):
     """A filter on the linear-Gaussian model, its model and its state dimension."""
     params = linear_gaussian()
     return {"full": (run_full_filter, catalog.make_model("ou_benchmark", **params), 2),
-            "homogenized": (run_homogenized_filter, catalog.make_analytic_homogenized(
-                "ou_benchmark", **params), 1)}[kind]
+            "homogenized": (run_homogenized_filter, catalog.make_views(
+                "ou_benchmark", 1.0, **params)[1], 1)}[kind]
 
 
 @pytest.mark.parametrize("kind", ["full", "homogenized"])

@@ -3,9 +3,10 @@ import pytest
 
 from homfilt import catalog
 from homfilt.errors import ModelShapeError
-from homfilt.models import (MultiscaleModel, ObservationPath, blow_up_steps,
-                            fast_step, multiscale_step, simulate_frozen_fast,
-                            simulate_multiscale, simulate_observations, step_count)
+from homfilt.models import (MAX_STEPS, MultiscaleModel, ObservationPath,
+                            blow_up_steps, fast_step, multiscale_step,
+                            simulate_frozen_fast, simulate_multiscale,
+                            simulate_observations, step_count)
 from homfilt.rng import StreamBatch
 
 from conftest import const_mat
@@ -154,6 +155,11 @@ class TestStepCount:
     def test_rejects_a_partial_or_empty_grid(self, span, dt):
         with pytest.raises(ValueError):
             step_count(span, dt)
+
+    def test_bounds_the_count(self):
+        assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+        with pytest.raises(ValueError, match="span/dt <= MAX_STEPS=100000000"):
+            step_count(1.0e300, 1.0e-5)
 
     def test_simulators_reject_a_partial_last_step(self, rng):
         model, start = make_model(), np.zeros(1)

@@ -180,8 +180,7 @@ class TestRunStudySynthetic:
 class TestRunReplication:
     def test_deterministic(self):
         cfg = small_config()
-        model = catalog.make_model("ou_benchmark", epsilon=0.25)
-        hm = catalog.make_analytic_homogenized("ou_benchmark")
+        model, hm = catalog.make_views("ou_benchmark", 0.25)
         basis = default_basis(cfg.basis_count, 1)
         d1 = run_replication(model, hm, cfg, basis, 1, 2)
         d2 = run_replication(model, hm, cfg, basis, 1, 2)
@@ -194,8 +193,7 @@ class TestRunReplication:
     def test_batches_are_bounded_and_rows_equal_lone_runs(self, monkeypatch,
                                                           chunk_particles, widths):
         cfg = small_config(replications=5, n_particles=32)
-        model = catalog.make_model("ou_benchmark", epsilon=0.25)
-        hm = catalog.make_analytic_homogenized("ou_benchmark")
+        model, hm = catalog.make_views("ou_benchmark", 0.25)
         basis = default_basis(cfg.basis_count, 1)
         lone = [run_replication(model, hm, cfg, basis, 1, rep) for rep in range(5)]
         seen = []
@@ -220,8 +218,7 @@ class TestRunReplication:
         # Model whose coefficients are already z-independent and equal to
         # their averages: only particle noise separates the two filters.
         cfg = small_config(n_particles=4096, horizon=0.5, dt=0.02)
-        model = catalog.make_model("ou_benchmark", epsilon=0.25, **linear_gaussian())
-        hm = catalog.make_analytic_homogenized("ou_benchmark", **linear_gaussian())
+        model, hm = catalog.make_views("ou_benchmark", 0.25, **linear_gaussian())
         basis = default_basis(cfg.basis_count, 1)
         d = run_replication(model, hm, cfg, basis, 0, 0)
         assert d <= 0.05
@@ -233,8 +230,7 @@ class TestRunReplication:
         # whatever the filters ran into.
         params = {"a": 1.0e200}
         cfg = small_config(family_params=params)
-        model = catalog.make_model("ou_benchmark", epsilon=0.25, **params)
-        hm = catalog.make_analytic_homogenized("ou_benchmark", **params)
+        model, hm = catalog.make_views("ou_benchmark", 0.25, **params)
         reps = range(cfg.replications)
         results = run_replications(model, hm, cfg, default_basis(cfg.basis_count, 1),
                                    1, reps)
@@ -249,8 +245,7 @@ class TestRunReplication:
     def test_zero_steps_identical_delta_inits(self):
         # Point-mass initial ensembles and no observation steps: both
         # marginals are the same delta measure, so the distance is 0.
-        model = catalog.make_model("ou_benchmark", epsilon=0.5)
-        hm = catalog.make_analytic_homogenized("ou_benchmark")
+        model, hm = catalog.make_views("ou_benchmark", 0.5)
         obs = ObservationPath(times=np.array([0.0]), increments=np.zeros((0, 1, 1)))
         full = run_full_filter(model, obs, np.full((1, 16, 2), 0.3), 0.5,
                                [np.random.default_rng(0)])
