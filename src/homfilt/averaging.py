@@ -343,7 +343,7 @@ def save_tabulated(hm: HomogenizedModel, path: str):
 
 def load_tabulated(path: str) -> HomogenizedModel:
     with open(path) as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
+        raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not raw or not raw[0].startswith("# homfilt tabulated"):
         raise ValueError("no '# homfilt tabulated' header line")
     header = {}
@@ -371,7 +371,8 @@ def load_tabulated(path: str) -> HomogenizedModel:
             blocks[line.strip("[]")] = rows = []
         else:
             rows.append([float(v) for v in line.split()])
-    for key, rows in blocks.items():
+    for key in TABLE_KEYS:
+        rows = blocks.get(key, [])  # a missing block is named as one of no rows
         if len(rows) != len(nodes):
             raise ValueError(f"block [{key}] has {len(rows)} rows, not one for each "
                              f"node 0..{len(nodes) - 1}")

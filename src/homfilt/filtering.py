@@ -144,7 +144,7 @@ def _fail(errors: list, rows: np.ndarray, make: Callable):
             errors[r] = make(r)
 
 
-def row_blocks(n_rows: int, n_particles: int) -> list:
+def _row_blocks(n_rows: int, n_particles: int) -> list:
     """Slices that cut rows ``0 .. n_rows`` into near-even contiguous blocks
     of at most ``CHUNK_PARTICLES`` particles of ``n_particles`` per row, or of
     one row where a row holds more; no rows give one empty block."""
@@ -163,7 +163,7 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
     ``rngs`` one generator per row; all three are checked before any draw.
     The cloud is copied once into the FilterBatch returned, so the caller's
     is never changed and a zero-step path hands the copy back.  The rows run
-    in the blocks of ``row_blocks``; a block writes its rows of the record
+    in the blocks of ``_row_blocks``; a block writes its rows of the record
     at each step, and its final states, weights and errors when it ends.
     Each step is ``step(states, carried, rngs, dt)``, which returns the
     moved states, their (R, N, d) read-out and the tuple of (R, N, ...)
@@ -196,7 +196,7 @@ def _run_filter(step: Callable, obs: ObservationPath, states: np.ndarray, dim: i
                         means=np.full((len(increments), n_rows, dim), np.nan),
                         ess=np.full((len(increments), n_rows), np.nan),
                         resampled=np.zeros((len(increments), n_rows), dtype=bool))
-    for rows in row_blocks(n_rows, n):
+    for rows in _row_blocks(n_rows, n):
         # Views of the block's rows, but for the list of errors, written back below.
         x, w, errors = batch.states[rows], batch.weights[rows], batch.errors[rows]
         means, ess_steps, resampled = (batch.means[:, rows], batch.ess[:, rows],

@@ -120,5 +120,5 @@ def metric_d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, basis: TestFunctionBasi
     for i in range(basis.count):
         mu_i = _integral(mu, basis.evaluate(i, mu.atoms))
         nu_i = _integral(nu, basis.evaluate(i, nu.atoms))
-        total += abs(mu_i - nu_i) / 2.0 ** (i + 1)
+        total += abs(mu_i - nu_i) * 2.0 ** -(i + 1)  # 2.0 ** (i + 1) overflows at i = 1023
     return total if np.ndim(total) else float(total)

@@ -19,8 +19,8 @@ import numpy as np
 from . import catalog, measures, rng as rngmod, schema
 from .averaging import HomogenizedModel
 from .errors import BlowUpError, HomfiltError, StudyAbortError
-from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, row_blocks, run_forked,
-                        run_full_filter, run_homogenized_filter)
+from .filtering import (RESAMPLE_THRESHOLD, gaussian_prior, run_forked, run_full_filter,
+                        run_homogenized_filter)
 from .measures import EmpiricalMeasure, default_basis, metric_d, TestFunctionBasis
 from .models import (MultiscaleModel, ObservationPath, blow_up_steps,
                      simulate_multiscale, simulate_observations, step_count)
@@ -127,16 +127,13 @@ def run_replications(model: MultiscaleModel, hmodel: HomogenizedModel,
     replications at one epsilon, in the order of ``rep_indices``: their
     ``replication_paths``, ``replication_filters`` and one ``metric_d`` call.
 
-    The rows run in the blocks of ``filtering.row_blocks``, so memory stays
-    bounded; yet each row draws from its own streams in the order a lone run
-    would, so entry r equals the replication's own run bit for bit.  Entry r is
-    the distance, or the HomfiltError that stopped replication r.
+    Only the filters cut the rows into blocks, which bound a step's memory;
+    the rows' priors and final clouds, about 48 R N bytes for R rows of N
+    particles in one slow and one fast coordinate, are held until the metric.
+    Each row draws from its own streams in the order a lone run would, so entry
+    r equals the replication's own run bit for bit.  Entry r is the distance,
+    or the HomfiltError that stopped replication r.
     """
-    blocks = row_blocks(len(rep_indices), cfg.n_particles)
-    if len(blocks) > 1:
-        return [entry for rows in blocks for entry in run_replications(
-            model, hmodel, cfg, basis, eps_index, rep_indices[rows])]
-
     xs, zs, obs = replication_paths(model, cfg, eps_index, rep_indices)
     full, homog = replication_filters(model, hmodel, cfg, eps_index, rep_indices, obs)
     # A failed row's distance may be NaN; its error stands in for it.
@@ -187,8 +184,8 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     The reduced filter runs on the family's analytic homogenized model.  Each
     epsilon hands its row range to ``run_forked``, which splits it into one
     contiguous group per usable CPU, run by the caller and forked children,
-    and ``run_replications`` runs each group in the cache-sized row blocks
-    of ``filtering.row_blocks``.  Every row draws only from its own streams,
+    and ``run_replications`` runs each group whole; only the filters cut its
+    rows into cache-sized blocks.  Every row draws only from its own streams,
     so the report depends on neither split.  No epsilon runs after one whose
     failures abort the study.
     """

@@ -239,6 +239,19 @@ class TestBuildHomogenized:
         with pytest.raises(ValueError, match="only tabulated models"):
             save_tabulated(catalog.make_views("ou_benchmark", 1.0)[1], path)
 
+    def test_blank_lines_are_skipped_on_load(self, tmp_path):
+        hm = build_homogenized(ou_model(), TabulationGrid(lows=(-1.0,), highs=(1.0,),
+                                                          counts=(3,)),
+                               FAST_CFG, root_seed=10)
+        path, blank, resaved = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
+        save_tabulated(hm, str(path))
+        lines = path.read_text().splitlines()
+        # A blank line at the top, in the header, before a block, in one and at the end.
+        blank.write_text("\n".join(["", lines[0], "", *lines[1:4], "  ", *lines[4:],
+                                    "", ""]).replace("[h_se]\n", "\n[h_se]\n\n"))
+        save_tabulated(load_tabulated(str(blank)), str(resaved))
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_determinism(self):
         model = ou_model()
         grid = TabulationGrid(lows=(-1.0,), highs=(1.0,), counts=(2,))

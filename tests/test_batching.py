@@ -205,13 +205,15 @@ def test_only_filtering_reads_the_cpu_count():
 
 
 def test_only_filtering_bounds_the_particles_per_block():
-    # filtering.row_blocks alone cuts rows into blocks of CHUNK_PARTICLES
-    # particles; a second bound or block rule elsewhere would drift from it.
+    # The filter loop alone cuts rows into blocks of CHUNK_PARTICLES particles,
+    # by filtering._row_blocks; a second bound or block rule elsewhere would
+    # drift from it, and a second call would cut the rows twice.
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "homfilt"
     bounds = [f"{path.name}:{no}" for path in sorted(src.glob("*.py"))
               if path.name != "filtering.py"
               for no, line in enumerate(path.read_text().splitlines(), 1)
-              if re.search(r"\bCHUNK_PARTICLES\b|//\s*[\w.]*n_particles\b", line)]
+              if re.search(r"\bCHUNK_PARTICLES\b|//\s*[\w.]*n_particles\b"
+                           r"|\b_?row_blocks\s*\(", line)]
     assert bounds == []
 
 

@@ -198,6 +198,14 @@ class TestFilter:
         for name in ("filter_full.csv", "filter_homogenized.csv", "filter_distance.txt"):
             assert (out / "blank" / name).read_bytes() == (out / "plain" / name).read_bytes()
 
+    def test_basis_of_more_than_1023_functions(self, tmp_path):
+        cfg, out = self.make_inputs(tmp_path)
+        settings = yaml.safe_load(pathlib.Path(cfg).read_text())
+        settings["filter"].update(basis_count=1100, n_particles=50)
+        cfg = write_config(tmp_path, settings, "basis.yaml")
+        assert run(["--config", cfg, "--seed", 8, "--out", out, "filter"]) == 0
+        assert (out / "filter_distance.txt").exists()
+
     def test_builds_the_family_once(self, tmp_path, monkeypatch):
         # Mode both without a table: one build gives both filters their model.
         from homfilt import catalog
@@ -750,6 +758,14 @@ class TestErrors:
                                                 "table": str(table)}, table)
         assert {"[a]": "block [a] node 1 at x=[1.0]: non-finite value",
                 "[b]": "block [b] has 1 rows, not one for each node 0..1"}[block] in err
+
+    def test_table_without_a_block_names_it(self, tmp_path, capsys):
+        blocks = {key: rows for key, rows in self._BLOCKS.items() if key != "[h_se]"}
+        obs, table = self._table(tmp_path, blocks)
+        err = self._io_error(tmp_path, capsys, {"mode": "homogenized",
+                                                "observations": str(obs),
+                                                "table": str(table)}, table)
+        assert err.endswith(": block [h_se] has 0 rows, not one for each node 0..1\n")
 
     def test_table_whose_dim_slow_is_not_its_axis_count_is_io_error(self, tmp_path,
                                                                     capsys):

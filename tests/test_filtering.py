@@ -19,7 +19,7 @@ from homfilt.models import (MultiscaleModel, ObservationPath, simulate_multiscal
                             simulate_observations)
 from homfilt.rng import StreamBatch
 
-from conftest import linear_gaussian
+from conftest import linear_gaussian, record_block_widths
 
 
 def ensemble(states, weights):
@@ -451,24 +451,6 @@ def test_rows_that_fail_mid_run(kind):
     assert np.isfinite(pair.means[:5, 1]).all() and np.isfinite(pair.ess[:5, 1]).all()
 
 
-def _record_block_widths(monkeypatch, bound):
-    """Lower ``CHUNK_PARTICLES`` to ``bound`` and record the rows of every
-    move the two filters' step functions make, one entry per step."""
-    widths = []
-
-    def recorded(move, cloud_arg):
-        def traced(*args):
-            widths.append(len(args[cloud_arg]))
-            return move(*args)
-        return traced
-
-    monkeypatch.setattr(filtering, "CHUNK_PARTICLES", bound)
-    monkeypatch.setattr(filtering, "multiscale_step",
-                        recorded(filtering.multiscale_step, 1))
-    monkeypatch.setattr(filtering, "euler_maruyama", recorded(filtering.euler_maruyama, 0))
-    return widths
-
-
 @pytest.mark.parametrize("kind", ["full", "homogenized"])
 @pytest.mark.parametrize("n, widths", [
     (16, [1, 2, 2]),  # two rows of 16 particles per block of 40
@@ -486,7 +468,7 @@ def test_blocks_are_bounded_and_rows_equal_lone_runs(monkeypatch, kind, n, width
         return run(target, obs, cloud[r], 0.9, [np.random.default_rng(20 + i) for i in r])
 
     lone = [rows([r]) for r in range(5)]
-    seen = _record_block_widths(monkeypatch, bound)
+    seen = record_block_widths(monkeypatch, bound)
     batch = rows(list(range(5)))
     assert seen == [width for width in widths for _ in range(steps)]
     assert all(width * n <= max(bound, n) for width in seen)
@@ -522,7 +504,7 @@ def test_row_that_blows_up_in_a_later_block(monkeypatch, kind, bad):
         return run(target, obs, cloud[r], 0.9, [np.random.default_rng(i) for i in r])
 
     lone = [rows([r]) for r in range(5)]
-    seen = _record_block_widths(monkeypatch, 40)
+    seen = record_block_widths(monkeypatch, 40)
     batch = rows(list(range(5)))
     assert seen == [1] * (4 if bad == 0 else steps) + [2] * steps + [2] * steps
     assert isinstance(batch.errors[bad], BlowUpError)

@@ -94,6 +94,14 @@ class TestMetricD:
         with pytest.raises(ValueError):
             metric_d(measure([0.0]), measure(np.zeros((1, 2))), basis)
 
+    @pytest.mark.parametrize("count", [1024, 1100])
+    def test_weights_past_2_to_the_1023_do_not_overflow(self, rng, count):
+        # 2^-(i + 1) is 2^-1024 at i = 1023, where 2^(i + 1) is out of range,
+        # and so small that the terms past it leave the sum unchanged.
+        mu, nu = random_measure(rng, 10), random_measure(rng, 10)
+        assert metric_d(mu, nu, default_basis(count, 1)) == metric_d(
+            mu, nu, default_basis(1023, 1))
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_metric_axioms(self, seed):

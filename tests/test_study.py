@@ -10,12 +10,12 @@ from homfilt.cli import main
 from homfilt.errors import BlowUpError, HomfiltError, StudyAbortError
 from homfilt.filtering import run_forked, run_full_filter, run_homogenized_filter
 from homfilt.measures import EmpiricalMeasure, default_basis, metric_d
-from homfilt.models import ObservationPath, blow_up_steps
+from homfilt.models import ObservationPath, blow_up_steps, step_count
 from homfilt.study import (StudyConfig, _bootstrap_slope_ci, fit_loglog_slope,
                            replication_paths, report_csv, report_text,
                            run_replication, run_replications, run_study, summarize)
 
-from conftest import linear_gaussian
+from conftest import linear_gaussian, record_block_widths
 
 
 def small_config(**overrides):
@@ -187,11 +187,13 @@ class TestRunReplication:
         assert d1 == d2
 
     @pytest.mark.parametrize("chunk_particles, widths", [
-        (64, [1, 2, 2]),  # two rows of 32 particles per batch
+        (64, [1, 2, 2]),  # two rows of 32 particles per block
         (16, [1] * 5),    # one row holds more than the bound
     ])
     def test_batches_are_bounded_and_rows_equal_lone_runs(self, monkeypatch,
                                                           chunk_particles, widths):
+        # Each filter gets all the rows at once; its loop alone cuts them
+        # into blocks of the bound, ``widths``, at every step.
         cfg = small_config(replications=5, n_particles=32)
         model, hm = catalog.make_views("ou_benchmark", 0.25)
         basis = default_basis(cfg.basis_count, 1)
@@ -204,15 +206,16 @@ class TestRunReplication:
                 return run(target, obs, states, *args)
             return wrapper
 
-        monkeypatch.setattr(filtering, "CHUNK_PARTICLES", chunk_particles)
+        blocks = record_block_widths(monkeypatch, chunk_particles)
         monkeypatch.setattr(study, "run_full_filter", counted(run_full_filter))
         monkeypatch.setattr(study, "run_homogenized_filter",
                             counted(run_homogenized_filter))
         assert run_replications(model, hm, cfg, basis, 1, range(5)) == lone
-        assert seen == [(run, width) for width in widths
-                        for run in ("run_full_filter", "run_homogenized_filter")]
+        assert seen == [("run_full_filter", 5), ("run_homogenized_filter", 5)]
+        steps = step_count(cfg.horizon, cfg.dt)
+        assert blocks == [width for width in widths for _ in range(steps)] * 2
         bound = max(chunk_particles, cfg.n_particles)
-        assert all(width * cfg.n_particles <= bound for _, width in seen)
+        assert all(width * cfg.n_particles <= bound for width in blocks)
 
     def test_self_comparison_bounded_by_particle_noise(self):
         # Model whose coefficients are already z-independent and equal to
@@ -306,41 +309,44 @@ class TestRunStudyEndToEnd:
     @pytest.mark.parametrize("cpus, chunk_particles, sizes", [
         (1, filtering.CHUNK_PARTICLES, [5]),
         (3, filtering.CHUNK_PARTICLES, [1, 2, 2]),
-        (1, 64, [1, 2, 2]),      # two rows of 32 particles per chunk
+        (1, 64, [5]),      # filtered in blocks of two rows of 32 particles
         (8, filtering.CHUNK_PARTICLES, [1] * 5),
     ])
     def test_report_does_not_depend_on_chunking(self, monkeypatch, cpus,
                                                 chunk_particles, sizes):
         cfg = small_config(replications=5, n_particles=32)
         default = run_study(cfg)
-        handed, groups, widths = [], [], []
+        handed, groups, moves, widths = [], [], [], []
 
         def counted(model, obs, states, *args):
             widths.append(len(states))
             return run_full_filter(model, obs, states, *args)
 
         # Recorded where run_study hands its rows over; each group sends the
-        # widths of its batches back beside its results, as a forked worker's
-        # appends would never reach this process.
+        # rows of its filter calls and of its filter steps back beside its
+        # results, as a forked worker's appends would never reach this process.
         def recorded(fn, items):
             def traced(group):
-                start = len(widths)
-                return [(fn(group), widths[start:])]
+                start, block_start = len(widths), len(blocks)
+                return [(fn(group), widths[start:], blocks[block_start:])]
 
             handed.append((fn.args[-1], items))
             out = run_forked(traced, items)
-            groups.append([batch_widths for _, batch_widths in out])
-            return [entry for results, _ in out for entry in results]
+            groups.append([calls for _, calls, _ in out])
+            moves.append([width for _, _, block_widths in out for width in block_widths])
+            return [entry for results, _, _ in out for entry in results]
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(filtering, "CHUNK_PARTICLES", chunk_particles)
+        blocks = record_block_widths(monkeypatch, chunk_particles)
         monkeypatch.setattr(study, "run_full_filter", counted)
         monkeypatch.setattr(study, "run_forked", recorded)
         assert run_study(cfg) == default
         assert handed == [(ei, range(cfg.replications)) for ei in range(len(cfg.epsilons))]
-        for batches in groups:
-            assert len(batches) == min(cpus, cfg.replications)
-            assert sum(batches, []) == sizes
+        bound = max(chunk_particles, cfg.n_particles)
+        for calls, block_widths in zip(groups, moves, strict=True):
+            assert calls == [[size] for size in sizes]  # one filter call per group
+            assert block_widths and all(width * cfg.n_particles <= bound
+                                        for width in block_widths)
 
     def test_abort_starts_no_later_epsilon(self, monkeypatch):
         cfg = small_config(epsilons=(0.5, 0.25, 0.125, 0.0625))
